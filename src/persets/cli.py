@@ -18,6 +18,18 @@ from . import diagram_metrics, engine, graph_analysis, graphs, metric, regions, 
 from .errors import PersetsError
 
 
+def _workers(text):
+    """--workers / PERSETS_WORKERS: an integer >= 1, else a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"workers (--workers or PERSETS_WORKERS) must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _add_workers_arg(p):
+    p.add_argument("--workers", type=_workers, default=os.environ.get("PERSETS_WORKERS") or "1")
+
+
 def _add_campaign_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--space", help='model space, e.g. "s1", "sphere:m=2", "mk:kappa=-1:R=3.14159"')
@@ -27,7 +39,7 @@ def _add_campaign_args(p):
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--tuples", type=int, default=1_000_000, help="number of sampled n-tuples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=engine.default_workers())
+    _add_workers_arg(p)
     p.add_argument("--oracle-fallback", action="store_true", help="allow n != 2k+2 via the brute-force oracle")
 
 
@@ -39,10 +51,6 @@ def _campaign_space(args):
     return graphs.parse_family(args.family)
 
 
-def _angular(space) -> bool:
-    return spaces.is_angular(space) if not isinstance(space, graphs.MetricGraph) else False
-
-
 def cmd_sample(args) -> int:
     space = _campaign_space(args)
     sample = engine.sample_persistence_set(
@@ -51,11 +59,11 @@ def cmd_sample(args) -> int:
     )
     engine.write_sample(sample, args.out, args.out_json)
     if args.svg:
-        engine.svg_scatter(sample.points, args.svg, angular=_angular(space),
+        engine.svg_scatter(sample.points, args.svg, angular=spaces.is_angular(space),
                            title=f"{sample.space}  n={args.n} k={args.k}")
     if args.heatmap:
         hist = engine.histogram(sample, args.bins, args.bins)
-        engine.svg_heatmap(hist, args.heatmap, angular=_angular(space),
+        engine.svg_heatmap(hist, args.heatmap, angular=spaces.is_angular(space),
                            title=f"{sample.space}  n={args.n} k={args.k}")
     print(json.dumps({
         "tuples": sample.tuples_drawn,
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph JSON file or family descriptor")
     p.add_argument("--tuples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=engine.default_workers())
+    _add_workers_arg(p)
     p.add_argument("--rel-tol", type=float, default=0.08)
     p.add_argument("--min-support", type=int, default=10)
     p.set_defaults(fn=cmd_graph_betti)
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density-check", help="L1 error of the circle campaign vs the exact density")
     p.add_argument("--tuples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=engine.default_workers())
+    _add_workers_arg(p)
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--threshold", type=float, default=0.05)
     p.set_defaults(fn=cmd_density_check)

@@ -1,10 +1,12 @@
 """The sampling engine: estimate principal persistence sets and measures.
 
-A campaign draws m_max i.i.d. n-tuples from a space (entries sampled with
-replacement: that is exactly the n-fold product measure), pushes every
-tuple through the O(n^2) principal-diagram kernel, and aggregates the
-nontrivial (t_b, t_d) points plus a scalar count of trivial (empty)
-diagrams.  The empty diagram is never encoded as a (0, 0) point.
+A campaign draws m_max i.i.d. n-tuples from a space (any object with the
+three members listed in ``persets.spaces``; entries sampled with
+replacement: that is exactly the n-fold product measure), pushes the
+n(n-1)/2 distances of every tuple through the O(n^2) principal-diagram
+kernel, and aggregates the nontrivial (t_b, t_d) points plus a scalar
+count of trivial (empty) diagrams.  The empty diagram is never encoded
+as a (0, 0) point.
 
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
@@ -30,9 +32,9 @@ from .errors import (
     RegionMismatch,
     UnsupportedCombination,
 )
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, squareform
 from .oracle import vr_diagram
-from .principal import principal_pairs
+from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
 
@@ -70,53 +72,40 @@ class Histogram2D:
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite dataset as a sampling space: tuples of row indices.
-
-    with replacement by default; ``distinct=True`` switches to distinct
-    row subsets, a different estimator useful only for finite data.
-    """
+    """A finite dataset as a sampling space: points are (count, 1) row indices."""
 
     matrix: DistanceMatrix
-    distinct: bool = False
 
-    def sample_distance_matrices(self, rng, count: int, n: int):
-        size = self.matrix.n
-        if self.distinct:
-            if n > size:
-                raise UnsupportedCombination("distinct subsets need n <= dataset size")
-            idx = np.argsort(rng.random((count, size)), axis=1)[:, :n]
-        else:
-            idx = rng.integers(0, size, size=(count, n))
-        mats = self.matrix.entries[idx[:, :, None], idx[:, None, :]]
-        return idx.astype(float), mats
+    @property
+    def descriptor(self) -> str:
+        return f"finite:{self.matrix.n}"
+
+    def sample_points(self, rng, count):
+        return rng.integers(0, self.matrix.n, size=(count, 1))
+
+    def pair_distance(self, p, q):
+        return self.matrix.entries[p[..., 0], q[..., 0]]
 
 
-def _space_of(descriptor):
-    if isinstance(descriptor, str):
-        try:
-            return spaces_mod.parse_space(descriptor)
-        except Exception:
-            return graphs_mod.parse_family(descriptor)
-    return descriptor
+def _space_of(space):
+    """A space object, or the model or graph family a descriptor string names."""
+    if not isinstance(space, str):
+        return space
+    if space.strip().split(":")[0].lower() in graphs_mod.FAMILIES:
+        return graphs_mod.parse_family(space)
+    return spaces_mod.parse_space(space)
 
 
-def _descriptor_of(space) -> str:
-    if isinstance(space, graphs_mod.MetricGraph):
-        return f"graph:{space.vertex_count}v:{len(space.edges)}e"
-    if isinstance(space, FiniteSpace):
-        return f"finite:{space.matrix.n}"
-    try:
-        return spaces_mod.space_descriptor(space)
-    except Exception:
-        return type(space).__name__
+def sample_tuples(space, rng, count: int, n: int):
+    """``count`` n-tuples, (count, n, D), and their pair list, (n(n-1)/2, count).
 
-
-def _sample_matrices(space, rng, count, n):
-    if isinstance(space, graphs_mod.MetricGraph):
-        return graphs_mod.sample_distance_matrices(space, rng, count, n)
-    if hasattr(space, "sample_distance_matrices"):
-        return space.sample_distance_matrices(rng, count, n)
-    return spaces_mod.sample_distance_matrices(space, rng, count, n)
+    One ``pair_distance`` call per pair keeps its temporaries at (count, D).
+    """
+    pts = space.sample_points(rng, count * n).reshape(count, n, -1)
+    pairs = np.empty((n * (n - 1) // 2, count))
+    for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+        pairs[p] = space.pair_distance(pts[:, i], pts[:, j])
+    return pts, pairs
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -125,24 +114,20 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _run_chunk(space, n, k, seed, chunk_index, count, keep):
     rng = _chunk_rng(seed, chunk_index)
-    pts, mats = _sample_matrices(space, rng, count, n)
-    tb, td = principal_pairs(mats)
+    pts, dists = sample_tuples(space, rng, count, n)
+    tb, td = principal_of_pairs(dists, n)
     mask = tb < td
     pairs = np.column_stack([tb[mask], td[mask]])
     kept = pts[mask] if keep else None
     return pairs, int(count - int(mask.sum())), kept
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
-
-
 def _oracle_chunk(space, n, k, seed, chunk_index, count):
     rng = _chunk_rng(seed, chunk_index)
-    _, mats = _sample_matrices(space, rng, count, n)
+    _, dists = sample_tuples(space, rng, count, n)
     pairs = []
     trivial = 0
-    for m in mats:
+    for m in squareform(dists, n):
         # sampled matrices are metric by construction; skip re-validation
         dgm = vr_diagram(DistanceMatrix(m), k)
         if dgm.points:
@@ -170,8 +155,8 @@ def sample_persistence_set(
     ``oracle_fallback`` is set, flattening all diagram points.
     """
     space = _space_of(space)
-    if m_max < 1:
-        raise UnsupportedCombination("m_max must be >= 1")
+    if m_max < 1 or workers < 1:
+        raise UnsupportedCombination("m_max and workers must be >= 1")
     principal = n == 2 * k + 2
     if not principal and not (oracle_fallback and n <= 12):
         raise UnsupportedCombination(
@@ -191,7 +176,7 @@ def sample_persistence_set(
         ]
         if workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_chunk_star, tasks, chunksize=1))
+                results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
         else:
             results = [_run_chunk(*t) for t in tasks]
     else:
@@ -199,13 +184,9 @@ def sample_persistence_set(
 
     points = np.concatenate([r[0] for r in results], axis=0) if results else np.empty((0, 2))
     trivial = sum(r[1] for r in results)
-    kept = None
-    if keep_nontrivial_tuples and principal:
-        kept_parts = [r[2] for r in results if r[2] is not None and len(r[2])]
-        if kept_parts:
-            kept = np.concatenate(kept_parts, axis=0)
+    kept = np.concatenate([r[2] for r in results]) if keep_nontrivial_tuples and principal else None
     return PersistenceSetSample(
-        space=_descriptor_of(space),
+        space=space.descriptor,
         n=n,
         k=k,
         tuples_drawn=m_max,
@@ -214,13 +195,6 @@ def sample_persistence_set(
         seed=seed,
         kept_tuples=kept,
     )
-
-
-def default_workers() -> int:
-    env = os.environ.get("PERSETS_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 # ---------------------------------------------------------------------------

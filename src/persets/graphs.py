@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
+from .metric import squareform
+from .spaces import parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,26 +35,28 @@ class GraphPoint:
 
 @dataclass(frozen=True)
 class MetricGraph:
+    """A sampling space of (edge, offset) points; made by ``build_graph``."""
+
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
     vertex_distances: np.ndarray = field(compare=False)
+    edge_u: np.ndarray = field(compare=False)
+    edge_v: np.ndarray = field(compare=False)
+    edge_len: np.ndarray = field(compare=False)
 
     @property
     def total_length(self) -> float:
         return float(sum(e[2] for e in self.edges))
 
-    # -- arrays used by the vectorized paths ------------------------------
     @property
-    def edge_u(self) -> np.ndarray:
-        return np.asarray([e[0] for e in self.edges], dtype=int)
+    def descriptor(self) -> str:
+        return f"graph:{self.vertex_count}v:{len(self.edges)}e"
 
-    @property
-    def edge_v(self) -> np.ndarray:
-        return np.asarray([e[1] for e in self.edges], dtype=int)
+    def sample_points(self, rng, count):
+        return sample_graph(self, rng, count)
 
-    @property
-    def edge_len(self) -> np.ndarray:
-        return np.asarray([e[2] for e in self.edges], dtype=float)
+    def pair_distance(self, p, q):
+        return point_distance_batch(self, p[..., 0], p[..., 1], q[..., 0], q[..., 1])
 
 
 def build_graph(vertex_count: int, edges) -> MetricGraph:
@@ -89,7 +93,10 @@ def build_graph(vertex_count: int, edges) -> MetricGraph:
     if not np.isfinite(dist).all():
         raise InvalidDescriptor("graph is not connected")
     dist.flags.writeable = False
-    return MetricGraph(vertex_count, edges, dist)
+    eu = np.asarray([e[0] for e in edges], dtype=int)
+    ev = np.asarray([e[1] for e in edges], dtype=int)
+    elen = np.asarray([e[2] for e in edges], dtype=float)
+    return MetricGraph(vertex_count, edges, dist, eu, ev, elen)
 
 
 def _endpoint_route(graph: MetricGraph, e1, o1, e2, o2):
@@ -154,30 +161,14 @@ def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
     return out
 
 
-def sample_distance_matrices(graph: MetricGraph, rng, count: int, n: int):
-    """Batch n-tuples and their distance matrices; see the spaces analogue."""
-    pts = sample_graph(graph, rng, count * n).reshape(count, n, 2)
-    e = pts[..., 0].astype(int)
-    o = pts[..., 1]
-    mats = point_distance_batch(
-        graph, e[:, :, None], o[:, :, None], e[:, None, :], o[:, None, :]
-    )
-    idx = np.arange(n)
-    mats[:, idx, idx] = 0.0
-    return pts, mats
-
-
 def distance_matrix_of_points(graph: MetricGraph, points) -> np.ndarray:
-    """Plain pairwise matrix of a list of GraphPoints or (edge, offset) rows."""
+    """Pairwise matrix of GraphPoints or (edge, offset) rows: i < j values, mirrored."""
     arr = np.asarray(
         [(p.edge, p.offset) if isinstance(p, GraphPoint) else tuple(p) for p in points],
         dtype=float,
     )
-    e = arr[:, 0].astype(int)
-    o = arr[:, 1]
-    d = point_distance_batch(graph, e[:, None], o[:, None], e[None, :], o[None, :])
-    np.fill_diagonal(d, 0.0)
-    return d
+    i, j = np.triu_indices(len(arr), 1)
+    return squareform(graph.pair_distance(arr[i], arr[j]), len(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -318,39 +309,37 @@ def write_graph_json(graph: MetricGraph, path) -> None:
         fh.write("\n")
 
 
+FAMILIES = ("wedge", "flares", "flares-fig", "glued", "treecycles")
+
+
 def parse_family(text: str) -> MetricGraph:
     """Family descriptors: "wedge:3.5,4.5", "flares:c=6.2832,k=4,L=1",
     "glued:3.5,4.5:alpha=0.5", "treecycles:6,8,10:edge=0.5"."""
     parts = text.strip().split(":")
     name = parts[0].lower()
-    if name == "wedge":
-        if len(parts) != 2:
-            raise InvalidDescriptor("wedge wants wedge:<c1>,<c2>,...")
-        return wedge_of_circles([float(x) for x in parts[1].split(",")])
-    if name == "flares":
-        kv = _parse_kv(parts[1:])
-        return cycle_with_flares(kv["c"], int(kv.get("k", 4)), kv.get("l", 1.0))
-    if name == "flares-fig":
-        return circle_with_flares_figure()
-    if name == "glued":
-        if len(parts) != 3:
-            raise InvalidDescriptor("glued wants glued:<l1>,<l2>,...:alpha=<a>")
-        lens = [float(x) for x in parts[1].split(",")]
-        kv = _parse_kv(parts[2:])
-        return glued_cycles(lens, kv["alpha"])
-    if name == "treecycles":
-        lens = [float(x) for x in parts[1].split(",")]
-        kv = _parse_kv(parts[2:]) if len(parts) > 2 else {}
-        return tree_of_cycles(lens, kv.get("edge", 0.5))
-    raise InvalidDescriptor(f"unknown graph family {name!r}")
+    try:
+        if name == "wedge" and len(parts) == 2:
+            return wedge_of_circles(_numbers(parts[1], text))
+        if name == "flares":
+            kv = _parse_kv(parts[1:], text)
+            return cycle_with_flares(kv["c"], int(kv.get("k", 4)), kv.get("l", 1.0))
+        if name == "flares-fig" and len(parts) == 1:
+            return circle_with_flares_figure()
+        if name == "glued" and len(parts) == 3:
+            return glued_cycles(_numbers(parts[1], text), _parse_kv(parts[2:], text)["alpha"])
+        if name == "treecycles" and len(parts) in (2, 3):
+            kv = _parse_kv(parts[2:], text)
+            return tree_of_cycles(_numbers(parts[1], text), kv.get("edge", 0.5))
+    except KeyError as exc:
+        raise InvalidDescriptor(f"missing option {exc} in {text!r}") from None
+    if name in FAMILIES:
+        raise InvalidDescriptor(f"malformed {name} descriptor {text!r}; see parse_family")
+    raise InvalidDescriptor(f"unknown graph family {name!r} in {text!r}")
 
 
-def _parse_kv(parts) -> dict:
-    kv = {}
-    for part in parts:
-        for item in part.split(","):
-            if "=" not in item:
-                raise InvalidDescriptor(f"malformed option {item!r}")
-            k, v = item.split("=", 1)
-            kv[k.strip().lower()] = float(v)
-    return kv
+def _numbers(part: str, text: str) -> list:
+    return [parse_number(x, text) for x in part.split(",")]
+
+
+def _parse_kv(parts, text: str) -> dict:
+    return parse_options([item for part in parts for item in part.split(",")], text)

@@ -101,6 +101,22 @@ def restrict(matrix: DistanceMatrix, indices: Sequence[int]) -> DistanceMatrix:
     return DistanceMatrix(sub)
 
 
+def condensed(entries) -> np.ndarray:
+    """The i < j entries of matrices (..., n, n), in triu_indices order: (pairs, ...)."""
+    entries = np.asarray(entries)
+    i, j = np.triu_indices(entries.shape[-1], 1)
+    return np.moveaxis(entries[..., i, j], -1, 0)
+
+
+def squareform(pairs, n: int) -> np.ndarray:
+    """Symmetric zero-diagonal matrices (..., n, n) from a pair list (pairs, ...)."""
+    pairs = np.asarray(pairs)
+    i, j = np.triu_indices(n, 1)
+    out = np.zeros(pairs.shape[1:] + (n, n), dtype=pairs.dtype)
+    out[..., i, j] = out[..., j, i] = np.moveaxis(pairs, 0, -1)
+    return out
+
+
 def stats(matrix: DistanceMatrix) -> MetricStats:
     """Diameter, radius and separation of the finite space.
 

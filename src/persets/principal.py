@@ -7,8 +7,9 @@ t_d(x) the largest and t_b(x) the second largest,
     t_b(X) = max_x t_b(x),   t_d(X) = min_x t_d(x),
 
 and the diagram is {(t_b(X), t_d(X))} exactly when t_b(X) < t_d(X),
-empty otherwise.  This costs O(n^2) per matrix and vectorizes over
-batches of matrices, which is what the sampling engine runs on.
+empty otherwise.  This costs O(n^2) per space and reads only its n(n-1)/2
+distances, as a pair list (``metric.condensed``) that vectorizes over the
+batches the sampling engine runs on.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeMismatch, TooFewPoints
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, condensed
 
 
 @dataclass(frozen=True)
@@ -49,21 +50,28 @@ class PointExtremes:
         return min(p[1] for p in self.per_point)
 
 
-def row_extremes(mats: np.ndarray):
-    """(t_b, t_d) of every row of a batch of matrices, vectorized.
+def point_tops(pairs, n: int):
+    """Per-point (t_b, t_d), two (n, ...) arrays, of a (n(n-1)/2, ...) pair list.
 
-    ``mats`` has shape (..., n, n).  The row's diagonal zero doubles as the
-    second-largest value when n == 2, matching the pseudo-metric convention
-    (a two-point space has t_b = 0, t_d = its diameter).
+    A running top two per point that starts from its diagonal zero, so a
+    two-point space has t_b = 0, t_d = its diameter (pseudo-metric convention).
     """
-    s = np.sort(mats, axis=-1)
-    return s[..., -2], s[..., -1]
+    pairs = np.asarray(pairs, dtype=float)
+    td = np.zeros((n,) + pairs.shape[1:])
+    tb = np.full_like(td, -np.inf)
+    low = np.empty(pairs.shape[1:])
+    for x, i, j in zip(pairs, *np.triu_indices(n, 1)):
+        for r in (i, j):
+            np.minimum(td[r, ...], x, out=low)
+            np.maximum(tb[r, ...], low, out=tb[r, ...])
+            np.maximum(td[r, ...], x, out=td[r, ...])
+    return tb, td
 
 
-def principal_pairs(mats: np.ndarray):
-    """Global (t_b(X), t_d(X)) for a batch of matrices of shape (..., n, n)."""
-    tb_rows, td_rows = row_extremes(mats)
-    return tb_rows.max(axis=-1), td_rows.min(axis=-1)
+def principal_of_pairs(pairs, n: int):
+    """Global (t_b(X), t_d(X)) of n-point spaces given as a pair list."""
+    tb, td = point_tops(pairs, n)
+    return tb.max(axis=0), td.min(axis=0)
 
 
 def point_extremes(matrix: DistanceMatrix) -> PointExtremes:
@@ -71,7 +79,7 @@ def point_extremes(matrix: DistanceMatrix) -> PointExtremes:
     if matrix.n < 2:
         raise TooFewPoints("point extremes need at least 2 points")
     a = matrix.entries
-    tb_rows, td_rows = row_extremes(a)
+    tb_rows, td_rows = point_tops(condensed(a), matrix.n)
     per = []
     for i in range(matrix.n):
         row = a[i].copy()
@@ -100,7 +108,7 @@ def principal_diagram(matrix: DistanceMatrix, k: int) -> PrincipalDiagram:
         return PrincipalDiagram(None)
     if matrix.n > n:
         raise SizeMismatch(f"degree {k} needs at most {n} points, got {matrix.n}")
-    tb, td = principal_pairs(matrix.entries)
+    tb, td = principal_of_pairs(condensed(matrix.entries), n)
     if tb < td:
         return PrincipalDiagram((float(tb), float(td)))
     return PrincipalDiagram(None)

@@ -1,16 +1,15 @@
 """Closed-form model spaces: exact distances and uniform samplers.
 
-Each model exposes three capabilities used throughout the package:
+Every space the engine samples (these models, metric graphs, finite
+datasets) has the same three members:
 
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
-  (normalized Riemannian / Lebesgue) measure, as a (count, D) float array;
+  (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
 * ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
-  axes of two feature arrays;
-* ``validate_point(p)`` -- raise PointNotOnModel if p is off the model.
+  axes of two point arrays;
+* ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
-The batch helper ``sample_distance_matrices`` is the hot path of the
-sampling engine: it draws m independent n-tuples and returns the m
-distance matrices in one vectorized pass.
+Models also have ``validate_point(p)``: PointNotOnModel if p is off it.
 """
 from __future__ import annotations
 
@@ -39,6 +38,10 @@ class CircleGeodesic:
 
     diameter: float = math.pi
 
+    @property
+    def descriptor(self):
+        return "s1" if self.diameter == math.pi else f"s1:lambda={self.diameter:g}"
+
     def sample_points(self, rng, count):
         return rng.uniform(0.0, TWO_PI, size=(count, 1))
 
@@ -56,6 +59,10 @@ class SphereGeodesic:
     """Unit m-sphere with geodesic (arc length) distance, range [0, pi]."""
 
     m: int = 2
+
+    @property
+    def descriptor(self):
+        return f"sphere:m={self.m}"
 
     def sample_points(self, rng, count):
         v = rng.standard_normal(size=(count, self.m + 1))
@@ -80,6 +87,10 @@ class SphereEuclidean:
 
     m: int = 2
 
+    @property
+    def descriptor(self):
+        return "s1-e" if self.m == 1 else f"sphere-e:m={self.m}"
+
     def sample_points(self, rng, count):
         v = rng.standard_normal(size=(count, self.m + 1))
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -94,6 +105,8 @@ class SphereEuclidean:
 @dataclass(frozen=True)
 class TorusL2:
     """Product of two unit geodesic circles with the l2 product metric."""
+
+    descriptor = "torus"
 
     def sample_points(self, rng, count):
         return rng.uniform(0.0, TWO_PI, size=(count, 2))
@@ -127,6 +140,12 @@ class ModelSurface:
             raise InvalidDescriptor("kappa must be nonzero; use EuclideanDisk for flat space")
         if self.kappa < 0 and self.disk_radius <= 0:
             object.__setattr__(self, "disk_radius", math.pi / math.sqrt(-self.kappa))
+
+    @property
+    def descriptor(self):
+        if self.kappa > 0:
+            return f"mk:kappa={self.kappa:g}"
+        return f"mk:kappa={self.kappa:g}:R={self.disk_radius:g}"
 
     def sample_points(self, rng, count):
         if self.kappa > 0:
@@ -178,6 +197,10 @@ class EuclideanDisk:
     m: int = 2
     radius: float = 1.0
 
+    @property
+    def descriptor(self):
+        return f"disk:m={self.m}:R={self.radius:g}"
+
     def sample_points(self, rng, count):
         v = rng.standard_normal(size=(count, self.m))
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -223,35 +246,34 @@ def distance_matrix(model: SpaceModel, points) -> DistanceMatrix:
     return validate(d)
 
 
-def sample_distance_matrices(model: SpaceModel, rng, count: int, n: int):
-    """Draw ``count`` n-tuples and their distance matrices in one pass.
-
-    Returns (points, mats) with shapes (count, n, D) and (count, n, n).
-    Tuple entries are sampled with replacement (independent draws), which
-    is exactly the n-fold product of the uniform measure.
-    """
-    pts = model.sample_points(rng, count * n)
-    pts = pts.reshape(count, n, -1)
-    mats = model.pair_distance(pts[:, :, None, :], pts[:, None, :, :])
-    idx = np.arange(n)
-    mats[:, idx, idx] = 0.0
-    return pts, mats
-
-
 # ---------------------------------------------------------------------------
 # Compact descriptor strings, e.g. "s1", "s1:lambda=3.5", "sphere:m=2",
 # "sphere-e:m=2", "torus", "mk:kappa=-1:R=3.14159", "disk:m=2:R=1".
 # ---------------------------------------------------------------------------
 
+def parse_number(value: str, text: str) -> float:
+    """A number of the descriptor ``text``; InvalidDescriptor if malformed."""
+    try:
+        return float(value)
+    except ValueError:
+        raise InvalidDescriptor(f"bad number {value!r} in {text!r}") from None
+
+
+def parse_options(items, text: str) -> dict:
+    """{key: number} of the "key=value" items of the descriptor ``text``."""
+    kv = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise InvalidDescriptor(f"malformed option {item!r} in {text!r}")
+        kv[key.strip().lower()] = parse_number(value, text)
+    return kv
+
+
 def parse_space(text: str) -> SpaceModel:
     parts = text.strip().split(":")
-    name, opts = parts[0].lower(), parts[1:]
-    kv = {}
-    for opt in opts:
-        if "=" not in opt:
-            raise InvalidDescriptor(f"malformed option {opt!r} in {text!r}")
-        k, v = opt.split("=", 1)
-        kv[k.strip().lower()] = float(v)
+    name = parts[0].lower()
+    kv = parse_options(parts[1:], text)
     try:
         if name == "s1":
             return CircleGeodesic(diameter=kv.pop("lambda", math.pi))
@@ -268,27 +290,8 @@ def parse_space(text: str) -> SpaceModel:
         if name == "disk":
             return EuclideanDisk(m=int(kv.pop("m", 2)), radius=kv.pop("r", 1.0))
     except KeyError as exc:
-        raise InvalidDescriptor(f"missing option {exc} for space {name!r}") from None
-    raise InvalidDescriptor(f"unknown space {name!r}")
-
-
-def space_descriptor(model: SpaceModel) -> str:
-    """Inverse of parse_space, used in sample sidecar files."""
-    if isinstance(model, CircleGeodesic):
-        return "s1" if model.diameter == math.pi else f"s1:lambda={model.diameter:g}"
-    if isinstance(model, SphereGeodesic):
-        return f"sphere:m={model.m}"
-    if isinstance(model, SphereEuclidean):
-        return "s1-e" if model.m == 1 else f"sphere-e:m={model.m}"
-    if isinstance(model, TorusL2):
-        return "torus"
-    if isinstance(model, ModelSurface):
-        if model.kappa > 0:
-            return f"mk:kappa={model.kappa:g}"
-        return f"mk:kappa={model.kappa:g}:R={model.disk_radius:g}"
-    if isinstance(model, EuclideanDisk):
-        return f"disk:m={model.m}:R={model.radius:g}"
-    return type(model).__name__
+        raise InvalidDescriptor(f"missing option {exc} in {text!r}") from None
+    raise InvalidDescriptor(f"unknown space {name!r} in {text!r}")
 
 
 def is_angular(model) -> bool:

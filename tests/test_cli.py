@@ -128,12 +128,47 @@ def test_missing_file_is_error(capsys):
 
 
 def test_workers_env_default(monkeypatch):
-    from persets import engine
-
+    argv = ["graph-betti", "--graph", "wedge:3,4"]
     monkeypatch.setenv("PERSETS_WORKERS", "6")
-    assert engine.default_workers() == 6
+    assert cli.build_parser().parse_args(argv).workers == 6
+    assert cli.build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
     monkeypatch.delenv("PERSETS_WORKERS")
-    assert engine.default_workers() == 1
+    assert cli.build_parser().parse_args(argv).workers == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_workers_flag_below_one_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--space", "s1", "--workers", value])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PERSETS_WORKERS", value)
+    for argv in (["graph-betti", "--graph", "wedge:3,4"], ["density-check"],
+                 ["sample", "--space", "s1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "PERSETS_WORKERS" in capsys.readouterr().err
+    # commands without --workers never read it
+    path = tmp_path / "ok.csv"
+    metric.write_matrix_csv(metric.validate([[0, 1], [1, 0]]), path)
+    assert run(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--space", "s1:lambda=abc"],
+    ["sample", "--family", "glued:3.5,x:alpha=0.5"],
+    ["sample", "--family", "glued:3.5,4.5"],
+    ["graph-betti", "--graph", "treecycles"],
+])
+def test_bad_descriptor_is_validation_error(argv, capsys):
+    assert run(argv + ["--tuples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_console_script_entry_point():
@@ -154,3 +189,14 @@ def test_engine_accepts_string_descriptors():
     assert s.space == "s1"
     g = engine.sample_persistence_set("wedge:3.2,4.0", 4, 1, 2000, seed=1)
     assert g.space.startswith("graph:")
+
+
+def test_engine_string_descriptor_errors_name_the_space():
+    from persets import engine
+    from persets.errors import InvalidDescriptor
+
+    with pytest.raises(InvalidDescriptor, match="'s1:lambda=abc'") as exc:
+        engine.sample_persistence_set("s1:lambda=abc", 4, 1, 10, seed=1)
+    assert "graph family" not in str(exc.value)
+    with pytest.raises(InvalidDescriptor, match="unknown space 'klein'"):
+        engine.sample_persistence_set("klein", 4, 1, 10, seed=1)

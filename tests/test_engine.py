@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from persets import engine, metric, regions, spaces
+from persets import engine, metric, principal, regions, spaces
 from persets.errors import EmptySample, RegionMismatch, UnsupportedCombination
+
+from conftest import circle_angles_matrix
 
 PI = math.pi
 
@@ -73,15 +75,39 @@ def test_oracle_fallback_non_principal():
     assert (s.points[:, 0] < s.points[:, 1]).all()
 
 
-def test_finite_space_distinct_subsets(rng):
-    dm = metric.validate(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
-    space = engine.FiniteSpace(dm, distinct=True)
-    _, mats = space.sample_distance_matrices(rng, 200, 4)
-    # distinct rows: no zero off-diagonal entries on a space with distinct points
-    off = mats + np.eye(4)[None, :, :]
-    assert (off > 0).all()
+def test_finite_space_kept_tuples_are_row_indices():
+    dm = circle_angles_matrix([i * PI / 3 for i in range(6)])  # regular hexagon
+    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 3000, seed=4,
+                                      keep_nontrivial_tuples=True)
+    assert s.space == "finite:6"
+    assert s.kept_tuples.shape == (len(s.points), 4, 1)
+    for tup, point in zip(s.kept_tuples[:50], s.points):
+        dgm = principal.principal_diagram(metric.restrict(dm, tup[:, 0]), 1)
+        assert dgm.point == tuple(point)
+
+
+class Segment:
+    """A space defined outside the package: the unit interval."""
+
+    descriptor = "segment"
+
+    def sample_points(self, rng, count):
+        return rng.random((count, 1))
+
+    def pair_distance(self, p, q):
+        return np.abs(p[..., 0] - q[..., 0])
+
+
+def test_custom_space_needs_only_the_protocol():
+    # an interval is a tree: no 4-point subset carries a 1-cycle
+    s = engine.sample_persistence_set(Segment(), 4, 1, 5000, seed=2, keep_nontrivial_tuples=True)
+    assert s.space == "segment"
+    assert s.trivial_count == 5000 and s.kept_tuples.shape == (0, 4, 1)
+
+
+def test_workers_must_be_positive():
     with pytest.raises(UnsupportedCombination):
-        engine.FiniteSpace(dm, distinct=True).sample_distance_matrices(rng, 1, 7)
+        engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 100, seed=0, workers=0)
 
 
 def test_histogram_empty_sample():
@@ -247,8 +273,5 @@ def test_kept_tuples_align_with_points():
     c = spaces.CircleGeodesic()
     for i in range(0, len(s.points), 500):
         mat = c.pair_distance(s.kept_tuples[i][:, None, :], s.kept_tuples[i][None, :, :])
-        np.fill_diagonal(mat, 0.0)
-        from persets.principal import principal_pairs
-
-        tb, td = principal_pairs(mat)
+        tb, td = principal.principal_of_pairs(metric.condensed(mat), 4)
         assert (tb, td) == (s.points[i, 0], s.points[i, 1])

@@ -1,0 +1,98 @@
+"""Golden digests: fixed-seed campaigns must reproduce bit for bit.
+
+Each campaign runs two chunks (the chunk size is shrunk so that it stays
+cheap) at one and at two workers.  The digests were recorded before the
+pair-list kernel replaced the square-matrix one, so they pin that the
+refactor changed no output bit.
+
+The two graph families whose endpoint routes add the offsets and the
+vertex distance in a different order for each orientation (``treecycles``
+and ``flares-fig``) are pinned by their exact trivial count and by their
+points to 4e-15 instead: the pair list keeps the i < j orientation, the
+square matrix used both.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from persets import engine, metric
+
+SEED = 17
+CHUNK = 1024
+TUPLES = CHUNK + 476  # two chunks, the second one partial
+
+GOLDEN = {
+    ("s1", 4): "639ab73725b5b1f4d9060a727ec0856e8b6fbad966f38e81878f4f672b5f81fc",
+    ("s1", 6): "892598275fff717c71abcc2185617b3bb73e45a6b7188d5159716a09c5e9248a",
+    ("s1:lambda=3.5", 4): "93b1924cbde765792408a26973861381f0facdd0ee32f075ab146a55625dd9ed",
+    ("s1:lambda=3.5", 6): "32e454878f330d0947708485a886433347b4357d2d84e2178e196526ffb93c73",
+    ("s1-e", 4): "f283d91cf3a33d9945fc541a4703ece3d18c622392c63cee62d67a0ff51faec6",
+    ("s1-e", 6): "9a31d111a9ef393762993cddb5eb0fd327e9ae2a90652adbe230aabcda226864",
+    ("sphere:m=2", 4): "e8689c47e9b53e8927518e4677b4fb15cc47a300e1ae18aad58c9f1b4d600725",
+    ("sphere:m=2", 6): "c5cc51e0bf7903b783e77fe9004b915e5a76c75b2d693ced7bda46a94292fbf2",
+    ("sphere-e:m=2", 4): "09724b140edea53cc47ef278d176a5bddefe7a75f198993a37ec5a3143b90bb6",
+    ("sphere-e:m=2", 6): "a5d68515f58cabec9ab319cd16ce45e171f10f97a336a01863f9bacc83b87cb7",
+    ("torus", 4): "4021158602a75012865c249767330577188d05cd0b1c6f768436c53693ff6c11",
+    ("torus", 6): "3fd5f884c2840b88859ec04b3af0a30d044f412284f86c32a0349d50cb8d5eb1",
+    ("mk:kappa=1", 4): "4f67d3a9ea02cfd60ab6b92cea27c4b47d18b6b28a0d9281f363087db2d2a6d5",
+    ("mk:kappa=1", 6): "a2ba299e930c35738a798147ab5f11bcecfe14a4a40561734618d3f00f90bd94",
+    ("mk:kappa=-1", 4): "19f9b22fc94a3439bed0eb33677a9c516edb4d736aa5e2fa503805d4cec69e6e",
+    ("mk:kappa=-1", 6): "3b53e884b5f1abd2888435427ff33a2dcbae8cb86ac77f5486651ab674a46785",
+    ("disk:m=2", 4): "9c734afee7752aa9265a78c1e2365d83adf4e46b7332f478f048453c52ce8a9f",
+    ("disk:m=2", 6): "685816abd4e346e92f0fba897406b5d1275d3b5d93614045136fa98c627b59b2",
+    ("wedge:3.5,4.5", 4): "7561c9212060dd4a00e8a18125ad13fe8e05d5596f6057b85e8ece4cb5536932",
+    ("wedge:3.5,4.5", 6): "dd0ec218e773e13f95496bc714a697d0ca2f52efe93224bf27e557fbdd2a7bdb",
+    ("glued:3.5,4.5:alpha=0.5", 4): "a52092dd7e3ed10cbdff0f03ff087d03b474e63f20d7f323d08da0a99f900a24",
+    ("glued:3.5,4.5:alpha=0.5", 6): "e97bb7a767b43bb12a091c8b32f7cd4e288103eeb50b2b2289c8f5a20b2403dc",
+    ("finite", 4): "99c9e3f8deddea0028714c3bf501d96eaab1c7f8f86b3c63b2a731d337040c96",
+    ("finite", 6): "15f7721da1bec174657d68c5059458c4b1c69fbcf1f9bca100016aaa6bd5ad65",
+}
+
+NEAR_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_graph_points.json")
+
+
+def finite_space():
+    pts = np.random.default_rng(3).standard_normal((40, 3))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    np.fill_diagonal(d, 0.0)
+    return engine.FiniteSpace(metric.validate(d))
+
+
+def campaign(descriptor, n, workers, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK", CHUNK)
+    space = finite_space() if descriptor == "finite" else descriptor
+    return engine.sample_persistence_set(space, n, n // 2 - 1, TUPLES, SEED, workers=workers)
+
+
+def digest(sample):
+    h = hashlib.sha256()
+    h.update(sample.space.encode())
+    h.update(str(sample.trivial_count).encode())
+    h.update(np.ascontiguousarray(sample.points, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("descriptor,n", sorted(GOLDEN))
+def test_golden_digest(descriptor, n, workers, monkeypatch):
+    assert digest(campaign(descriptor, n, workers, monkeypatch)) == GOLDEN[descriptor, n]
+
+
+with open(NEAR_GOLDEN, encoding="utf-8") as _fh:
+    _NEAR = json.load(_fh)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", sorted(_NEAR))
+def test_golden_points_of_asymmetric_routes(key, workers, monkeypatch):
+    descriptor, n = key.rsplit("@", 1)
+    want = _NEAR[key]
+    s = campaign(descriptor, int(n), workers, monkeypatch)
+    assert s.trivial_count == want["trivial"]
+    np.testing.assert_allclose(s.points, np.asarray(want["points"]).reshape(-1, 2),
+                               rtol=0.0, atol=4e-15)

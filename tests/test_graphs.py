@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from persets import graphs, spaces
+from persets import graphs, metric, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint
 from persets.graphs import GraphPoint
 
@@ -161,3 +162,30 @@ def test_parse_family():
     assert graphs.parse_family("flares-fig").total_length == pytest.approx(2 * math.pi + 4)
     with pytest.raises(InvalidDescriptor):
         graphs.parse_family("moebius:1")
+
+
+@pytest.mark.parametrize("text", ["glued:3.5,x:alpha=0.5", "glued:3.5,4.5", "glued:3.5,4.5:beta=1",
+                                  "flares", "flares:c=abc", "treecycles", "wedge:", "flares-fig:2"])
+def test_parse_family_malformed_is_invalid_descriptor(text):
+    with pytest.raises(InvalidDescriptor, match=re.escape(repr(text))):
+        graphs.parse_family(text)
+
+
+@pytest.mark.parametrize("family", ["flares-fig", "treecycles:6,8,10"])
+def test_point_matrices_are_exactly_symmetric(family):
+    # endpoint routes add offsets and vertex distances in a different order
+    # per orientation; the matrix mirrors the i < j values, so it validates
+    g = graphs.parse_family(family)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        d = graphs.distance_matrix_of_points(g, graphs.sample_graph(g, rng, 6))
+        metric.validate(d)
+        assert np.array_equal(d, d.T)
+
+
+def test_edge_arrays_are_built_once():
+    g = graphs.glued_cycles([3.5, 4.5], 0.5)
+    assert g.edge_len is g.edge_len
+    np.testing.assert_array_equal(g.edge_len, [0.5, 3.0, 4.0])
+    np.testing.assert_array_equal(g.edge_u, [0, 0, 0])
+    np.testing.assert_array_equal(g.edge_v, [1, 1, 1])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persets import metric, principal
+from persets import metric, oracle, principal
 from persets.errors import SizeMismatch, TooFewPoints
 
 from conftest import circle_angles_matrix, circle_matrix, cloud_matrix_r3
@@ -172,3 +174,30 @@ def test_ptolemy_slack_geodesic_four_gon():
 def test_ptolemy_slack_size():
     with pytest.raises(SizeMismatch):
         principal.ptolemy_slack(metric.validate([[0, 1], [1, 0]]))
+
+
+# Small integer-valued pseudo-metrics: points of a 4x4 grid under l1 or
+# l-infinity, drawn with repetition, so distances tie and repeat often.
+@settings(max_examples=400, deadline=None)
+@given(
+    k=st.integers(0, 2),
+    grid=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6),
+    linf=st.booleans(),
+    data=st.data(),
+)
+def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, data):
+    n = 2 * k + 2
+    idx = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
+    pts = np.asarray(grid, dtype=float)[idx]
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    dm = metric.validate(diff.max(axis=-1) if linf else diff.sum(axis=-1))
+
+    # the running top two equals the sorted rows of the square matrix
+    tb, td = principal.point_tops(metric.condensed(dm.entries), n)
+    rows = np.sort(dm.entries, axis=1)
+    np.testing.assert_array_equal(tb, rows[:, -2])
+    np.testing.assert_array_equal(td, rows[:, -1])
+
+    fast = principal.principal_diagram(dm, k)
+    slow = oracle.vr_diagram(dm, k)
+    assert slow.points == (() if fast.is_empty else (fast.point,))

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from persets import spaces
+from persets import engine, metric, spaces
 from persets.errors import InvalidDescriptor, PointNotOnModel
 
 ALL_MODELS = [
@@ -163,19 +164,27 @@ def test_hyperbolic_sampler_stays_in_disk():
 def test_sampler_batch_matches_pointwise():
     model = spaces.TorusL2()
     rng = np.random.default_rng(6)
-    pts, mats = spaces.sample_distance_matrices(model, rng, 64, 4)
+    pts, pairs = engine.sample_tuples(model, rng, 64, 4)
+    assert pts.shape == (64, 4, 2) and pairs.shape == (6, 64)
+    mats = metric.squareform(pairs, 4)
     for t in range(0, 64, 7):
         ref = spaces.distance_matrix(model, pts[t])
-        np.testing.assert_allclose(mats[t], ref.entries, atol=1e-12)
+        np.testing.assert_array_equal(mats[t], ref.entries)
 
 
 def test_parse_space_roundtrip():
     for text in ["s1", "s1:lambda=3.5", "sphere:m=2", "sphere-e:m=2", "torus",
                  "mk:kappa=-1:R=3.14159", "mk:kappa=1", "disk:m=2:R=1"]:
         model = spaces.parse_space(text)
-        again = spaces.parse_space(spaces.space_descriptor(model))
-        assert type(again) is type(model)
+        again = spaces.parse_space(model.descriptor)
+        assert type(again) is type(model) and again.descriptor == model.descriptor
     with pytest.raises(InvalidDescriptor):
         spaces.parse_space("klein-bottle")
     with pytest.raises(InvalidDescriptor):
         spaces.parse_space("mk")  # kappa required
+
+
+@pytest.mark.parametrize("text", ["s1:lambda=abc", "sphere:m=", "mk:kappa=-1:R=x", "disk:m=2:R"])
+def test_parse_space_bad_option_names_the_descriptor(text):
+    with pytest.raises(InvalidDescriptor, match=re.escape(repr(text))):
+        spaces.parse_space(text)
