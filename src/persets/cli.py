@@ -57,7 +57,7 @@ def cmd_sample(args) -> int:
         space, args.n, args.k, args.tuples, args.seed,
         workers=args.workers, oracle_fallback=args.oracle_fallback,
     )
-    engine.write_sample(sample, args.out, args.out_json)
+    engine.write_sample(sample, args.out)
     if args.svg:
         engine.svg_scatter(sample.points, args.svg, angular=spaces.is_angular(space),
                            title=f"{sample.space}  n={args.n} k={args.k}")
@@ -76,14 +76,10 @@ def cmd_sample(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     region = regions.parse_region(args.region)
-    sample = engine.read_sample(args.check)
-    ok = regions.contains(region, sample.points[:, 0], sample.points[:, 1], tol=args.tol)
-    ok = np.atleast_1d(ok)
+    points = metric.read_csv(args.check, engine.SAMPLE_HEADER)
+    ok = regions.contains(region, points[:, 0], points[:, 1], tol=args.tol)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t_b,t_d,inside\n")
-            for (b, d), flag in zip(sample.points, ok):
-                fh.write(f"{float(b)!r},{float(d)!r},{int(flag)}\n")
+        metric.write_csv(args.out, points, ok[:, None].astype(np.int64), header="t_b,t_d,inside")
     violations = int((~ok).sum())
     print(json.dumps({"points": int(len(ok)), "violations": violations, "region": args.region}))
     return 0 if violations == 0 else 1
@@ -163,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a sampling campaign and write CSV/JSON/SVG")
     _add_campaign_args(p)
-    p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points")
-    p.add_argument("--out-json", default=None, help="JSON sidecar (default: <out>.json)")
+    p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points + <out>.json")
     p.add_argument("--svg", default=None, help="scatter plot output")
     p.add_argument("--heatmap", default=None, help="heatmap plot output")
     p.add_argument("--bins", type=int, default=100)
@@ -172,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="test sample points against an analytic region")
     p.add_argument("--region", required=True, help='region, e.g. "s1", "s2-geodesic", "mk:kappa=-1"')
-    p.add_argument("--check", required=True, help="sample CSV to test")
+    p.add_argument("--check", required=True, help="sample CSV to test (no sidecar needed)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None, help="per-point boolean CSV")
     p.set_defaults(fn=cmd_oracle_check)
 
     p = sub.add_parser("compare", help="Hausdorff-bottleneck and GH lower bound")
-    p.add_argument("--a", help="sample CSV A")
-    p.add_argument("--b", help="sample CSV B")
+    p.add_argument("--a", help="sample CSV A (its <csv>.json sidecar is required)")
+    p.add_argument("--b", help="sample CSV B (its <csv>.json sidecar is required)")
     p.add_argument("--region-a", help="analytic region A")
     p.add_argument("--region-b", help="analytic region B")
     p.add_argument("--step", type=float, default=1e-3, help="boundary grid step")
@@ -214,10 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PersetsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PersetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import regions as reg
 from .errors import EmptyInput, InfiniteDeath, TooLarge
@@ -209,6 +208,8 @@ def _directed_points(pts_a, empty_a, pts_b, empty_b) -> float:
         half_a = (pts_a[:, 1] - pts_a[:, 0]) / 2.0
         best = np.full(len(pts_a), np.inf)
         if len(pts_b):
+            # imported here: scipy.spatial triples the import time of persets
+            from scipy.spatial import cKDTree
             tree = cKDTree(pts_b)
             nn, _ = tree.query(pts_a, k=1, p=np.inf)
             min_half_b = float(np.min((pts_b[:, 1] - pts_b[:, 0]) / 2.0))

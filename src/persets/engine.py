@@ -16,9 +16,7 @@ little of the GIL here).
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -32,7 +30,7 @@ from .errors import (
     RegionMismatch,
     UnsupportedCombination,
 )
-from .metric import DistanceMatrix, squareform
+from .metric import DistanceMatrix, read_csv, read_json, squareform, write_csv, write_json
 from .oracle import vr_diagram
 from .principal import principal_of_pairs
 
@@ -360,72 +358,35 @@ def sample_two_point_empty_fraction(alpha: float, n: int, m_max: int, seed: int)
 
 
 # ---------------------------------------------------------------------------
-# Sample files: CSV of nontrivial points plus a JSON sidecar
+# Sample and histogram files: a CSV plus its required JSON sidecar <csv>.json
 # ---------------------------------------------------------------------------
 
-def write_sample(sample: PersistenceSetSample, csv_path, json_path=None) -> None:
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("t_b,t_d\n")
-        for b, d in sample.points:
-            fh.write(f"{float(b)!r},{float(d)!r}\n")
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
-    meta = {
-        "tuples": sample.tuples_drawn,
-        "trivial": sample.trivial_count,
-        "seed": sample.seed,
-        "space": sample.space,
-        "n": sample.n,
-        "k": sample.k,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-        fh.write("\n")
+SAMPLE_HEADER = "t_b,t_d"
+# sidecar key: (PersistenceSetSample field, type); one table for writer and reader
+_SIDECAR = {"tuples": ("tuples_drawn", int), "trivial": ("trivial_count", int),
+            "seed": ("seed", int), "space": ("space", str), "n": ("n", int), "k": ("k", int)}
 
 
-def read_sample(csv_path, json_path=None) -> PersistenceSetSample:
-    pts = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "t_b,t_d":
-            raise RegionMismatch(f"expected 't_b,t_d' header in {csv_path}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                b, d = line.split(",")
-                pts.append((float(b), float(d)))
-    points = np.asarray(pts, dtype=float).reshape(-1, 2)
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
-    meta = {"tuples": len(points), "trivial": 0, "seed": 0, "space": "?", "n": 4, "k": 1}
-    if os.path.exists(json_path):
-        with open(json_path, "r", encoding="utf-8") as fh:
-            meta.update(json.load(fh))
-    return PersistenceSetSample(
-        space=str(meta["space"]),
-        n=int(meta["n"]),
-        k=int(meta["k"]),
-        tuples_drawn=int(meta["tuples"]),
-        points=points,
-        trivial_count=int(meta["trivial"]),
-        seed=int(meta["seed"]),
-    )
+def write_sample(sample: PersistenceSetSample, csv_path) -> None:
+    write_csv(csv_path, sample.points, header=SAMPLE_HEADER)
+    write_json(str(csv_path) + ".json", {key: getattr(sample, f) for key, (f, _) in _SIDECAR.items()})
 
 
-def write_histogram(hist: Histogram2D, csv_path, json_path=None) -> None:
-    np.savetxt(csv_path, hist.counts, fmt="%d", delimiter=",")
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
-    meta = {
+def read_sample(csv_path) -> PersistenceSetSample:
+    points = read_csv(csv_path, SAMPLE_HEADER)
+    meta = read_json(str(csv_path) + ".json", {key: t for key, (_, t) in _SIDECAR.items()})
+    return PersistenceSetSample(points=points, **{f: meta[key] for key, (f, _) in _SIDECAR.items()})
+
+
+def write_histogram(hist: Histogram2D, csv_path) -> None:
+    write_csv(csv_path, hist.counts)
+    write_json(str(csv_path) + ".json", {
         "range_b": list(hist.range_b),
         "range_d": list(hist.range_d),
         "empty_mass": hist.empty_mass,
         "total": hist.total,
         "bins": list(hist.counts.shape),
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-        fh.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ class AxiomViolation(PersetsError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {head}{more}")
 
 
+class MalformedFile(PersetsError):
+    """An input file does not parse: bad header, ragged row, missing key, not a number."""
+
+
 class IndexOutOfRange(PersetsError):
     pass
 

@@ -13,7 +13,6 @@ the correct arc distance.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
-from .metric import squareform
+from .metric import read_json, squareform, write_json
 from .spaces import parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
@@ -297,16 +296,15 @@ def random_tree(rng: np.random.Generator, vertices: int) -> MetricGraph:
 # ---------------------------------------------------------------------------
 
 def read_graph_json(path) -> MetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return build_graph(int(doc["vertices"]), doc["edges"])
+    doc = read_json(path, {
+        "vertices": int,
+        "edges": lambda edges: [(int(u), int(v), float(w)) for u, v, w in edges],
+    })
+    return build_graph(doc["vertices"], doc["edges"])
 
 
 def write_graph_json(graph: MetricGraph, path) -> None:
-    doc = {"vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, {"vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]})
 
 
 FAMILIES = ("wedge", "flares", "flares-fig", "glued", "treecycles")
@@ -322,7 +320,7 @@ def parse_family(text: str) -> MetricGraph:
             return wedge_of_circles(_numbers(parts[1], text))
         if name == "flares":
             kv = _parse_kv(parts[1:], text)
-            return cycle_with_flares(kv["c"], int(kv.get("k", 4)), kv.get("l", 1.0))
+            return cycle_with_flares(kv["c"], kv.get("k", 4), kv.get("l", 1.0))
         if name == "flares-fig" and len(parts) == 1:
             return circle_with_flares_figure()
         if name == "glued" and len(parts) == 3:

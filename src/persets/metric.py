@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, IndexOutOfRange, NonFinite, NotSquare
+from .errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, NotSquare
 
 # Relative triangle-inequality tolerance.  Model-space distances go through
 # arccos, which loses ~1e-16 absolute near +-1; 1e-9 * max entry absorbs that.
@@ -136,39 +137,72 @@ def stats(matrix: DistanceMatrix) -> MetricStats:
 
 
 # ---------------------------------------------------------------------------
-# File formats: CSV (n rows of comma-separated decimals, no header) and
-# JSON {"n": int, "d": flat row-major array}.
+# File formats: CSV rows of comma-separated shortest round-trip decimals
+# (repr) under an optional header, or one JSON object.  Distance matrices:
+# CSV (n rows, no header) or JSON {"n": int, "d": flat row-major array}.
 # ---------------------------------------------------------------------------
 
-def read_matrix_csv(path) -> DistanceMatrix:
-    rows = []
+_CSV_ROWS = 1 << 14  # rows formatted at a time; bounds the Python lists of a write
+
+
+def write_csv(path, *blocks, header=None) -> None:
+    """2-D arrays side by side, one row per line, each value ``repr`` of its ``tolist()`` item."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for i in range(0, len(blocks[0]), _CSV_ROWS):
+            cells = [[",".join(map(repr, row)) for row in b[i:i + _CSV_ROWS].tolist()] for b in blocks]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def read_csv(path, header=None) -> np.ndarray:
+    """The float table of a CSV under ``header``, if given; MalformedFile if it does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return validate(np.asarray(rows, dtype=float))
+        try:
+            if header is not None and fh.readline().strip() != header:
+                raise MalformedFile(f"expected the header {header!r} in {path}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table may have no rows
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise MalformedFile(f"malformed CSV {path}: {exc}") from None
+    columns = table.shape[1] if header is None else header.count(",") + 1
+    if table.size and table.shape[1] != columns:
+        raise MalformedFile(f"{path} has {table.shape[1]} columns under {header!r}")
+    return table.reshape(-1, columns)
+
+
+def write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+
+
+def read_json(path, fields: dict) -> dict:
+    """{key: convert(value)} of the JSON object in ``path`` for each ``key: convert`` of
+    ``fields``; MalformedFile if it does not parse, lacks a key or a converter fails."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+            return {key: convert(doc[key]) for key, convert in fields.items()}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFile(f"malformed JSON {path}: {exc!r}") from None
+
+
+def read_matrix_csv(path) -> DistanceMatrix:
+    return validate(read_csv(path))
 
 
 def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix.entries:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    write_csv(path, matrix.entries)
 
 
 def read_matrix_json(path) -> DistanceMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    n = int(doc["n"])
-    flat = np.asarray(doc["d"], dtype=float)
-    if flat.size != n * n:
+    doc = read_json(path, {"n": int, "d": lambda d: np.asarray(d, dtype=float)})
+    n, flat = doc["n"], doc["d"]
+    if n < 0 or flat.size != n * n:
         raise NotSquare(f"flat array of length {flat.size} does not fill {n}x{n}")
     return validate(flat.reshape(n, n))
 
 
 def write_matrix_json(matrix: DistanceMatrix, path) -> None:
-    doc = {"n": matrix.n, "d": [float(v) for v in matrix.entries.ravel()]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, {"n": matrix.n, "d": matrix.entries.ravel().tolist()})

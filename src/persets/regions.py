@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor
+from .spaces import parse_options
 
 SQRT2 = math.sqrt(2.0)
 
@@ -264,14 +265,9 @@ def parse_region(text: str) -> RegionSpec:
     "mk:kappa=-1", "r2", "s1-e", "s2-e", "sphere-e:m=3", "ptolemaic:cap=2"."""
     parts = text.strip().split(":")
     name = parts[0].lower()
-    kv = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise InvalidDescriptor(f"malformed option {part!r}")
-        key, val = part.split("=", 1)
-        kv[key.strip().lower()] = float(val)
+    kv = parse_options(parts[1:], text)
     if name == "s1":
-        return circle_region_for(int(kv.get("k", 1)), kv.get("lambda", math.pi))
+        return circle_region_for(kv.get("k", 1), kv.get("lambda", math.pi))
     if name in ("s2-geodesic", "s2"):
         return ModelSurfaceRegion(kappa=1.0)
     if name == "mk":
@@ -281,7 +277,7 @@ def parse_region(text: str) -> RegionSpec:
     if name == "s1-e":
         return EuclideanCircle()
     if name in ("s2-e", "sphere-e"):
-        return EuclideanSphereM(m=int(kv.get("m", 2)))
+        return EuclideanSphereM(m=kv.get("m", 2))
     if name == "ptolemaic":
         return PtolemaicEnvelope(diameter_cap=kv.get("cap", math.inf))
-    raise InvalidDescriptor(f"unknown region {name!r}")
+    raise InvalidDescriptor(f"unknown region {name!r} in {text!r}")

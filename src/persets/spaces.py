@@ -260,13 +260,18 @@ def parse_number(value: str, text: str) -> float:
 
 
 def parse_options(items, text: str) -> dict:
-    """{key: number} of the "key=value" items of the descriptor ``text``."""
+    """{key: number} of the "key=value" items of the descriptor ``text``; m and k are ints >= 1."""
     kv = {}
     for item in items:
         key, sep, value = item.partition("=")
         if not sep:
             raise InvalidDescriptor(f"malformed option {item!r} in {text!r}")
-        kv[key.strip().lower()] = parse_number(value, text)
+        key, number = key.strip().lower(), parse_number(value, text)
+        if key in ("m", "k"):  # dimensions, degrees and flare counts
+            if not (number >= 1 and number.is_integer()):
+                raise InvalidDescriptor(f"{key} must be a whole number >= 1 in {text!r}")
+            number = int(number)
+        kv[key] = number
     return kv
 
 
@@ -280,15 +285,15 @@ def parse_space(text: str) -> SpaceModel:
         if name == "s1-e":
             return SphereEuclidean(m=1)
         if name == "sphere":
-            return SphereGeodesic(m=int(kv.pop("m", 2)))
+            return SphereGeodesic(m=kv.pop("m", 2))
         if name in ("sphere-e", "s2-e"):
-            return SphereEuclidean(m=int(kv.pop("m", 2)))
+            return SphereEuclidean(m=kv.pop("m", 2))
         if name == "torus":
             return TorusL2()
         if name == "mk":
             return ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", 0.0))
         if name == "disk":
-            return EuclideanDisk(m=int(kv.pop("m", 2)), radius=kv.pop("r", 1.0))
+            return EuclideanDisk(m=kv.pop("m", 2), radius=kv.pop("r", 1.0))
     except KeyError as exc:
         raise InvalidDescriptor(f"missing option {exc} in {text!r}") from None
     raise InvalidDescriptor(f"unknown space {name!r} in {text!r}")

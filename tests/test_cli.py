@@ -164,11 +164,91 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
     ["sample", "--family", "glued:3.5,x:alpha=0.5"],
     ["sample", "--family", "glued:3.5,4.5"],
     ["graph-betti", "--graph", "treecycles"],
+    ["sample", "--space", "disk:m=0"],
+    ["sample", "--space", "sphere:m=2.5"],
+    ["sample", "--family", "flares:c=6,k=2.7"],
 ])
-def test_bad_descriptor_is_validation_error(argv, capsys):
+def test_bad_descriptor_is_validation_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a descriptor that is wrongly accepted writes sample.csv here
     assert run(argv + ["--tuples", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert argv[-1] in err
+
+
+@pytest.mark.parametrize("region", ["s1:k=abc", "s1:k=1.5", "s1:k=0", "sphere-e:m=2.5"])
+def test_bad_region_is_validation_error(region, tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n2.0,2.5\n")  # inside the s1 and sphere-e regions
+    assert run(["oracle-check", "--region", region, "--check", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and region in err
+
+
+def test_validate_ragged_matrix_is_invalid(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("0,1\n1,0,2\n")
+    assert run(["validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+def test_validate_json_missing_key_is_invalid(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2}\n')
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False and "'d'" in out["error"]
+
+
+@pytest.mark.parametrize("doc", ['{"vertices": 2}', '{"vertices": 2, "edges": [[0, 1]]}', "[2"])
+def test_malformed_graph_json_is_validation_error(doc, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    assert run(["sample", "--graph", str(path), "--tuples", "10", "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_oracle_check_non_numeric_sample(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n0.1,abc\n")
+    assert run(["oracle-check", "--region", "s1", "--check", str(csv)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_compare_needs_the_sidecar(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n0.1,3.0\n")
+    assert run(["compare", "--a", str(csv), "--b", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "s.csv.json" in err
+
+
+@pytest.mark.parametrize("sidecar", ["{}", "not json", '{"tuples": 5, "trivial": 4, "seed": 1}',
+                                     '{"tuples": "x", "trivial": 4, "seed": 1, "space": "s1", '
+                                     '"n": 4, "k": 1}'])
+def test_compare_refuses_a_malformed_sidecar(sidecar, tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n0.1,3.0\n")
+    (tmp_path / "s.csv.json").write_text(sidecar)
+    assert run(["compare", "--a", str(csv), "--b", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "s.csv.json" in err
+
+
+def test_sample_out_json_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--space", "s1", "--tuples", "10", "--out", str(tmp_path / "s.csv"),
+             "--out-json", str(tmp_path / "side.json")])
+    assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_out():
+    import subprocess
+    import sys
+
+    code = "import sys, persets; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -237,13 +239,21 @@ def test_two_point_empirical_matches_closed_form():
 
 
 def test_sample_io_roundtrip(tmp_path, circle_sample):
-    csv = tmp_path / "s.csv"
-    engine.write_sample(circle_sample, csv)
-    back = engine.read_sample(csv)
-    assert np.array_equal(back.points, circle_sample.points)
-    assert back.trivial_count == circle_sample.trivial_count
-    assert back.space == circle_sample.space
-    assert back.seed == circle_sample.seed
+    special = np.array([[5e-324, 1e308], [2.2250738585072014e-308, 0.1], [0.0, 1.0 / 3.0]])
+    for points in (circle_sample.points, special, np.empty((0, 2))):
+        sample = dataclasses.replace(circle_sample, points=points)
+        csv = tmp_path / "s.csv"
+        engine.write_sample(sample, csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file reads without a warning
+            back = engine.read_sample(csv)
+        assert back.points.shape == points.shape
+        assert back.points.tobytes() == points.tobytes()
+        assert back.trivial_count == circle_sample.trivial_count
+        assert back.tuples_drawn == circle_sample.tuples_drawn
+        assert back.space == circle_sample.space
+        assert back.seed == circle_sample.seed
+        assert (back.n, back.k) == (circle_sample.n, circle_sample.k)
 
 
 def test_histogram_io(tmp_path, circle_sample):

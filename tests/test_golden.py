@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from persets import engine, metric
+from persets import cli, engine, metric
 
 SEED = 17
 CHUNK = 1024
@@ -81,6 +81,37 @@ def digest(sample):
 @pytest.mark.parametrize("descriptor,n", sorted(GOLDEN))
 def test_golden_digest(descriptor, n, workers, monkeypatch):
     assert digest(campaign(descriptor, n, workers, monkeypatch)) == GOLDEN[descriptor, n]
+
+
+# sha256 of the files written from one fixed sample: recorded with the
+# per-line writers that the CSV codec replaced, so the codec changed no byte
+FILE_DIGESTS = {
+    "s.csv": "0f8145f5863eb798decbf42ad56ede6f2e85438e109fa258d521527319930973",
+    "s.csv.json": "2505281a09183dc91c5cfd3bc5cd05b67d587cc2c1ed8a91b28139a132a44d93",
+    "flags.csv": "d17737f65382449e9665be87345c975be9ad09a2fc4b1f8220868f6cb111af38",
+    "m.csv": "e88152675383643f528b51711c8e01aa47e139a2cefd661e529e0e1139544699",
+    "h.csv": "8c60c1c169b1527105dc909d0d51d6116c3204e416b206ec22da7967401c6233",
+    "h.csv.json": "fbc06f24062ff4b659850102b7ba663c814c1c0f3c457d454422cbe158e8d344",
+}
+
+
+def test_file_bytes(tmp_path, capsys):
+    s = engine.sample_persistence_set("s1", 4, 1, 5000, seed=5)
+    # subnormal, smallest normal and near-overflow values; three lie outside the s1 region
+    special = np.array([[5e-324, 1e308], [2.2250738585072014e-308, 0.1], [0.0, 1 / 3]])
+    s = engine.PersistenceSetSample(space=s.space, n=4, k=1, tuples_drawn=s.tuples_drawn + 3,
+                                    points=np.concatenate([s.points, special]),
+                                    trivial_count=s.trivial_count, seed=5)
+    engine.write_sample(s, tmp_path / "s.csv")
+    engine.write_histogram(engine.histogram(s, 7, 5), tmp_path / "h.csv")
+    pts = np.random.default_rng(3).standard_normal((6, 3))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    metric.write_matrix_csv(metric.validate(d), tmp_path / "m.csv")
+    assert cli.main(["oracle-check", "--region", "s1", "--check", str(tmp_path / "s.csv"),
+                     "--out", str(tmp_path / "flags.csv")]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == 3
+    for name, want in FILE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
 with open(NEAR_GOLDEN, encoding="utf-8") as _fh:

@@ -131,11 +131,15 @@ def test_stats_permutation_invariant(rng):
 
 
 def test_csv_roundtrip(tmp_path, rng):
-    dm = cloud_matrix_r3(rng, 5)
-    path = tmp_path / "m.csv"
-    metric.write_matrix_csv(dm, path)
-    back = metric.read_matrix_csv(path)
-    assert np.array_equal(back.entries, dm.entries)
+    # subnormal and huge entries come back bit for bit too (5e307: the
+    # triangle check adds two entries, so larger ones overflow there)
+    for dm in (cloud_matrix_r3(rng, 5), metric.validate([[0, 5e-324], [5e-324, 0]]),
+               metric.validate([[0, 5e307, 5e307], [5e307, 0, 2.2250738585072014e-308],
+                                [5e307, 2.2250738585072014e-308, 0]])):
+        path = tmp_path / "m.csv"
+        metric.write_matrix_csv(dm, path)
+        back = metric.read_matrix_csv(path)
+        assert back.entries.tobytes() == dm.entries.tobytes()
 
 
 def test_json_roundtrip(tmp_path, rng):
