@@ -265,20 +265,14 @@ def _directed_region(region_b, region_a, step: float, interior_step: float) -> f
     """sup over region B of the bottleneck distance to region A's diagram set
     (its solid region plus the empty diagram)."""
     bnd_a = reg.boundary_points(region_a, step)
-    cand = [reg.boundary_points(region_b, step)]
-    interior = reg.interior_grid(region_b, interior_step)
     best = 0.0
-    for pts in cand:
+    # a point can only win where its half persistence exceeds the best so far
+    for pts in (reg.boundary_points(region_b, step), reg.interior_grid(region_b, interior_step)):
         half = (pts[:, 1] - pts[:, 0]) / 2.0
-        g = np.minimum(_distance_to_region(pts, region_a, bnd_a), half)
-        best = max(best, float(g.max(initial=0.0)))
-    # interior points can only win where their persistence allows it
-    half = (interior[:, 1] - interior[:, 0]) / 2.0
-    keep = half > best
-    if np.any(keep):
-        pts = interior[keep]
-        g = np.minimum(_distance_to_region(pts, region_a, bnd_a), half[keep])
-        best = max(best, float(g.max(initial=0.0)))
+        keep = half > best
+        if np.any(keep):
+            g = np.minimum(_distance_to_region(pts[keep], region_a, bnd_a), half[keep])
+            best = max(best, float(g.max(initial=0.0)))
     return best
 
 

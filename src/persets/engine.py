@@ -30,7 +30,7 @@ from .errors import (
     RegionMismatch,
     UnsupportedCombination,
 )
-from .metric import DistanceMatrix, read_csv, read_json, squareform, write_csv, write_json
+from .metric import DistanceMatrix, read_csv, read_json, squareform, whole, write_csv, write_json
 from .oracle import vr_diagram
 from .principal import principal_of_pairs
 
@@ -111,29 +111,21 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _run_chunk(space, n, k, seed, chunk_index, count, keep):
+    """The nontrivial points of one chunk, its trivial count and, if ``keep``, the
+    tuple of each point; the O(n^2) kernel when n = 2k+2, else the oracle."""
     rng = _chunk_rng(seed, chunk_index)
     pts, dists = sample_tuples(space, rng, count, n)
-    tb, td = principal_of_pairs(dists, n)
-    mask = tb < td
-    pairs = np.column_stack([tb[mask], td[mask]])
-    kept = pts[mask] if keep else None
-    return pairs, int(count - int(mask.sum())), kept
-
-
-def _oracle_chunk(space, n, k, seed, chunk_index, count):
-    rng = _chunk_rng(seed, chunk_index)
-    _, dists = sample_tuples(space, rng, count, n)
-    pairs = []
-    trivial = 0
-    for m in squareform(dists, n):
+    if n == 2 * k + 2:
+        tb, td = principal_of_pairs(dists, n)
+        per_tuple = tb < td
+        pairs = np.column_stack([tb[per_tuple], td[per_tuple]])
+    else:
         # sampled matrices are metric by construction; skip re-validation
-        dgm = vr_diagram(DistanceMatrix(m), k)
-        if dgm.points:
-            pairs.extend(dgm.points)
-        else:
-            trivial += 1
-    out = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    return out, trivial, None
+        dgms = [vr_diagram(DistanceMatrix(m), k).points for m in squareform(dists, n)]
+        per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
+        pairs = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
+    kept = np.repeat(pts, per_tuple, axis=0) if keep else None
+    return pairs, count - int(np.count_nonzero(per_tuple)), kept
 
 
 def sample_persistence_set(
@@ -148,13 +140,16 @@ def sample_persistence_set(
 ) -> PersistenceSetSample:
     """Estimate the (n, k) persistence set / measure with m_max tuples.
 
-    n must be 2k+2 (the principal path); other combinations with n <= 12
+    n = 2k+2 is the principal path; other combinations with n <= 12
     run every tuple through the brute-force oracle when
-    ``oracle_fallback`` is set, flattening all diagram points.
+    ``oracle_fallback`` is set, flattening all diagram points (row i of
+    ``kept_tuples`` is then the tuple of ``points[i]``, repeated per point).
     """
     space = _space_of(space)
     if m_max < 1 or workers < 1:
         raise UnsupportedCombination("m_max and workers must be >= 1")
+    if n < 2 or k < 0:
+        raise UnsupportedCombination(f"need n >= 2 and k >= 0, got n={n}, k={k}")
     principal = n == 2 * k + 2
     if not principal and not (oracle_fallback and n <= 12):
         raise UnsupportedCombination(
@@ -167,22 +162,16 @@ def sample_persistence_set(
     if m_max % chunk:
         counts.append(m_max % chunk)
 
-    if principal:
-        tasks = [
-            (space, n, k, seed, c, cnt, keep_nontrivial_tuples)
-            for c, cnt in enumerate(counts)
-        ]
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
-        else:
-            results = [_run_chunk(*t) for t in tasks]
+    tasks = [(space, n, k, seed, c, cnt, keep_nontrivial_tuples) for c, cnt in enumerate(counts)]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
     else:
-        results = [_oracle_chunk(space, n, k, seed, c, cnt) for c, cnt in enumerate(counts)]
+        results = [_run_chunk(*t) for t in tasks]
 
-    points = np.concatenate([r[0] for r in results], axis=0) if results else np.empty((0, 2))
+    points = np.concatenate([r[0] for r in results], axis=0)
     trivial = sum(r[1] for r in results)
-    kept = np.concatenate([r[2] for r in results]) if keep_nontrivial_tuples and principal else None
+    kept = np.concatenate([r[2] for r in results]) if keep_nontrivial_tuples else None
     return PersistenceSetSample(
         space=space.descriptor,
         n=n,
@@ -362,9 +351,9 @@ def sample_two_point_empty_fraction(alpha: float, n: int, m_max: int, seed: int)
 # ---------------------------------------------------------------------------
 
 SAMPLE_HEADER = "t_b,t_d"
-# sidecar key: (PersistenceSetSample field, type); one table for writer and reader
-_SIDECAR = {"tuples": ("tuples_drawn", int), "trivial": ("trivial_count", int),
-            "seed": ("seed", int), "space": ("space", str), "n": ("n", int), "k": ("k", int)}
+# sidecar key: (PersistenceSetSample field, converter); one table for writer and reader
+_SIDECAR = {"tuples": ("tuples_drawn", whole), "trivial": ("trivial_count", whole),
+            "seed": ("seed", whole), "space": ("space", str), "n": ("n", whole), "k": ("k", whole)}
 
 
 def write_sample(sample: PersistenceSetSample, csv_path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
-from .metric import read_json, squareform, write_json
+from .metric import read_json, squareform, whole, write_json
 from .spaces import parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
@@ -297,8 +297,8 @@ def random_tree(rng: np.random.Generator, vertices: int) -> MetricGraph:
 
 def read_graph_json(path) -> MetricGraph:
     doc = read_json(path, {
-        "vertices": int,
-        "edges": lambda edges: [(int(u), int(v), float(w)) for u, v, w in edges],
+        "vertices": whole,
+        "edges": lambda edges: [(whole(u), whole(v), float(w)) for u, v, w in edges],
     })
     return build_graph(doc["vertices"], doc["edges"])
 

@@ -70,13 +70,15 @@ def validate(matrix) -> DistanceMatrix:
     if not violations:
         tol = TRIANGLE_RTOL * float(a.max(initial=0.0))
         # deficit(i, j, k) = d(i,k) - d(i,j) - d(j,k), positive means broken;
-        # sweep the middle vertex to keep memory at O(n^2)
-        for j in range(n):
-            deficit = a - a[:, [j]] - a[[j], :]
-            for i, k in zip(*np.nonzero(deficit > tol)):
-                violations.append(
-                    ("triangle", (int(i), int(j), int(k)), float(deficit[i, k]))
-                )
+        # sweep the middle vertex to keep memory at O(n^2); a deficit that
+        # overflows to -inf has a two-edge path beyond any double: no violation
+        with np.errstate(over="ignore"):
+            for j in range(n):
+                deficit = a - a[:, [j]] - a[[j], :]
+                for i, k in zip(*np.nonzero(deficit > tol)):
+                    violations.append(
+                        ("triangle", (int(i), int(j), int(k)), float(deficit[i, k]))
+                    )
 
     if violations:
         raise AxiomViolation(violations)
@@ -177,6 +179,13 @@ def write_json(path, doc: dict) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
+def whole(value) -> int:
+    """A JSON whole number as an int; ValueError for a fraction, a string or a boolean."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def read_json(path, fields: dict) -> dict:
     """{key: convert(value)} of the JSON object in ``path`` for each ``key: convert`` of
     ``fields``; MalformedFile if it does not parse, lacks a key or a converter fails."""
@@ -197,7 +206,7 @@ def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
 
 
 def read_matrix_json(path) -> DistanceMatrix:
-    doc = read_json(path, {"n": int, "d": lambda d: np.asarray(d, dtype=float)})
+    doc = read_json(path, {"n": whole, "d": lambda d: np.asarray(d, dtype=float)})
     n, flat = doc["n"], doc["d"]
     if n < 0 or flat.size != n * n:
         raise NotSquare(f"flat array of length {flat.size} does not fill {n}x{n}")

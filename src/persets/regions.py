@@ -9,6 +9,11 @@ Every characterization the sampling engine is checked against lives here:
 * Euclidean circle and Euclidean spheres (which stabilize from m = 2 on),
 * the generic Ptolemaic envelope t_d <= min(sqrt(2) t_b, diameter cap).
 
+A region is any object with ``inside(tb, td, tol)`` (its own inequalities
+on float arrays; ``contains`` adds 0 <= t_b <= t_d) and ``boundary(step,
+cap)`` (its boundary as a list of (N, 2) polyline pieces, unbounded ones
+cut at the death ``cap``, None for the default).
+
 Membership tests take an additive tolerance per inequality; regions are
 closed (non-strict) because sampled points never land exactly on the
 measure-zero boundary, so the strict/non-strict distinction is untestable
@@ -28,6 +33,21 @@ from .spaces import parse_options
 SQRT2 = math.sqrt(2.0)
 
 
+def _count(step, length):
+    return max(2, int(math.ceil(length / step)) + 1)
+
+
+def _chain(step, *corners):
+    """The polyline through ``corners``, one piece per side at parameter resolution ``step``."""
+    pieces = []
+    for p, q in zip(corners, corners[1:]):
+        p = np.asarray(p, float)
+        q = np.asarray(q, float)
+        t = np.linspace(0.0, 1.0, _count(step, np.abs(q - p).max()))[:, None]
+        pieces.append(p[None, :] * (1 - t) + q[None, :] * t)
+    return pieces
+
+
 @dataclass(frozen=True)
 class CircleOddK:
     k: int = 1
@@ -36,6 +56,15 @@ class CircleOddK:
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise InvalidDescriptor("CircleOddK needs odd k >= 1")
+
+    def inside(self, tb, td, tol):
+        return ((self.k + 1) * (self.lam - tb) <= td + tol) & (td <= self.lam + tol)
+
+    def boundary(self, step, cap):
+        k, lam = self.k, self.lam
+        apex = (lam * k / (k + 1), lam)
+        diag = lam * (k + 1) / (k + 2)
+        return _chain(step, apex, (diag, diag), (lam, lam), apex)
 
 
 @dataclass(frozen=True)
@@ -47,15 +76,62 @@ class CircleEvenK:
         if self.k < 2 or self.k % 2 == 1:
             raise InvalidDescriptor("CircleEvenK needs even k >= 2")
 
+    def inside(self, tb, td, tol):
+        return (tb >= self.lam * self.k / (self.k + 1) - tol) & (td <= self.lam + tol)
+
+    def boundary(self, step, cap):
+        lam = self.lam
+        left = lam * self.k / (self.k + 1)
+        return _chain(step, (left, left), (left, lam), (lam, lam), (left, left))
+
 
 @dataclass(frozen=True)
 class ModelSurfaceRegion:
     kappa: float = 0.0
 
+    def inside(self, tb, td, tol):
+        kappa = self.kappa
+        if kappa > 0:
+            s = math.sqrt(kappa)
+            return (td <= math.pi / s + tol) & (
+                np.sin(np.minimum(s * td, math.pi) / 2.0) <= SQRT2 * np.sin(s * tb / 2.0) + tol)
+        if kappa == 0:
+            return td <= SQRT2 * tb + tol
+        s = math.sqrt(-kappa)
+        return np.sinh(s * td / 2.0) <= SQRT2 * np.sinh(s * tb / 2.0) + tol
+
+    def boundary(self, step, cap):
+        # the left boundary is parameterized by t_d
+        kappa = self.kappa
+        if kappa > 0:
+            s = math.sqrt(kappa)
+            top = math.pi / s
+            td = np.linspace(0.0, top, _count(step, top))
+            curve = np.column_stack([2.0 / s * np.arcsin(np.sin(s * td / 2.0) / SQRT2), td])
+            return [curve, *_chain(step, (2.0 / s * math.asin(1.0 / SQRT2), top), (top, top), (0.0, 0.0))]
+        if cap is None:
+            cap = 4.0 / math.sqrt(-kappa) if kappa < 0 else 4.0
+        td = np.linspace(0.0, cap, _count(step, cap))
+        if kappa == 0:
+            curve = np.column_stack([td / SQRT2, td])
+        else:
+            s = math.sqrt(-kappa)
+            curve = np.column_stack([2.0 / s * np.arcsinh(np.sinh(s * td / 2.0) / SQRT2), td])
+        return [curve, *_chain(step, (0.0, 0.0), (cap, cap))]
+
 
 @dataclass(frozen=True)
 class EuclideanCircle:
-    pass
+    def inside(self, tb, td, tol):
+        return (tb >= SQRT2 - tol) & (td <= 2.0 + tol) & (
+            2.0 * tb * np.sqrt(np.clip(1.0 - tb * tb / 4.0, 0.0, None)) <= td + tol)
+
+    def boundary(self, step, cap):
+        # the lower curve is parameterized by t_b
+        sqrt3 = math.sqrt(3.0)
+        tb = np.linspace(SQRT2, sqrt3, _count(step, sqrt3 - SQRT2))
+        curve = np.column_stack([tb, 2.0 * tb * np.sqrt(1.0 - tb * tb / 4.0)])
+        return [curve, *_chain(step, (sqrt3, sqrt3), (2.0, 2.0), (SQRT2, 2.0), (SQRT2, SQRT2))]
 
 
 @dataclass(frozen=True)
@@ -66,57 +142,37 @@ class EuclideanSphereM:
         if self.m < 2:
             raise InvalidDescriptor("EuclideanSphereM stabilizes from m = 2; use EuclideanCircle for m = 1")
 
+    def inside(self, tb, td, tol):
+        # deaths cap at 2, the chordal diameter of the unit sphere
+        return td <= np.minimum(SQRT2 * tb, 2.0) + tol
+
+    def boundary(self, step, cap):
+        return _chain(step, (0.0, 0.0), (SQRT2, 2.0), (2.0, 2.0), (0.0, 0.0))
+
 
 @dataclass(frozen=True)
 class PtolemaicEnvelope:
     diameter_cap: float = math.inf
 
+    def inside(self, tb, td, tol):
+        return td <= np.minimum(SQRT2 * tb, self.diameter_cap) + tol
 
-RegionSpec = (
-    CircleOddK | CircleEvenK | ModelSurfaceRegion | EuclideanCircle | EuclideanSphereM | PtolemaicEnvelope
-)
+    def boundary(self, step, cap):
+        cap = self.diameter_cap if math.isfinite(self.diameter_cap) else (cap or 4.0)
+        return _chain(step, (0.0, 0.0), (cap / SQRT2, cap), (cap, cap), (0.0, 0.0))
 
 
-def contains(region: RegionSpec, t_b, t_d, tol: float = 0.0):
-    """Vectorized membership with additive slack ``tol`` per inequality."""
+def contains(region, t_b, t_d, tol: float = 0.0):
+    """Vectorized membership in ``0 <= t_b <= t_d`` and the region, with additive slack ``tol``
+    per inequality; a bool for scalar input."""
     tb = np.asarray(t_b, dtype=float)
     td = np.asarray(t_d, dtype=float)
     ok = (tb >= -tol) & (tb <= td + tol)
-
-    if isinstance(region, CircleOddK):
-        lam = region.lam
-        ok &= (region.k + 1) * (lam - tb) <= td + tol
-        ok &= td <= lam + tol
-    elif isinstance(region, CircleEvenK):
-        lam = region.lam
-        ok &= tb >= lam * region.k / (region.k + 1) - tol
-        ok &= td <= lam + tol
-    elif isinstance(region, ModelSurfaceRegion):
-        kappa = region.kappa
-        if kappa > 0:
-            s = math.sqrt(kappa)
-            ok &= td <= math.pi / s + tol
-            ok &= np.sin(np.minimum(s * td, math.pi) / 2.0) <= SQRT2 * np.sin(s * tb / 2.0) + tol
-        elif kappa == 0:
-            ok &= td <= SQRT2 * tb + tol
-        else:
-            s = math.sqrt(-kappa)
-            ok &= np.sinh(s * td / 2.0) <= SQRT2 * np.sinh(s * tb / 2.0) + tol
-    elif isinstance(region, EuclideanCircle):
-        ok &= tb >= SQRT2 - tol
-        ok &= td <= 2.0 + tol
-        ok &= 2.0 * tb * np.sqrt(np.clip(1.0 - tb * tb / 4.0, 0.0, None)) <= td + tol
-    elif isinstance(region, EuclideanSphereM):
-        # deaths cap at 2, the chordal diameter of the unit sphere
-        ok &= td <= np.minimum(SQRT2 * tb, 2.0) + tol
-    elif isinstance(region, PtolemaicEnvelope):
-        ok &= td <= np.minimum(SQRT2 * tb, region.diameter_cap) + tol
-    else:
-        raise InvalidDescriptor(f"unknown region {region!r}")
+    ok &= region.inside(tb, td, tol)
     return ok if ok.shape else bool(ok)
 
 
-def boundary_points(region: RegionSpec, step: float, t_d_cap: float | None = None) -> np.ndarray:
+def boundary_points(region, step: float, t_d_cap: float | None = None) -> np.ndarray:
     """Deterministic polyline discretization of the region boundary.
 
     Unbounded regions (kappa <= 0, Ptolemaic without cap) are truncated at
@@ -125,85 +181,18 @@ def boundary_points(region: RegionSpec, step: float, t_d_cap: float | None = Non
     """
     if step <= 0:
         raise InvalidDescriptor("step must be positive")
-    segs = []
-
-    def seg(p, q):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        m = max(2, int(math.ceil(np.abs(q - p).max() / step)) + 1)
-        t = np.linspace(0.0, 1.0, m)[:, None]
-        segs.append(p[None, :] * (1 - t) + q[None, :] * t)
-
-    def curve(f, d_lo, d_hi):
-        # left boundary parameterized by t_d
-        m = max(2, int(math.ceil((d_hi - d_lo) / step)) + 1)
-        td = np.linspace(d_lo, d_hi, m)
-        segs.append(np.column_stack([f(td), td]))
-
-    if isinstance(region, CircleOddK):
-        k, lam = region.k, region.lam
-        apex = (lam * k / (k + 1), lam)
-        diag = (lam * (k + 1) / (k + 2), lam * (k + 1) / (k + 2))
-        far = (lam, lam)
-        seg(apex, diag)
-        seg(diag, far)
-        seg(far, apex)
-    elif isinstance(region, CircleEvenK):
-        k, lam = region.k, region.lam
-        left = lam * k / (k + 1)
-        seg((left, left), (left, lam))
-        seg((left, lam), (lam, lam))
-        seg((lam, lam), (left, left))
-    elif isinstance(region, ModelSurfaceRegion):
-        kappa = region.kappa
-        if kappa > 0:
-            s = math.sqrt(kappa)
-            top = math.pi / s
-            curve(lambda td: 2.0 / s * np.arcsin(np.sin(s * td / 2.0) / SQRT2), 0.0, top)
-            seg((2.0 / s * math.asin(1.0 / SQRT2), top), (top, top))
-            seg((top, top), (0.0, 0.0))
-        else:
-            cap = t_d_cap if t_d_cap is not None else (4.0 / math.sqrt(-kappa) if kappa < 0 else 4.0)
-            if kappa == 0:
-                curve(lambda td: td / SQRT2, 0.0, cap)
-            else:
-                s = math.sqrt(-kappa)
-                curve(lambda td: 2.0 / s * np.arcsinh(np.sinh(s * td / 2.0) / SQRT2), 0.0, cap)
-            seg((0.0, 0.0), (cap, cap))
-    elif isinstance(region, EuclideanCircle):
-        sqrt3 = math.sqrt(3.0)
-        # lower curve t_d = 2 t_b sqrt(1 - t_b^2/4), parameterized by t_b
-        m = max(2, int(math.ceil((sqrt3 - SQRT2) / step)) + 1)
-        tb = np.linspace(SQRT2, sqrt3, m)
-        segs.append(np.column_stack([tb, 2.0 * tb * np.sqrt(1.0 - tb * tb / 4.0)]))
-        seg((sqrt3, sqrt3), (2.0, 2.0))
-        seg((2.0, 2.0), (SQRT2, 2.0))
-        seg((SQRT2, 2.0), (SQRT2, SQRT2))
-    elif isinstance(region, EuclideanSphereM):
-        seg((0.0, 0.0), (SQRT2, 2.0))
-        seg((SQRT2, 2.0), (2.0, 2.0))
-        seg((2.0, 2.0), (0.0, 0.0))
-    elif isinstance(region, PtolemaicEnvelope):
-        cap = region.diameter_cap if math.isfinite(region.diameter_cap) else (t_d_cap or 4.0)
-        seg((0.0, 0.0), (cap / SQRT2, cap))
-        seg((cap / SQRT2, cap), (cap, cap))
-        seg((cap, cap), (0.0, 0.0))
-    else:
-        raise InvalidDescriptor(f"unknown region {region!r}")
-    return np.concatenate(segs, axis=0)
+    return np.concatenate(region.boundary(step, t_d_cap), axis=0)
 
 
-def interior_grid(region: RegionSpec, step: float, t_d_cap: float | None = None) -> np.ndarray:
+def interior_grid(region, step: float, t_d_cap: float | None = None) -> np.ndarray:
     """Regular grid of interior points (membership-tested) at spacing step."""
     bpts = boundary_points(region, max(step, 1e-3), t_d_cap=t_d_cap)
     lo = bpts.min(axis=0)
     hi = bpts.max(axis=0)
-    nb = max(2, int(math.ceil((hi[0] - lo[0]) / step)) + 1)
-    nd = max(2, int(math.ceil((hi[1] - lo[1]) / step)) + 1)
-    tb, td = np.meshgrid(np.linspace(lo[0], hi[0], nb), np.linspace(lo[1], hi[1], nd))
+    tb, td = np.meshgrid(np.linspace(lo[0], hi[0], _count(step, hi[0] - lo[0])),
+                         np.linspace(lo[1], hi[1], _count(step, hi[1] - lo[1])))
     mask = contains(region, tb.ravel(), td.ravel(), tol=0.0)
-    pts = np.column_stack([tb.ravel()[mask], td.ravel()[mask]])
-    return pts
+    return np.column_stack([tb.ravel()[mask], td.ravel()[mask]])
 
 
 def circle_density(t_b, t_d) -> np.ndarray:
@@ -256,11 +245,11 @@ def euclidean_image(t_b, t_d):
     return 2.0 * np.sin(tb / 2.0), 2.0 * np.sin(td / 2.0)
 
 
-def circle_region_for(k: int, lam: float = math.pi) -> RegionSpec:
+def circle_region_for(k: int, lam: float = math.pi) -> CircleOddK | CircleEvenK:
     return CircleOddK(k, lam) if k % 2 == 1 else CircleEvenK(k, lam)
 
 
-def parse_region(text: str) -> RegionSpec:
+def parse_region(text: str):
     """Compact CLI names: "s1", "s1:k=3:lambda=2", "s2-geodesic",
     "mk:kappa=-1", "r2", "s1-e", "s2-e", "sphere-e:m=3", "ptolemaic:cap=2"."""
     parts = text.strip().split(":")

@@ -167,6 +167,7 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
     ["sample", "--space", "disk:m=0"],
     ["sample", "--space", "sphere:m=2.5"],
     ["sample", "--family", "flares:c=6,k=2.7"],
+    ["sample", "--space", "s1", "--n", "0", "--k", "-1"],
 ])
 def test_bad_descriptor_is_validation_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a descriptor that is wrongly accepted writes sample.csv here
@@ -200,7 +201,11 @@ def test_validate_json_missing_key_is_invalid(tmp_path, capsys):
     assert out["valid"] is False and "'d'" in out["error"]
 
 
-@pytest.mark.parametrize("doc", ['{"vertices": 2}', '{"vertices": 2, "edges": [[0, 1]]}', "[2"])
+@pytest.mark.parametrize("doc", ['{"vertices": 2}', '{"vertices": 2, "edges": [[0, 1]]}', "[2",
+                                 '{"vertices": 1.5, "edges": [[0, 0, 1.0]]}',
+                                 '{"vertices": 2, "edges": [[0, 1.5, 1.0]]}',
+                                 '{"vertices": 2, "edges": [[0, true, 1.0]]}',
+                                 '{"vertices": 2, "edges": [["0", 1, 1.0]]}'])
 def test_malformed_graph_json_is_validation_error(doc, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(doc)
@@ -225,7 +230,10 @@ def test_compare_needs_the_sidecar(tmp_path, capsys):
 
 @pytest.mark.parametrize("sidecar", ["{}", "not json", '{"tuples": 5, "trivial": 4, "seed": 1}',
                                      '{"tuples": "x", "trivial": 4, "seed": 1, "space": "s1", '
-                                     '"n": 4, "k": 1}'])
+                                     '"n": 4, "k": 1}',
+                                     '{"tuples": 5.7, "trivial": 4, "seed": 1, "space": "s1", "n": 4, "k": 1}',
+                                     '{"tuples": 5, "trivial": true, "seed": 1, "space": "s1", "n": 4, "k": 1}',
+                                     '{"tuples": 5, "trivial": 4, "seed": "1", "space": "s1", "n": 4.5, "k": 1}'])
 def test_compare_refuses_a_malformed_sidecar(sidecar, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     csv.write_text("t_b,t_d\n0.1,3.0\n")
@@ -280,3 +288,12 @@ def test_engine_string_descriptor_errors_name_the_space():
     assert "graph family" not in str(exc.value)
     with pytest.raises(InvalidDescriptor, match="unknown space 'klein'"):
         engine.sample_persistence_set("klein", 4, 1, 10, seed=1)
+
+
+@pytest.mark.parametrize("doc", ['{"n": 1.5, "d": [0]}', '{"n": true, "d": [0]}', '{"n": "1", "d": [0]}'])
+def test_validate_json_fractional_n_is_invalid(doc, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(doc)
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False and "whole number" in out["error"]

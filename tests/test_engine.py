@@ -2,11 +2,12 @@ import dataclasses
 import math
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from persets import engine, metric, principal, regions, spaces
+from persets import engine, graphs, metric, oracle, principal, regions, spaces
 from persets.errors import EmptySample, RegionMismatch, UnsupportedCombination
 
 from conftest import circle_angles_matrix
@@ -49,6 +50,12 @@ def test_determinism_across_workers():
     s2 = engine.sample_persistence_set(spaces.TorusL2(), 4, 1, 140_000, seed=23, workers=2)
     assert np.array_equal(s1.points, s2.points)
     assert s1.trivial_count == s2.trivial_count
+
+
+@pytest.mark.parametrize("n, k", [(0, -1), (1, 0), (4, -1)])
+def test_bad_n_or_k_is_unsupported(n, k):
+    with pytest.raises(UnsupportedCombination):
+        engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0, oracle_fallback=True)
 
 
 def test_unsupported_combination():
@@ -285,3 +292,34 @@ def test_kept_tuples_align_with_points():
         mat = c.pair_distance(s.kept_tuples[i][:, None, :], s.kept_tuples[i][None, :, :])
         tb, td = principal.principal_of_pairs(metric.condensed(mat), 4)
         assert (tb, td) == (s.points[i, 0], s.points[i, 1])
+
+
+def test_oracle_kept_tuples_align_with_points():
+    # eight points on a wedge of two circles: some diagrams carry two points
+    g = graphs.parse_family("wedge:3.5,4.5")
+    s = engine.sample_persistence_set(g, 8, 1, 1024, seed=3, oracle_fallback=True,
+                                      keep_nontrivial_tuples=True)
+    assert len(s.points) + s.trivial_count > s.tuples_drawn
+    assert s.kept_tuples.shape == (len(s.points), 8, 2)
+    i, j = np.triu_indices(8, 1)
+    for tup, point in zip(s.kept_tuples, s.points):
+        mat = metric.squareform(g.pair_distance(tup[i], tup[j]), 8)
+        assert tuple(point) in oracle.vr_diagram(metric.DistanceMatrix(mat), 1).points
+
+
+def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
+    started = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w,
+                                          oracle_fallback=True, keep_nontrivial_tuples=True)
+            for w in (1, 2)]
+    assert runs[0].trivial_count == runs[1].trivial_count
+    assert np.array_equal(runs[0].points, runs[1].points)
+    assert np.array_equal(runs[0].kept_tuples, runs[1].kept_tuples)
+    assert started == [2]  # two chunks of at most 1024 tuples

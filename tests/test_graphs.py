@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persets import graphs, metric, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint
@@ -189,3 +191,23 @@ def test_edge_arrays_are_built_once():
     np.testing.assert_array_equal(g.edge_len, [0.5, 3.0, 4.0])
     np.testing.assert_array_equal(g.edge_u, [0, 0, 0])
     np.testing.assert_array_equal(g.edge_v, [1, 1, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vertices=st.integers(1, 7), extra=st.integers(1, 6),
+       count=st.integers(2, 12))
+def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count):
+    # a random tree plus random extra edges, where u == v makes a self-loop
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, vertices, size=(extra, 2))
+    lengths = rng.uniform(0.1, 3.0, size=extra)
+    edges = list(graphs.random_tree(rng, vertices).edges)
+    edges += [(int(u), int(v), float(w)) for (u, v), w in zip(ends, lengths)]
+    g = graphs.build_graph(vertices, edges)
+    pts = g.sample_points(rng, count)
+    pts[0, 1] = 0.0  # a vertex, and the far end of an edge
+    pts[-1, 1] = g.edge_len[int(pts[-1, 0])]
+    d = graphs.distance_matrix_of_points(g, pts)
+    assert np.array_equal(d, d.T) and not np.diagonal(d).any()
+    assert not g.pair_distance(pts, pts).any()
+    metric.validate(d)

@@ -130,16 +130,39 @@ def test_stats_permutation_invariant(rng):
         assert metric.stats(permuted) == metric.stats(dm)
 
 
+@pytest.mark.filterwarnings("error")
 def test_csv_roundtrip(tmp_path, rng):
-    # subnormal and huge entries come back bit for bit too (5e307: the
-    # triangle check adds two entries, so larger ones overflow there)
+    # subnormal and huge entries come back bit for bit too, without an
+    # overflow warning from the triangle check, which adds two entries
     for dm in (cloud_matrix_r3(rng, 5), metric.validate([[0, 5e-324], [5e-324, 0]]),
-               metric.validate([[0, 5e307, 5e307], [5e307, 0, 2.2250738585072014e-308],
-                                [5e307, 2.2250738585072014e-308, 0]])):
+               metric.validate([[0, 1e308, 1e308], [1e308, 0, 2.2250738585072014e-308],
+                                [1e308, 2.2250738585072014e-308, 0]])):
         path = tmp_path / "m.csv"
         metric.write_matrix_csv(dm, path)
         back = metric.read_matrix_csv(path)
         assert back.entries.tobytes() == dm.entries.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_overflowing_deficit_is_no_violation():
+    # d(0,1) - d(0,2) - d(2,1) overflows to -inf: far from a violation
+    assert metric.validate([[0, 1e308], [1e308, 0]]).n == 2
+    big = 1.7976931348623157e308
+    assert metric.validate([[0, big, big], [big, 0, 0], [big, 0, 0]]).n == 3
+    with pytest.raises(AxiomViolation):
+        metric.validate([[0, big, 1.0], [big, 0, 1.0], [1.0, 1.0, 0]])
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (0, 0), (-2, -2)])
+def test_whole_accepts_whole_numbers(value, expected):
+    got = metric.whole(value)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [1.5, "3", True, False, None, math.inf, math.nan, [1]])
+def test_whole_rejects_everything_else(value):
+    with pytest.raises(ValueError):
+        metric.whole(value)
 
 
 def test_json_roundtrip(tmp_path, rng):
