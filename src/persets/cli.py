@@ -142,9 +142,10 @@ def cmd_validate(args) -> int:
         else:
             dm = metric.read_matrix_csv(args.matrix)
     except PersetsError as exc:
-        detail = getattr(exc, "violations", None)
+        listed = getattr(exc, "violations", [])
         print(json.dumps({"valid": False, "error": str(exc),
-                          "violations": [[k, list(i), a] for k, i, a in detail] if detail else []}))
+                          "violations": [[k, list(i), a] for k, i, a in listed],
+                          "violation_count": getattr(exc, "count", len(listed))}))
         return 1
     st = metric.stats(dm)
     sep = None if math.isinf(st.separation) else st.separation

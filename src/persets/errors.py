@@ -22,14 +22,17 @@ class AxiomViolation(PersetsError):
     """Pseudo-metric axioms are violated.
 
     ``violations`` is a list of ``(kind, indices, amount)`` tuples where
-    kind is one of "negative", "diagonal", "asymmetry", "triangle".
+    kind is one of "negative", "diagonal", "asymmetry", "triangle";
+    ``count`` is the number of violations, which exceeds the length of
+    the list when only the first broken triangles are listed.
     """
 
-    def __init__(self, violations):
+    def __init__(self, violations, count=None):
         self.violations = list(violations)
+        self.count = len(self.violations) if count is None else count
         head = ", ".join(f"{k} at {idx}" for k, idx, _ in self.violations[:4])
-        more = "" if len(self.violations) <= 4 else f" (+{len(self.violations) - 4} more)"
-        super().__init__(f"{len(self.violations)} axiom violation(s): {head}{more}")
+        more = "" if self.count <= 4 else f" (+{self.count - 4} more)"
+        super().__init__(f"{self.count} axiom violation(s): {head}{more}")
 
 
 class MalformedFile(PersetsError):

@@ -21,6 +21,10 @@ from .errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, N
 # Relative triangle-inequality tolerance.  Model-space distances go through
 # arccos, which loses ~1e-16 absolute near +-1; 1e-9 * max entry absorbs that.
 TRIANGLE_RTOL = 1e-9
+# Triangle violations listed in an AxiomViolation; the rest are only counted.
+TRIANGLES_LISTED = 1000
+# Entries per row block of the triangle sweep (256 KB of float64, cache-resident).
+_SWEEP_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ def validate(matrix) -> DistanceMatrix:
     """Check the pseudo-metric axioms and wrap the matrix.
 
     Raises NotSquare / NonFinite for malformed input and AxiomViolation
-    with a structured list of all offending entries otherwise.
+    otherwise: it lists every offending entry, except that it lists only
+    the first TRIANGLES_LISTED broken triangles and counts the rest.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -56,7 +61,6 @@ def validate(matrix) -> DistanceMatrix:
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or infinite entries")
 
-    n = a.shape[0]
     violations = []
     for i, j in zip(*np.nonzero(a < 0)):
         violations.append(("negative", (int(i), int(j)), float(a[i, j])))
@@ -66,25 +70,57 @@ def validate(matrix) -> DistanceMatrix:
     for i, j in zip(*np.nonzero(asym)):
         if i < j:
             violations.append(("asymmetry", (int(i), int(j)), float(abs(asym[i, j]))))
+    count = len(violations)
 
     if not violations:
-        tol = TRIANGLE_RTOL * float(a.max(initial=0.0))
-        # deficit(i, j, k) = d(i,k) - d(i,j) - d(j,k), positive means broken;
-        # sweep the middle vertex to keep memory at O(n^2); a deficit that
-        # overflows to -inf has a two-edge path beyond any double: no violation
+        # a deficit that overflows to -inf has a two-edge path beyond any
+        # double: no violation
         with np.errstate(over="ignore"):
-            for j in range(n):
-                deficit = a - a[:, [j]] - a[[j], :]
-                for i, k in zip(*np.nonzero(deficit > tol)):
-                    violations.append(
-                        ("triangle", (int(i), int(j), int(k)), float(deficit[i, k]))
-                    )
+            violations, count = _triangles(a, TRIANGLE_RTOL * float(a.max(initial=0.0)))
 
-    if violations:
-        raise AxiomViolation(violations)
+    if count:
+        raise AxiomViolation(violations, count)
     out = a.copy()
     out.flags.writeable = False
     return DistanceMatrix(out)
+
+
+def _triangles(a: np.ndarray, tol: float):
+    """The first TRIANGLES_LISTED broken triangles in (j, i, k) order, and their count.
+
+    deficit(i, j, k) = (d(i,k) - d(i,j)) - d(j,k) for middle vertex j;
+    above ``tol`` means broken.  Each row block of _SWEEP_ENTRIES entries
+    goes through one buffer once per middle vertex, and only the count of
+    each (j, block) is kept; a second pass recomputes the broken (j, block)
+    pairs in that order until TRIANGLES_LISTED triangles are listed.
+    """
+    n = a.shape[0]
+    rows = max(1, _SWEEP_ENTRIES // max(n, 1))
+    starts = range(0, n, rows)
+    buf = np.empty((min(rows, n), n))
+
+    def deficits(r, j):
+        block = a[r:r + rows]
+        out = buf[:len(block)]
+        np.subtract(block, block[:, j:j + 1], out=out)
+        return np.subtract(out, a[j], out=out)
+
+    broken = np.zeros((n, len(starts)), dtype=np.int64)
+    for b, r in enumerate(starts):
+        for j in range(n):
+            d = deficits(r, j)
+            if d.max() > tol:
+                broken[j, b] = np.count_nonzero(d > tol)
+    listed = []
+    for j, b in zip(*np.nonzero(broken)):
+        room = TRIANGLES_LISTED - len(listed)
+        if room <= 0:
+            break
+        d = deficits(starts[b], j)
+        i, k = np.nonzero(d > tol)
+        for x, y in zip(i[:room].tolist(), k[:room].tolist()):
+            listed.append(("triangle", (starts[b] + x, int(j), y), float(d[x, y])))
+    return listed, int(broken.sum())
 
 
 def restrict(matrix: DistanceMatrix, indices: Sequence[int]) -> DistanceMatrix:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from persets import cli, metric
@@ -24,6 +25,19 @@ def test_validate_bad_matrix_exit_one(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert not out["valid"]
     assert any(v[0] == "asymmetry" for v in out["violations"])
+    assert out["violation_count"] == 1
+
+
+def test_validate_lists_at_most_the_cap_of_triangles(tmp_path, capsys):
+    # a random symmetric 60-point matrix breaks about n^3/6 triangles
+    upper = np.triu(np.random.default_rng(2).random((60, 60)), 1)
+    path = tmp_path / "bad.csv"
+    metric.write_csv(path, upper + upper.T)
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["violations"]) == metric.TRIANGLES_LISTED
+    assert out["violation_count"] > 10 * metric.TRIANGLES_LISTED
+    assert out["error"].startswith(f"{out['violation_count']} axiom violation(s)")
 
 
 def test_sample_campaign_files_and_determinism(tmp_path, capsys):
@@ -190,7 +204,8 @@ def test_validate_ragged_matrix_is_invalid(tmp_path, capsys):
     path = tmp_path / "ragged.csv"
     path.write_text("0,1\n1,0,2\n")
     assert run(["validate", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["valid"] is False
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False and out["violations"] == [] and out["violation_count"] == 0
 
 
 def test_validate_json_missing_key_is_invalid(tmp_path, capsys):

@@ -66,14 +66,15 @@ def test_unsupported_combination():
 
 
 def test_oracle_fallback_matches_principal_on_principal_case():
-    # one chunk (m <= 1024): both paths see identical tuples
-    fast = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 500, seed=3)
-    slow = engine.sample_persistence_set(
-        spaces.CircleGeodesic(), 4, 1, 500, seed=3, oracle_fallback=True
-    )
-    # force the fallback by asking for a non-principal degree first
-    assert slow.trivial_count == fast.trivial_count
-    np.testing.assert_allclose(np.sort(slow.points, axis=0), np.sort(fast.points, axis=0))
+    # at n = 2k+2 the campaign takes the kernel even with oracle_fallback;
+    # the oracle on the same one-chunk tuples must agree with it
+    space = spaces.CircleGeodesic()
+    s = engine.sample_persistence_set(space, 4, 1, 500, seed=3, oracle_fallback=True)
+    _, pairs = engine.sample_tuples(space, engine._chunk_rng(3, 0), 500, 4)
+    dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
+            for m in metric.squareform(pairs, 4)]
+    assert s.trivial_count == sum(not d for d in dgms)
+    np.testing.assert_array_equal(s.points, np.array([p for d in dgms for p in d]))
 
 
 def test_oracle_fallback_non_principal():

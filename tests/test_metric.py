@@ -153,6 +153,119 @@ def test_validate_overflowing_deficit_is_no_violation():
         metric.validate([[0, big, 1.0], [big, 0, 1.0], [1.0, 1.0, 0]])
 
 
+def check_against_reference(a):
+    """validate(a) against one (n, n, n) broadcast of the triangle deficits.
+
+    ``a`` is symmetric, nonnegative and zero on the diagonal, so triangles
+    are its only possible violations.  deficit[j, i, k] = (d(i,k) - d(i,j))
+    - d(j,k); the first TRIANGLES_LISTED broken triangles in (j, i, k)
+    order are listed, all are counted.  Returns the count.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        deficit = (a[None, :, :] - a.T[:, :, None]) - a[:, None, :]
+    broken = deficit > metric.TRIANGLE_RTOL * float(a.max(initial=0.0))
+    count = int(np.count_nonzero(broken))
+    if not count:
+        assert metric.validate(a).entries.tobytes() == a.tobytes()
+        return 0
+    expected = [("triangle", (int(i), int(j), int(k)), float(deficit[j, i, k]))
+                for j, i, k in np.argwhere(broken)[:metric.TRIANGLES_LISTED]]
+    head = ", ".join(f"{kind} at {idx}" for kind, idx, _ in expected[:4])
+    more = f" (+{count - 4} more)" if count > 4 else ""
+    with pytest.raises(AxiomViolation) as err:
+        metric.validate(a)
+    assert err.value.violations == expected
+    assert err.value.count == count
+    assert str(err.value) == f"{count} axiom violation(s): {head}{more}"
+    return count
+
+
+def symmetric(entries):
+    """The symmetric zero-diagonal matrix of the strict upper triangle of ``entries``."""
+    upper = np.triu(np.asarray(entries, dtype=float), 1)
+    return upper + upper.T
+
+
+def stretched(rng, n, edges):
+    """An R^3 cloud matrix with ``edges`` random entries tripled: a few broken triangles."""
+    a = cloud_matrix_r3(rng, n).entries.copy()
+    for i, j in rng.integers(0, n, size=(edges, 2)):
+        a[i, j] = a[j, i] = 3 * a[i, j]
+    return a
+
+
+def test_validate_matches_reference_below_four_points(rng):
+    for n in range(4):
+        for a in (np.zeros((n, n)), cloud_matrix_r3(rng, n).entries,
+                  symmetric(rng.integers(0, 4, size=(n, n)))):
+            check_against_reference(a)
+    assert check_against_reference([[0, 1, 5], [1, 0, 1], [5, 1, 0]]) == 2
+
+
+@pytest.mark.parametrize("n", [180, 181, 182])
+def test_validate_matches_reference_at_the_block_edge(n, rng):
+    # 181 rows of 181 entries fill one sweep block; 180 leave it short,
+    # 182 spill two rows into a second block
+    assert metric._SWEEP_ENTRIES // 181 == 181
+    assert check_against_reference(symmetric(rng.random((n, n)))) > metric.TRIANGLES_LISTED
+    a = cloud_matrix_r3(rng, n).entries.copy()
+    a[n - 1, n - 2] = a[n - 2, n - 1] = 3 * a[n - 1, n - 2]  # broken in the last rows
+    assert 0 < check_against_reference(a) < metric.TRIANGLES_LISTED
+    check_against_reference(cloud_matrix_r3(rng, n).entries)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 30, 31, 70])
+def test_validate_matches_reference_across_blocks(n, rng, monkeypatch):
+    # a 64-entry budget sweeps 8 points in one block, 9 in two, 70 a row at a time
+    monkeypatch.setattr(metric, "_SWEEP_ENTRIES", 64)
+    check_against_reference(stretched(rng, n, 3))
+    check_against_reference(symmetric(rng.random((n, n))))
+    monkeypatch.setattr(metric, "TRIANGLES_LISTED", 5)
+    check_against_reference(stretched(rng, n, 3))
+    check_against_reference(symmetric(rng.integers(0, 3, size=(n, n))))
+
+
+def test_validate_deficit_exactly_at_tolerance():
+    # tol = 1e-9 * 1e9 = 1.0; (1e9 - h) - h is exactly 1.0 and not broken,
+    # one ulp more is broken
+    h = 499999999.5
+    assert metric.TRIANGLE_RTOL * 1e9 == 1.0 and (1e9 - h) - h == 1.0
+    at = [[0, h, 1e9], [h, 0, h], [1e9, h, 0]]
+    assert check_against_reference(at) == 0
+    below = np.nextafter(h, 0)
+    over = [[0, h, 1e9], [h, 0, below], [1e9, below, 0]]
+    assert check_against_reference(over) == 2
+
+
+def test_validate_pseudo_metric_zeros(rng):
+    dm = cloud_matrix_r3(rng, 6)
+    assert check_against_reference(metric.restrict(dm, [0, 0, 1, 2, 2, 5]).entries) == 0
+    # points 0 and 1 coincide but see point 2 at different distances
+    assert check_against_reference([[0, 0, 2], [0, 0, 1], [2, 1, 0]]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_huge_entries_match_reference(rng, monkeypatch):
+    big = 1.7976931348623157e308
+    check_against_reference([[0, 1e308, 1e308], [1e308, 0, 1], [1e308, 1, 0]])
+    assert check_against_reference([[0, 1e308, 1], [1e308, 0, 1], [1, 1, 0]]) == 2
+    monkeypatch.setattr(metric, "_SWEEP_ENTRIES", 64)
+    assert check_against_reference(symmetric(rng.random((20, 20)) * big)) > 0
+
+
+@given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([1, 7, 64, 1 << 15]), listed=st.sampled_from([1, 5, 1000]))
+@settings(max_examples=100, deadline=None)
+def test_validate_matches_reference_on_integer_matrices(n, seed, budget, listed):
+    # small integer entries tie often, so many deficits are exactly 0, just under tol
+    entries = np.random.default_rng(seed).integers(0, 4, size=(n, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_SWEEP_ENTRIES", budget)
+        mp.setattr(metric, "TRIANGLES_LISTED", listed)
+        check_against_reference(symmetric(entries))
+
+
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (0, 0), (-2, -2)])
 def test_whole_accepts_whole_numbers(value, expected):
     got = metric.whole(value)
