@@ -108,7 +108,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph_betti(args) -> int:
-    graph = graphs.read_graph_json(args.graph) if os.path.exists(args.graph) else graphs.parse_family(args.graph)
+    graph = graphs.parse_family(args.graph) if graphs.is_family(args.graph) else graphs.read_graph_json(args.graph)
     sample = engine.sample_persistence_set(graph, 4, 1, args.tuples, args.seed, workers=args.workers)
     report = graph_analysis.detect_corners(sample, rel_tol=args.rel_tol, min_support=args.min_support)
     print(json.dumps({

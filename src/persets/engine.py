@@ -89,7 +89,7 @@ def _space_of(space):
     """A space object, or the model or graph family a descriptor string names."""
     if not isinstance(space, str):
         return space
-    if space.strip().split(":")[0].lower() in graphs_mod.FAMILIES:
+    if graphs_mod.is_family(space):
         return graphs_mod.parse_family(space)
     return spaces_mod.parse_space(space)
 
@@ -199,7 +199,9 @@ def histogram(
 
     The default range is the data's bounding box, so counts + empty mass
     equal the tuples drawn; with a caller-supplied range, points outside
-    it are excluded from counts and total alike.
+    it are excluded from counts and total alike.  The recorded ranges are
+    the outer bin edges numpy used, which widens a zero-width range by 0.5
+    on each side.
     """
     if bins_b < 1 or bins_d < 1:
         raise RegionMismatch("bins must be >= 1")
@@ -208,14 +210,14 @@ def histogram(
         range_b = (float(pts[:, 0].min()), float(pts[:, 0].max())) if len(pts) else (0.0, 1.0)
     if range_d is None:
         range_d = (float(pts[:, 1].min()), float(pts[:, 1].max())) if len(pts) else (0.0, 1.0)
-    counts, _, _ = np.histogram2d(
+    counts, edges_b, edges_d = np.histogram2d(
         pts[:, 0], pts[:, 1], bins=(bins_b, bins_d), range=(range_b, range_d)
     )
     counts = counts.astype(np.int64)
     return Histogram2D(
         counts=counts,
-        range_b=(float(range_b[0]), float(range_b[1])),
-        range_d=(float(range_d[0]), float(range_d[1])),
+        range_b=(float(edges_b[0]), float(edges_b[-1])),
+        range_d=(float(edges_d[0]), float(edges_d[-1])),
         empty_mass=sample.trivial_count,
         total=sample.trivial_count + int(counts.sum()),
     )
@@ -386,15 +388,6 @@ _SVG_SIZE = 720
 _SVG_MARGIN = 60
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
-        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
-        f'<text x="{_SVG_SIZE // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
-    ]
-
-
 def _axes(lo, hi, angular: bool) -> list[tuple[float, str]]:
     if angular:
         step = math.pi / 4.0
@@ -407,7 +400,8 @@ def _axes(lo, hi, angular: bool) -> list[tuple[float, str]]:
     return [(float(t), f"{t:.3g}") for t in ticks]
 
 
-def _svg_frame(lines, lo, hi, angular):
+def _svg_open(title: str, lo, hi, angular):
+    """Header, title and axes of a plot of [lo, hi]^2: its lines and (x, y) pixel maps."""
     span = hi - lo
     inner = _SVG_SIZE - 2 * _SVG_MARGIN
 
@@ -418,17 +412,25 @@ def _svg_frame(lines, lo, hi, angular):
         return _SVG_SIZE - _SVG_MARGIN - (v - lo) / span * inner
 
     m, sz = _SVG_MARGIN, _SVG_SIZE
-    lines.append(f'<rect x="{m}" y="{m}" width="{inner}" height="{inner}" fill="none" stroke="black"/>')
-    lines.append(
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{sz}" height="{sz}" viewBox="0 0 {sz} {sz}">',
+        f'<rect width="{sz}" height="{sz}" fill="white"/>',
+        f'<text x="{sz // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<rect x="{m}" y="{m}" width="{inner}" height="{inner}" fill="none" stroke="black"/>',
         f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
-        'stroke="#999" stroke-dasharray="4 3"/>'
-    )
+        'stroke="#999" stroke-dasharray="4 3"/>',
+    ]
     for v, label in _axes(lo, hi, angular):
         lines.append(f'<line x1="{sx(v):.1f}" y1="{sz - m}" x2="{sx(v):.1f}" y2="{sz - m + 6}" stroke="black"/>')
         lines.append(f'<text x="{sx(v):.1f}" y="{sz - m + 20}" text-anchor="middle" font-size="11">{label}</text>')
         lines.append(f'<line x1="{m - 6}" y1="{sy(v):.1f}" x2="{m}" y2="{sy(v):.1f}" stroke="black"/>')
         lines.append(f'<text x="{m - 9}" y="{sy(v):.1f}" text-anchor="end" font-size="11" dy="4">{label}</text>')
-    return sx, sy
+    return lines, sx, sy
+
+
+def _svg_close(lines, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines + ["</svg>"]) + "\n")
 
 
 def svg_scatter(points: np.ndarray, path, angular: bool = True, title: str = "", max_points: int = 20000) -> None:
@@ -438,43 +440,23 @@ def svg_scatter(points: np.ndarray, path, angular: bool = True, title: str = "",
         stride = int(math.ceil(len(pts) / max_points))
         pts = pts[::stride]
     hi = float(pts.max()) * 1.05 if len(pts) else 1.0
-    lines = _svg_header(title)
-    sx, sy = _svg_frame(lines, 0.0, hi, angular)
+    lines, sx, sy = _svg_open(title, 0.0, hi, angular)
     for b, d in pts:
         lines.append(f'<circle cx="{sx(b):.1f}" cy="{sy(d):.1f}" r="1.4" fill="#1565c0" fill-opacity="0.5"/>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _svg_close(lines, path)
 
 
 def svg_heatmap(hist: Histogram2D, path, angular: bool = True, title: str = "") -> None:
     """Heatmap of a 2-D histogram; darker bins carry more mass."""
-    counts = hist.counts
-    peak = counts.max()
-    lo = min(hist.range_b[0], hist.range_d[0])
-    hi = max(hist.range_b[1], hist.range_d[1])
-    lines = _svg_header(title)
-    sx, sy = _svg_frame(lines, lo, hi, angular)
-    nb, nd = counts.shape
-    wb = (hist.range_b[1] - hist.range_b[0]) / nb
-    wd = (hist.range_d[1] - hist.range_d[0]) / nd
-    if peak > 0:
-        for i in range(nb):
-            for j in range(nd):
-                c = counts[i, j]
-                if c == 0:
-                    continue
-                x = sx(hist.range_b[0] + i * wb)
-                y = sy(hist.range_d[0] + (j + 1) * wd)
-                w = sx(hist.range_b[0] + (i + 1) * wb) - x
-                h = sy(hist.range_d[0] + j * wd) - y
-                op = 0.15 + 0.85 * (c / peak)
-                lines.append(
-                    f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" height="{h:.1f}" '
-                    f'fill="#b71c1c" fill-opacity="{op:.3f}"/>'
-                )
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    counts, peak = hist.counts, hist.counts.max()
+    (b0, b1), (d0, d1) = hist.range_b, hist.range_d
+    lines, sx, sy = _svg_open(title, min(b0, d0), max(b1, d1), angular)
+    wb, wd = (b1 - b0) / counts.shape[0], (d1 - d0) / counts.shape[1]
+    for i, j in np.argwhere(counts).tolist():  # row-major
+        x, y = sx(b0 + i * wb), sy(d0 + (j + 1) * wd)
+        w, h = sx(b0 + (i + 1) * wb) - x, sy(d0 + j * wd) - y
+        lines.append(
+            f'<rect x="{x:.1f}" y="{y:.1f}" width="{w:.1f}" height="{h:.1f}" '
+            f'fill="#b71c1c" fill-opacity="{0.15 + 0.85 * (counts[i, j] / peak):.3f}"/>'
+        )
+    _svg_close(lines, path)

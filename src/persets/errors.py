@@ -24,12 +24,12 @@ class AxiomViolation(PersetsError):
     ``violations`` is a list of ``(kind, indices, amount)`` tuples where
     kind is one of "negative", "diagonal", "asymmetry", "triangle";
     ``count`` is the number of violations, which exceeds the length of
-    the list when only the first broken triangles are listed.
+    the list when only the first ``metric.VIOLATIONS_LISTED`` are listed.
     """
 
-    def __init__(self, violations, count=None):
+    def __init__(self, violations, count):
         self.violations = list(violations)
-        self.count = len(self.violations) if count is None else count
+        self.count = count
         head = ", ".join(f"{k} at {idx}" for k, idx, _ in self.violations[:4])
         more = "" if self.count <= 4 else f" (+{self.count - 4} more)"
         super().__init__(f"{self.count} axiom violation(s): {head}{more}")

@@ -310,6 +310,11 @@ def write_graph_json(graph: MetricGraph, path) -> None:
 FAMILIES = ("wedge", "flares", "flares-fig", "glued", "treecycles")
 
 
+def is_family(text: str) -> bool:
+    """Whether a descriptor's first field names a graph family."""
+    return text.strip().split(":")[0].lower() in FAMILIES
+
+
 def parse_family(text: str) -> MetricGraph:
     """Family descriptors: "wedge:3.5,4.5", "flares:c=6.2832,k=4,L=1",
     "glued:3.5,4.5:alpha=0.5", "treecycles:6,8,10:edge=0.5"."""

@@ -21,8 +21,8 @@ from .errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, N
 # Relative triangle-inequality tolerance.  Model-space distances go through
 # arccos, which loses ~1e-16 absolute near +-1; 1e-9 * max entry absorbs that.
 TRIANGLE_RTOL = 1e-9
-# Triangle violations listed in an AxiomViolation; the rest are only counted.
-TRIANGLES_LISTED = 1000
+# Violations listed in an AxiomViolation, of every kind together; the rest are only counted.
+VIOLATIONS_LISTED = 1000
 # Entries per row block of the triangle sweep (256 KB of float64, cache-resident).
 _SWEEP_ENTRIES = 1 << 15
 
@@ -52,8 +52,10 @@ def validate(matrix) -> DistanceMatrix:
     """Check the pseudo-metric axioms and wrap the matrix.
 
     Raises NotSquare / NonFinite for malformed input and AxiomViolation
-    otherwise: it lists every offending entry, except that it lists only
-    the first TRIANGLES_LISTED broken triangles and counts the rest.
+    otherwise.  It counts every violation and lists the first
+    VIOLATIONS_LISTED: negative entries, then diagonal ones, then
+    asymmetric pairs i < j, each row-major; broken triangles are swept
+    only when none of these is found.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -61,18 +63,8 @@ def validate(matrix) -> DistanceMatrix:
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or infinite entries")
 
-    violations = []
-    for i, j in zip(*np.nonzero(a < 0)):
-        violations.append(("negative", (int(i), int(j)), float(a[i, j])))
-    for i in np.nonzero(np.diagonal(a) != 0)[0]:
-        violations.append(("diagonal", (int(i), int(i)), float(a[i, i])))
-    asym = a - a.T
-    for i, j in zip(*np.nonzero(asym)):
-        if i < j:
-            violations.append(("asymmetry", (int(i), int(j)), float(abs(asym[i, j]))))
-    count = len(violations)
-
-    if not violations:
+    violations, count = _entrywise(a)
+    if not count:
         # a deficit that overflows to -inf has a two-edge path beyond any
         # double: no violation
         with np.errstate(over="ignore"):
@@ -85,14 +77,35 @@ def validate(matrix) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
+def _entrywise(a: np.ndarray):
+    """The first VIOLATIONS_LISTED negative, diagonal and asymmetric entries, and their count.
+
+    A function of its own so that its n x n masks are freed before the
+    triangle sweep: held across it, they slowed a later FiniteSpace
+    campaign on the same matrix by up to half.
+    """
+    with np.errstate(over="ignore"):  # |a - a.T| may overflow to inf
+        kinds = (("negative", a < 0, a),
+                 ("diagonal", np.diagflat(np.diagonal(a) != 0), a),
+                 ("asymmetry", np.triu(a != a.T, 1), np.abs(a - a.T)))
+    listed, count = [], 0
+    for kind, broken, amount in kinds:
+        i, j = np.nonzero(broken)
+        count += len(i)
+        room = max(VIOLATIONS_LISTED - len(listed), 0)
+        i, j = i[:room], j[:room]
+        listed += zip([kind] * len(i), zip(i.tolist(), j.tolist()), amount[i, j].tolist())
+    return listed, count
+
+
 def _triangles(a: np.ndarray, tol: float):
-    """The first TRIANGLES_LISTED broken triangles in (j, i, k) order, and their count.
+    """The first VIOLATIONS_LISTED broken triangles in (j, i, k) order, and their count.
 
     deficit(i, j, k) = (d(i,k) - d(i,j)) - d(j,k) for middle vertex j;
     above ``tol`` means broken.  Each row block of _SWEEP_ENTRIES entries
     goes through one buffer once per middle vertex, and only the count of
     each (j, block) is kept; a second pass recomputes the broken (j, block)
-    pairs in that order until TRIANGLES_LISTED triangles are listed.
+    pairs in that order until VIOLATIONS_LISTED triangles are listed.
     """
     n = a.shape[0]
     rows = max(1, _SWEEP_ENTRIES // max(n, 1))
@@ -113,7 +126,7 @@ def _triangles(a: np.ndarray, tol: float):
                 broken[j, b] = np.count_nonzero(d > tol)
     listed = []
     for j, b in zip(*np.nonzero(broken)):
-        room = TRIANGLES_LISTED - len(listed)
+        room = VIOLATIONS_LISTED - len(listed)
         if room <= 0:
             break
         d = deficits(starts[b], j)

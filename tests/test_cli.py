@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from persets import cli, metric
+import persets
+from persets import cli, graphs, metric
 
 
 def run(argv):
@@ -35,9 +39,22 @@ def test_validate_lists_at_most_the_cap_of_triangles(tmp_path, capsys):
     metric.write_csv(path, upper + upper.T)
     assert run(["validate", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert len(out["violations"]) == metric.TRIANGLES_LISTED
-    assert out["violation_count"] > 10 * metric.TRIANGLES_LISTED
+    assert len(out["violations"]) == metric.VIOLATIONS_LISTED
+    assert out["violation_count"] > 10 * metric.VIOLATIONS_LISTED
     assert out["error"].startswith(f"{out['violation_count']} axiom violation(s)")
+
+
+def test_validate_lists_at_most_the_cap_of_asymmetric_pairs(tmp_path, capsys):
+    a = np.random.default_rng(3).random((200, 200))
+    np.fill_diagonal(a, 0.0)
+    path = tmp_path / "bad.csv"
+    metric.write_csv(path, a)
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["violations"]) == 1000
+    assert {v[0] for v in out["violations"]} == {"asymmetry"}
+    assert out["violation_count"] == 200 * 199 // 2 == 19_900
+    assert out["error"].startswith("19900 axiom violation(s): asymmetry at (0, 1), ")
 
 
 def test_sample_campaign_files_and_determinism(tmp_path, capsys):
@@ -114,6 +131,19 @@ def test_graph_betti(capsys):
     lengths = sorted(c["length"] for c in out["cycles"])
     assert lengths[0] == pytest.approx(3.5, rel=0.02)
     assert lengths[1] == pytest.approx(4.5, rel=0.02)
+
+
+def test_graph_betti_reads_a_graph_file_and_names_a_missing_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    argv = ["--tuples", "20000", "--seed", "1"]
+    assert run(["graph-betti", "--graph", "wedge:3,4"] + argv) == 0
+    from_family = capsys.readouterr().out
+    assert run(["graph-betti", "--graph", "wedge.json"] + argv) == 0
+    assert capsys.readouterr().out == from_family
+    assert run(["graph-betti", "--graph", "missing.json"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2]") and "missing.json" in err
 
 
 def test_density_check(capsys):
@@ -265,22 +295,20 @@ def test_sample_out_json_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_import_leaves_scipy_out():
-    import subprocess
-    import sys
+def run_python(*args, check=False):
+    """A fresh interpreter started next to the persets package under test, so it imports that one."""
+    src = os.path.dirname(os.path.dirname(persets.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=check, cwd=src)
 
+
+def test_import_leaves_scipy_out():
     code = "import sys, persets; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = run_python("-c", code, check=True)
     assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "persets.cli", "--help"], capture_output=True, text=True
-    )
+    proc = run_python("-m", "persets.cli", "--help")
     assert proc.returncode == 0
     assert "sample" in proc.stdout and "graph-betti" in proc.stdout
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import warnings
@@ -124,6 +126,17 @@ def test_histogram_empty_sample():
     s = engine.PersistenceSetSample("x", 4, 1, 10, np.empty((0, 2)), 10, 0)
     h = engine.histogram(s, 5, 5)
     assert h.counts.sum() == 0 and h.empty_mass == 10
+
+
+def test_histogram_of_one_point_records_the_bins_numpy_used(tmp_path):
+    s = engine.PersistenceSetSample("x", 4, 1, 10, np.array([[2.0, 2.5]]), 9, 0)
+    h = engine.histogram(s, 5, 5)
+    assert (h.range_b, h.range_d) == ((1.5, 2.5), (2.0, 3.0))
+    assert h.bin_area == pytest.approx(0.04) and h.counts[2, 2] == h.counts.sum() == 1
+    engine.write_histogram(h, tmp_path / "h.csv")
+    with open(tmp_path / "h.csv.json", encoding="utf-8") as fh:
+        assert json.load(fh)["range_b"] == [1.5, 2.5]
+    assert engine.density_l1_error(h, regions.circle_density) > 0
 
 
 def test_histogram_mass_bookkeeping(circle_sample):
@@ -281,6 +294,15 @@ def test_svg_outputs(tmp_path, circle_sample):
     assert scatter.startswith("<svg") and 'width="720"' in scatter
     assert "π/2" in scatter  # angular ticks at pi/4 multiples
     assert heat.count("<rect") > 10
+
+
+def test_svg_bytes(tmp_path, circle_sample):
+    # recorded before the two writers shared their frame and closing code
+    engine.svg_scatter(circle_sample.points, tmp_path / "p.svg", angular=True, title="t")
+    engine.svg_heatmap(engine.histogram(circle_sample, 30, 30), tmp_path / "h.svg", angular=True, title="t")
+    for name, want in (("p.svg", "0b6a69805d060bf066d57e403f945f8c93e71bf3af0392b0f65932e9315329c1"),
+                       ("h.svg", "5ae048bda1d2cee6ad29cfa45b25e8150ba2bb4f0c8b7b54b7a261507cb920dd")):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
 def test_kept_tuples_align_with_points():

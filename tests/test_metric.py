@@ -153,24 +153,42 @@ def test_validate_overflowing_deficit_is_no_violation():
         metric.validate([[0, big, 1.0], [big, 0, 1.0], [1.0, 1.0, 0]])
 
 
-def check_against_reference(a):
-    """validate(a) against one (n, n, n) broadcast of the triangle deficits.
+def entrywise_reference(a):
+    """Every negative, diagonal and asymmetric entry of ``a``, in that order,
+    each walked row-major by its own loop, as validate listed them before the
+    cap covered every kind."""
+    n = len(a)
+    found = [("negative", (i, j), float(a[i, j])) for i in range(n) for j in range(n) if a[i, j] < 0]
+    found += [("diagonal", (i, i), float(a[i, i])) for i in range(n) if a[i, i] != 0]
+    found += [("asymmetry", (i, j), abs(float(a[i, j]) - float(a[j, i])))
+              for i in range(n) for j in range(i + 1, n) if a[i, j] != a[j, i]]
+    return found
 
-    ``a`` is symmetric, nonnegative and zero on the diagonal, so triangles
-    are its only possible violations.  deficit[j, i, k] = (d(i,k) - d(i,j))
-    - d(j,k); the first TRIANGLES_LISTED broken triangles in (j, i, k)
-    order are listed, all are counted.  Returns the count.
+
+def check_against_reference(a):
+    """validate(a) against per-entry loops and one (n, n, n) broadcast of the triangle deficits.
+
+    Negative, diagonal and asymmetric entries come first (entrywise_reference);
+    only a matrix free of them is checked for triangles.  deficit[j, i, k] =
+    (d(i,k) - d(i,j)) - d(j,k); broken triangles are listed in (j, i, k)
+    order.  Either way the first VIOLATIONS_LISTED are listed and all are
+    counted.  Returns the count.
     """
     a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
-        deficit = (a[None, :, :] - a.T[:, :, None]) - a[:, None, :]
-    broken = deficit > metric.TRIANGLE_RTOL * float(a.max(initial=0.0))
-    count = int(np.count_nonzero(broken))
+    found = entrywise_reference(a)
+    if not found:
+        with np.errstate(over="ignore"):
+            deficit = (a[None, :, :] - a.T[:, :, None]) - a[:, None, :]
+        broken = deficit > metric.TRIANGLE_RTOL * float(a.max(initial=0.0))
+        found = [("triangle", (int(i), int(j), int(k)), float(deficit[j, i, k]))
+                 for j, i, k in np.argwhere(broken)[:metric.VIOLATIONS_LISTED]]
+        count = int(np.count_nonzero(broken))
+    else:
+        count = len(found)
     if not count:
         assert metric.validate(a).entries.tobytes() == a.tobytes()
         return 0
-    expected = [("triangle", (int(i), int(j), int(k)), float(deficit[j, i, k]))
-                for j, i, k in np.argwhere(broken)[:metric.TRIANGLES_LISTED]]
+    expected = found[:metric.VIOLATIONS_LISTED]
     head = ", ".join(f"{kind} at {idx}" for kind, idx, _ in expected[:4])
     more = f" (+{count - 4} more)" if count > 4 else ""
     with pytest.raises(AxiomViolation) as err:
@@ -208,10 +226,10 @@ def test_validate_matches_reference_at_the_block_edge(n, rng):
     # 181 rows of 181 entries fill one sweep block; 180 leave it short,
     # 182 spill two rows into a second block
     assert metric._SWEEP_ENTRIES // 181 == 181
-    assert check_against_reference(symmetric(rng.random((n, n)))) > metric.TRIANGLES_LISTED
+    assert check_against_reference(symmetric(rng.random((n, n)))) > metric.VIOLATIONS_LISTED
     a = cloud_matrix_r3(rng, n).entries.copy()
     a[n - 1, n - 2] = a[n - 2, n - 1] = 3 * a[n - 1, n - 2]  # broken in the last rows
-    assert 0 < check_against_reference(a) < metric.TRIANGLES_LISTED
+    assert 0 < check_against_reference(a) < metric.VIOLATIONS_LISTED
     check_against_reference(cloud_matrix_r3(rng, n).entries)
 
 
@@ -221,7 +239,7 @@ def test_validate_matches_reference_across_blocks(n, rng, monkeypatch):
     monkeypatch.setattr(metric, "_SWEEP_ENTRIES", 64)
     check_against_reference(stretched(rng, n, 3))
     check_against_reference(symmetric(rng.random((n, n))))
-    monkeypatch.setattr(metric, "TRIANGLES_LISTED", 5)
+    monkeypatch.setattr(metric, "VIOLATIONS_LISTED", 5)
     check_against_reference(stretched(rng, n, 3))
     check_against_reference(symmetric(rng.integers(0, 3, size=(n, n))))
 
@@ -250,6 +268,11 @@ def test_validate_huge_entries_match_reference(rng, monkeypatch):
     big = 1.7976931348623157e308
     check_against_reference([[0, 1e308, 1e308], [1e308, 0, 1], [1e308, 1, 0]])
     assert check_against_reference([[0, 1e308, 1], [1e308, 0, 1], [1, 1, 0]]) == 2
+    # the asymmetry 1e308 - (-1e308) overflows: listed as inf, without a warning
+    assert check_against_reference([[0, 1e308], [-1e308, 0]]) == 2
+    with pytest.raises(AxiomViolation) as err:
+        metric.validate([[0, 1e308], [-1e308, 0]])
+    assert err.value.violations[1] == ("asymmetry", (0, 1), math.inf)
     monkeypatch.setattr(metric, "_SWEEP_ENTRIES", 64)
     assert check_against_reference(symmetric(rng.random((20, 20)) * big)) > 0
 
@@ -262,8 +285,33 @@ def test_validate_matches_reference_on_integer_matrices(n, seed, budget, listed)
     entries = np.random.default_rng(seed).integers(0, 4, size=(n, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_SWEEP_ENTRIES", budget)
-        mp.setattr(metric, "TRIANGLES_LISTED", listed)
+        mp.setattr(metric, "VIOLATIONS_LISTED", listed)
         check_against_reference(symmetric(entries))
+
+
+@pytest.mark.parametrize("listed", [1, 5, 1000])
+def test_validate_caps_every_kind_together(listed, rng, monkeypatch):
+    monkeypatch.setattr(metric, "VIOLATIONS_LISTED", listed)
+    # 12 negatives use up caps 1 and 5, so diagonal and asymmetry get no room
+    a = rng.random((6, 6))
+    a[:2] *= -1
+    assert check_against_reference(a) == 12 + 6 + 15
+    # every kind, in the order negative, diagonal, asymmetry
+    assert check_against_reference([[0, -1, 2], [-1, 3, 2], [2, 1, 0]]) == 4
+    # every pair asymmetric, nothing else broken
+    b = rng.random((50, 50))
+    np.fill_diagonal(b, 0.0)
+    assert check_against_reference(b) == 50 * 49 // 2
+    check_against_reference(np.diag(rng.random(40)))
+
+
+@given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), listed=st.sampled_from([1, 5, 1000]))
+@settings(max_examples=100, deadline=None)
+def test_validate_matches_reference_on_asymmetric_integer_matrices(n, seed, listed):
+    entries = np.random.default_rng(seed).integers(-1, 4, size=(n, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "VIOLATIONS_LISTED", listed)
+        check_against_reference(entries)
 
 
 @pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (0, 0), (-2, -2)])
