@@ -18,6 +18,19 @@ from . import diagram_metrics, engine, graph_analysis, graphs, metric, regions, 
 from .errors import PersetsError
 
 
+def _print_json(doc) -> None:
+    """One line of strict JSON: a non-finite float (an amount past the float range) is null."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+    print(json.dumps(finite(doc), allow_nan=False))
+
+
 def _workers(text):
     """--workers / PERSETS_WORKERS: an integer >= 1, else a usage error."""
     if not text.isdigit() or int(text) < 1:
@@ -65,12 +78,12 @@ def cmd_sample(args) -> int:
         hist = engine.histogram(sample, args.bins, args.bins)
         engine.svg_heatmap(hist, args.heatmap, angular=spaces.is_angular(space),
                            title=f"{sample.space}  n={args.n} k={args.k}")
-    print(json.dumps({
+    _print_json({
         "tuples": sample.tuples_drawn,
         "nontrivial": int(len(sample.points)),
         "nontrivial_fraction": sample.nontrivial_fraction,
         "out": str(args.out),
-    }))
+    })
     return 0
 
 
@@ -81,7 +94,7 @@ def cmd_oracle_check(args) -> int:
     if args.out:
         metric.write_csv(args.out, points, ok[:, None].astype(np.int64), header="t_b,t_d,inside")
     violations = int((~ok).sum())
-    print(json.dumps({"points": int(len(ok)), "violations": violations, "region": args.region}))
+    _print_json({"points": int(len(ok)), "violations": violations, "region": args.region})
     return 0 if violations == 0 else 1
 
 
@@ -103,7 +116,7 @@ def cmd_compare(args) -> int:
     else:
         print("compare needs --a/--b sample files or --region-a/--region-b", file=sys.stderr)
         return 2
-    print(json.dumps(result))
+    _print_json(result)
     return 0
 
 
@@ -111,13 +124,13 @@ def cmd_graph_betti(args) -> int:
     graph = graphs.parse_family(args.graph) if graphs.is_family(args.graph) else graphs.read_graph_json(args.graph)
     sample = engine.sample_persistence_set(graph, 4, 1, args.tuples, args.seed, workers=args.workers)
     report = graph_analysis.detect_corners(sample, rel_tol=args.rel_tol, min_support=args.min_support)
-    print(json.dumps({
+    _print_json({
         "betti": report.estimated_betti,
         "cycles": [
             {"lambda": c.lam, "length": 2.0 * c.lam, "support": c.support, "caveat": c.caveat}
             for c in report.corners
         ],
-    }))
+    })
     return 0
 
 
@@ -131,7 +144,7 @@ def cmd_density_check(args) -> int:
     )
     err = engine.density_l1_error(hist, regions.circle_density)
     mass = regions.circle_density_mass()
-    print(json.dumps({"l1_error": err, "analytic_mass": mass, "expected_mass": 1.0 / 9.0}))
+    _print_json({"l1_error": err, "analytic_mass": mass, "expected_mass": 1.0 / 9.0})
     return 0 if err <= args.threshold else 1
 
 
@@ -143,14 +156,14 @@ def cmd_validate(args) -> int:
             dm = metric.read_matrix_csv(args.matrix)
     except PersetsError as exc:
         listed = getattr(exc, "violations", [])
-        print(json.dumps({"valid": False, "error": str(exc),
-                          "violations": [[k, list(i), a] for k, i, a in listed],
-                          "violation_count": getattr(exc, "count", len(listed))}))
+        _print_json({"valid": False, "error": str(exc),
+                     "violations": [[k, list(i), a] for k, i, a in listed],
+                     "violation_count": getattr(exc, "count", len(listed))})
         return 1
     st = metric.stats(dm)
-    sep = None if math.isinf(st.separation) else st.separation
-    print(json.dumps({"valid": True, "n": dm.n, "diameter": st.diameter,
-                      "radius": st.radius, "separation": sep}))
+    # a one-point space has separation inf: null
+    _print_json({"valid": True, "n": dm.n, "diameter": st.diameter,
+                 "radius": st.radius, "separation": st.separation})
     return 0
 
 

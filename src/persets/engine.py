@@ -27,6 +27,7 @@ from . import graphs as graphs_mod
 from . import spaces as spaces_mod
 from .errors import (
     EmptySample,
+    MalformedFile,
     RegionMismatch,
     UnsupportedCombination,
 )
@@ -365,6 +366,10 @@ def write_sample(sample: PersistenceSetSample, csv_path) -> None:
 
 def read_sample(csv_path) -> PersistenceSetSample:
     points = read_csv(csv_path, SAMPLE_HEADER)
+    bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & (points[:, 0] < points[:, 1])))
+    if len(bad):
+        raise MalformedFile(f"{csv_path}: point {bad[0] + 1} is {tuple(points[bad[0]].tolist())}, "
+                            "not finite with t_b < t_d")
     meta = read_json(str(csv_path) + ".json", {key: t for key, (_, t) in _SIDECAR.items()})
     return PersistenceSetSample(points=points, **{f: meta[key] for key, (f, _) in _SIDECAR.items()})
 

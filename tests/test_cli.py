@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import persets
-from persets import cli, graphs, metric
+from persets import cli, engine, graphs, metric, spaces
 
 
 def run(argv):
@@ -117,6 +117,57 @@ def test_compare_samples(tmp_path, capsys):
     # same space, dense samples: tiny Hausdorff gap
     assert out["hausdorff_bottleneck"] < 0.1
     assert out["gh_lower_bound"] == out["hausdorff_bottleneck"] / 2.0
+
+
+def write_pinned_samples(directory):
+    """s1 and sphere:m=2 samples of 2^15 tuples, seeds 11 and 12 (3674 and 4127 points)."""
+    paths = []
+    for name, space, seed in [("a", "s1", 11), ("b", "sphere:m=2", 12)]:
+        sample = engine.sample_persistence_set(spaces.parse_space(space), 4, 1, 1 << 15, seed=seed)
+        engine.write_sample(sample, directory / f"{name}.csv")
+        paths.append(str(directory / f"{name}.csv"))
+    return paths
+
+
+def test_compare_samples_stdout_is_pinned(tmp_path, capsys):
+    # recorded with the cKDTree search that the grid search replaced
+    a, b = write_pinned_samples(tmp_path)
+    capsys.readouterr()
+    assert run(["compare", "--a", a, "--b", b]) == 0
+    assert capsys.readouterr().out == ('{"hausdorff_bottleneck": 0.36502377584059365, '
+                                       '"gh_lower_bound": 0.18251188792029682, "resolution": 0.0}\n')
+
+
+@pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,1.0", "2.0,1.0", "1.0,1.0"])
+def test_compare_refuses_non_finite_or_inverted_points(row, tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("t_b,t_d\n0.1,3.0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t_b,t_d\n0.1,3.0\n{row}\n")
+    sidecar = '{"tuples": 5, "trivial": 3, "seed": 1, "space": "s1", "n": 4, "k": 1}'
+    for csv in (good, bad):
+        (tmp_path / f"{csv.name}.json").write_text(sidecar)
+    assert run(["compare", "--a", str(good), "--b", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.csv: point 2 " in err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 parsers do."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_prints_strict_json_with_null_for_non_finite_amounts(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("0,1e308\n-1e308,0\n")
+    assert run(["validate", str(path)]) == 1
+    out = strict_json(capsys.readouterr().out)
+    assert out["violations"] == [["negative", [1, 0], -1e308], ["asymmetry", [0, 1], None]]
+    path.write_text("0\n")
+    assert run(["validate", str(path)]) == 0
+    assert strict_json(capsys.readouterr().out)["separation"] is None
 
 
 def test_compare_usage_error(capsys):
@@ -301,10 +352,16 @@ def run_python(*args, check=False):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=check, cwd=src)
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, persets; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = run_python("-c", code, check=True)
+def test_import_leaves_scipy_out(tmp_path):
+    scipy_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    proc = run_python("-c", f"import sys, persets; print({scipy_modules})", check=True)
     assert proc.stdout.strip() == "[]"
+    # nor does comparing two samples load it
+    a, b = write_pinned_samples(tmp_path)
+    code = f"import sys; from persets import cli; cli.main(['compare', '--a', {a!r}, '--b', {b!r}]); print({scipy_modules})"
+    proc = run_python("-c", code, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert strict_json(proc.stdout.splitlines()[0])["hausdorff_bottleneck"] == 0.36502377584059365
 
 
 def test_console_script_entry_point():

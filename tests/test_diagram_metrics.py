@@ -1,11 +1,15 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persets import diagram_metrics as dmx
-from persets import metric, principal, regions
-from persets.errors import EmptyInput, InfiniteDeath, TooLarge
+from persets import engine, metric, principal, regions, spaces
+from persets.errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
 from persets.oracle import Diagram
 
 PI = math.pi
@@ -139,7 +143,157 @@ def test_vectorized_hausdorff_matches_exact(rng):
         list_b = [dgm(tuple(p)) for p in pb] + ([EMPTY] if eb else [])
         exact = dmx.hausdorff_bottleneck(list_a, list_b)
         fast = dmx.hausdorff_bottleneck_points(pa, pb, empty_a=ea, empty_b=eb)
-        assert fast == pytest.approx(exact, abs=1e-12)
+        assert fast == exact
+
+
+# ---------------------------------------------------------------------------
+# hausdorff_bottleneck_points against an all-pairs reference
+# ---------------------------------------------------------------------------
+
+EMPTY_FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def all_pairs_nearest(pa, pb):
+    """l-infinity nearest-neighbour distance of every point of pa in pb and
+    of every point of pb in pa, from blocks of the full pair matrix."""
+    nn_a, nn_b = np.full(len(pa), np.inf), np.full(len(pb), np.inf)
+    step = max(1, (1 << 20) // max(len(pb), 1))
+    with np.errstate(over="ignore"):
+        for s in range(0, len(pa), step):
+            d = np.maximum(np.abs(pa[s : s + step, :1] - pb[:, 0]), np.abs(pa[s : s + step, 1:] - pb[:, 1]))
+            nn_a[s : s + step] = d.min(axis=1, initial=np.inf)
+            np.minimum(nn_b, d.min(axis=0, initial=np.inf), out=nn_b)
+    return nn_a, nn_b
+
+
+def reference_hausdorff(pa, pb, empty_a, empty_b, nearest):
+    """The bottleneck closed form of two one-point diagrams, min over one
+    set and max over the other, in the same float operations."""
+
+    def directed(p, nn, ep, q, eq):
+        with np.errstate(over="ignore"):
+            half_p, half_q = (p[:, 1] - p[:, 0]) / 2.0, (q[:, 1] - q[:, 0]) / 2.0
+        best = np.full(len(p), np.inf)
+        if len(q):
+            best = np.minimum(nn, np.maximum(half_p, half_q.min()))
+        if eq:
+            best = np.minimum(best, half_p)
+        worst = float(best.max(initial=0.0))
+        if ep and not eq:
+            worst = max(worst, float(half_q.min()))
+        return worst
+
+    nn_a, nn_b = nearest
+    return max(directed(pa, nn_a, empty_a, pb, empty_b), directed(pb, nn_b, empty_b, pa, empty_a))
+
+
+def assert_matches_all_pairs(pa, pb):
+    pa = np.asarray(pa, dtype=float).reshape(-1, 2)
+    pb = np.asarray(pb, dtype=float).reshape(-1, 2)
+    nearest = all_pairs_nearest(pa, pb)
+    for ea, eb in EMPTY_FLAGS:
+        if (len(pa) == 0 and not ea) or (len(pb) == 0 and not eb):
+            with pytest.raises(EmptyInput):
+                dmx.hausdorff_bottleneck_points(pa, pb, empty_a=ea, empty_b=eb)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dmx.hausdorff_bottleneck_points(pa, pb, empty_a=ea, empty_b=eb)
+        want = reference_hausdorff(pa, pb, ea, eb, nearest)
+        assert got == want, (ea, eb)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_grid_search_matches_all_pairs_on_campaigns(seed):
+    # what `persets compare` gets: about 15k points per set
+    a = engine.sample_persistence_set(spaces.parse_space("s1"), 4, 1, 1 << 17, seed=seed)
+    b = engine.sample_persistence_set(spaces.parse_space("sphere:m=2"), 4, 1, 1 << 17, seed=seed + 100)
+    assert len(a.points) > 10_000 and len(b.points) > 10_000
+    assert_matches_all_pairs(a.points, b.points)
+
+
+def test_grid_search_on_a_set_against_itself_and_its_subsets(rng):
+    a = engine.sample_persistence_set(spaces.parse_space("s1"), 4, 1, 1 << 14, seed=5).points
+    persistent = a[np.argsort(a[:, 1] - a[:, 0])[-50:]]
+    for b in (a, a[rng.permutation(len(a))], a[::7], a[:1], persistent):
+        assert_matches_all_pairs(a, b)
+    assert dmx.hausdorff_bottleneck_points(a, a) == 0.0
+    assert dmx.hausdorff_bottleneck_points(a, a, empty_a=False, empty_b=False) == 0.0
+
+
+@pytest.mark.parametrize("block, round_pairs", [(1, 1), (7, 3), (1 << 16, 64)])
+def test_grid_search_on_integer_ties_and_duplicates(block, round_pairs):
+    # at 2 points per cell, 128 points of {0..8}^2 make an 8 x 8 grid of
+    # unit cells: every point lies on cell edges, distances tie, and most
+    # points repeat
+    rng = np.random.default_rng(8)
+    with mock.patch.object(dmx, "_BLOCK", block), mock.patch.object(dmx, "_ROUND", round_pairs), \
+            mock.patch.object(dmx, "_CELL_POINTS", 2):
+        for _ in range(20):
+            pts = rng.integers(0, 9, size=(128, 2)).astype(float)
+            pts[:2] = [[0.0, 0.0], [8.0, 8.0]]
+            pts = pts[rng.permutation(128)]
+            split = int(rng.integers(1, 128))
+            assert_matches_all_pairs(pts[:split], pts[split:])
+
+
+@given(seed=st.integers(0, 2**32 - 1), na=st.integers(0, 40), nb=st.integers(0, 40),
+       scale=st.sampled_from([1.0, 0.1, 1e-310, 4e307]), cell_points=st.sampled_from([1, 2, 5]),
+       block=st.sampled_from([1, 7, 1 << 16]), round_pairs=st.sampled_from([1, 3, 64]))
+@settings(max_examples=150, deadline=None)
+def test_grid_search_matches_all_pairs_on_small_integer_sets(seed, na, nb, scale, cell_points, block, round_pairs):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 5, size=(na, 2)) * scale
+    b = rng.integers(0, 5, size=(nb, 2)) * scale
+    with mock.patch.object(dmx, "_BLOCK", block), mock.patch.object(dmx, "_ROUND", round_pairs), \
+            mock.patch.object(dmx, "_CELL_POINTS", cell_points):
+        assert_matches_all_pairs(a, b)
+
+
+def test_grid_search_on_clusters_far_apart():
+    rng = np.random.default_rng(9)
+    u, v = rng.random((300, 2)), rng.random((200, 2))
+    # long bars reach across the gap, so caps do not settle the answer
+    bars = np.column_stack([u[:, 0], u[:, 1] + 1e3])
+    for a, b in [(u, v + 1e6), (u, np.concatenate([v, v + 1e6])),
+                 (np.concatenate([u, u + [0.0, 1e3]]), v + [1e3, 1e3]),
+                 (bars, np.concatenate([v + [0.0, 1e3], v + 5e2])), (u * 1e-9, v * 1e-9 + 1.0)]:
+        assert_matches_all_pairs(a, b)
+
+
+def test_grid_search_on_zero_extent_sets_and_single_points(rng):
+    one = np.array([[1.0, 2.0]])
+    spread = np.column_stack([rng.uniform(0, 2, 40), rng.uniform(2, 4, 40)])
+    for a, b in [(one, one), (one, np.repeat(one, 50, axis=0)), (np.repeat(one, 50, axis=0), spread),
+                 (one, [[1.5, 2.0]]), (one, [[1.0, 2.0 + 2.0**-51]]), (one, spread[:1])]:
+        assert_matches_all_pairs(a, b)
+        assert_matches_all_pairs(b, a)
+
+
+def test_grid_search_empty_diagram_combinations(rng):
+    a = np.column_stack([rng.uniform(0, 1, 30), rng.uniform(1, 2, 30)])
+    b = a[:10] + 0.25
+    none = np.empty((0, 2))
+    for pa, pb in [(a, b), (a, none), (none, b), (none, none)]:
+        assert_matches_all_pairs(pa, pb)
+    assert dmx.hausdorff_bottleneck_points(none, none) == 0.0
+    assert dmx.hausdorff_bottleneck_points(a, none) == float(((a[:, 1] - a[:, 0]) / 2.0).max())
+
+
+def test_grid_search_near_the_float_limits():
+    # coordinate differences past 1.8e308 overflow to inf, as in the reference
+    huge = np.array([[-1e308, 1e308], [0.0, 1e308], [1e308, 1.7e308], [-1.7e308, -1e308]])
+    tiny = np.array([[0.0, 5e-324], [5e-324, 1e-323], [0.0, 2.2250738585072014e-308]])
+    for a, b in [(huge, tiny), (huge, huge[::-1] / 3.0), (tiny, tiny * 3.0), (tiny, tiny[:1])]:
+        assert_matches_all_pairs(a, b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_search_rejects_non_finite_points(bad):
+    with pytest.raises(NonFinite):
+        dmx.hausdorff_bottleneck_points([[0.0, bad]], [[0.0, 1.0]])
+    with pytest.raises(NonFinite):
+        dmx.hausdorff_bottleneck_points([[0.0, 1.0]], [[bad, 1.0]])
 
 
 def test_gh_lower_bound_self_is_zero(rng):
