@@ -36,6 +36,7 @@ from .oracle import vr_diagram
 from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
+BLOCK = 1 << 13  # tuples per coordinate-major copy and per kernel call
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +99,18 @@ def _space_of(space):
 def sample_tuples(space, rng, count: int, n: int):
     """``count`` n-tuples, (count, n, D), and their pair list, (n(n-1)/2, count).
 
-    One ``pair_distance`` call per pair keeps its temporaries at (count, D).
+    The tuples are drawn in one call, then walked in blocks of BLOCK: each
+    block is copied coordinate-major, so every ``pair_distance`` call gets
+    (B, D) points whose coordinate columns are contiguous, and its
+    temporaries stay at B values per coordinate.
     """
     pts = space.sample_points(rng, count * n).reshape(count, n, -1)
     pairs = np.empty((n * (n - 1) // 2, count))
-    for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-        pairs[p] = space.pair_distance(pts[:, i], pts[:, j])
+    ij = list(zip(*np.triu_indices(n, 1)))
+    for b in range(0, count, BLOCK):
+        blk = np.ascontiguousarray(pts[b:b + BLOCK].T).T
+        for p, (i, j) in enumerate(ij):
+            pairs[p, b:b + BLOCK] = space.pair_distance(blk[:, i], blk[:, j])
     return pts, pairs
 
 
@@ -117,7 +124,9 @@ def _run_chunk(space, n, k, seed, chunk_index, count, keep):
     rng = _chunk_rng(seed, chunk_index)
     pts, dists = sample_tuples(space, rng, count, n)
     if n == 2 * k + 2:
-        tb, td = principal_of_pairs(dists, n)
+        tb, td = np.empty(count), np.empty(count)
+        for b in range(0, count, BLOCK):
+            tb[b:b + BLOCK], td[b:b + BLOCK] = principal_of_pairs(dists[:, b:b + BLOCK], n)
         per_tuple = tb < td
         pairs = np.column_stack([tb[per_tuple], td[per_tuple]])
     else:
@@ -165,7 +174,8 @@ def sample_persistence_set(
 
     tasks = [(space, n, k, seed, c, cnt, keep_nontrivial_tuples) for c, cnt in enumerate(counts)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
     else:
         results = [_run_chunk(*t) for t in tasks]

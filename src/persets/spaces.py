@@ -6,7 +6,8 @@ datasets) has the same three members:
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
   (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
 * ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
-  axes of two point arrays;
+  axes of two point arrays (the engine passes (B, D) views whose coordinate
+  columns ``p[..., d]`` are contiguous);
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
 Models also have ``validate_point(p)``: PointNotOnModel if p is off it.
@@ -24,6 +25,54 @@ from .metric import DistanceMatrix, validate
 
 TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
+
+
+def _lanes(term, lo, hi):
+    """term(lo) + ... + term(hi - 1) in the order of numpy's pairwise sum.
+
+    That order is sequential below 8 terms, eight lanes joined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the tail up to 128, and
+    halves at multiples of 8 above.  term(d) must return a fresh array:
+    the lanes are added in place.
+    """
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _lanes(term, lo, lo + half) + _lanes(term, lo + half, hi)
+    if n < 8:
+        total = term(lo)
+        for d in range(lo + 1, hi):
+            total += term(d)
+        return total
+    r = [term(lo + j) for j in range(8)]
+    tail = hi - n % 8
+    for i in range(lo + 8, tail, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for d in range(tail, hi):
+        r[0] += term(d)
+    return r[0]
+
+
+def _dot(p, q):
+    """Sum of p * q over the last axis, with the bits ``np.sum(p * q, axis=-1)``
+    gives on a contiguous last axis, whatever the layout of p and q.
+
+    On contiguous coordinate columns numpy adds the columns one after
+    another, which leaves its row order from 8 columns on; this adds one
+    column at a time in the row order.  The + 0.0 is numpy's zero start
+    (a sum of negative zeros is +0).
+    """
+    return _lanes(lambda d: p[..., d] * q[..., d], 0, p.shape[-1]) + 0.0
+
+
+def _unit_vectors(rng, count, dim):
+    """``count`` uniform points of the unit sphere in R^dim, normalized in place."""
+    v = rng.standard_normal(size=(count, dim))
+    v /= np.sqrt(_dot(v, v))[:, None]
+    return v
 
 
 def _circle_arc(a, b):
@@ -65,12 +114,11 @@ class SphereGeodesic:
         return f"sphere:m={self.m}"
 
     def sample_points(self, rng, count):
-        v = rng.standard_normal(size=(count, self.m + 1))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+        return _unit_vectors(rng, count, self.m + 1)
 
     def pair_distance(self, p, q):
         # unit-vector inner products overshoot [-1, 1] by ~1e-16: clamp
-        dot = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
+        dot = np.clip(_dot(p, q), -1.0, 1.0)
         return np.arccos(dot)
 
     def validate_point(self, p):
@@ -92,11 +140,11 @@ class SphereEuclidean:
         return "s1-e" if self.m == 1 else f"sphere-e:m={self.m}"
 
     def sample_points(self, rng, count):
-        v = rng.standard_normal(size=(count, self.m + 1))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+        return _unit_vectors(rng, count, self.m + 1)
 
     def pair_distance(self, p, q):
-        return np.linalg.norm(p - q, axis=-1)
+        diff = p - q
+        return np.sqrt(_dot(diff, diff))
 
     def validate_point(self, p):
         SphereGeodesic(self.m).validate_point(p)
@@ -151,7 +199,10 @@ class ModelSurface:
         if self.kappa > 0:
             r = 1.0 / math.sqrt(self.kappa)
             v = rng.standard_normal(size=(count, 3))
-            return r * v / np.linalg.norm(v, axis=-1, keepdims=True)
+            norm = np.sqrt(_dot(v, v))[:, None]
+            v *= r
+            v /= norm
+            return v
         s = math.sqrt(-self.kappa)
         a = 1.0 / s
         # geodesic polar area element ~ sinh(s r): invert its CDF
@@ -167,7 +218,7 @@ class ModelSurface:
 
     def pair_distance(self, p, q):
         if self.kappa > 0:
-            dot = self.kappa * np.sum(p * q, axis=-1)
+            dot = self.kappa * _dot(p, q)
             return np.arccos(np.clip(dot, -1.0, 1.0)) / math.sqrt(self.kappa)
         mink = -p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
         dot = self.kappa * mink
@@ -202,13 +253,13 @@ class EuclideanDisk:
         return f"disk:m={self.m}:R={self.radius:g}"
 
     def sample_points(self, rng, count):
-        v = rng.standard_normal(size=(count, self.m))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        r = self.radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / self.m)
-        return v * r
+        v = _unit_vectors(rng, count, self.m)
+        v *= self.radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / self.m)
+        return v
 
     def pair_distance(self, p, q):
-        return np.linalg.norm(p - q, axis=-1)
+        diff = p - q
+        return np.sqrt(_dot(diff, diff))
 
     def validate_point(self, p):
         p = np.asarray(p, dtype=float)

@@ -346,3 +346,27 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     assert np.array_equal(runs[0].points, runs[1].points)
     assert np.array_equal(runs[0].kept_tuples, runs[1].kept_tuples)
     assert started == [2]  # two chunks of at most 1024 tuples
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    started = []
+
+    class Pool:  # records the pool size and runs the chunks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args, chunksize):
+            return map(fn, *args)
+
+    monkeypatch.setattr(engine, "CHUNK", 1024)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    s8 = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 1500, seed=3, workers=8)
+    s1 = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 1500, seed=3, workers=1)
+    assert started == [2]  # two chunks: a larger pool would fork idle processes
+    assert np.array_equal(s8.points, s1.points) and s8.trivial_count == s1.trivial_count

@@ -51,6 +51,25 @@ GOLDEN = {
     ("glued:3.5,4.5:alpha=0.5", 6): "e97bb7a767b43bb12a091c8b32f7cd4e288103eeb50b2b2289c8f5a20b2403dc",
     ("finite", 4): "99c9e3f8deddea0028714c3bf501d96eaab1c7f8f86b3c63b2a731d337040c96",
     ("finite", 6): "15f7721da1bec174657d68c5059458c4b1c69fbcf1f9bca100016aaa6bd5ad65",
+    # recorded before pair distances moved to coordinate-major blocks: from
+    # D = 8 coordinates on numpy's last-axis sum adds in eight lanes, so a
+    # layout change alone would reorder these sums (sphere-e:m=1 is s1-e)
+    ("sphere:m=1", 4): "1a9eeb7f8b6941580c07c3c90f7637c4eb640d308ceb3ea5c128c80f373bcb61",
+    ("sphere:m=1", 6): "2a6d9b5e358b2a24cc5768806af14f97e4c55a9ae3c957c348d497662589e390",
+    ("sphere:m=5", 4): "0bc497c3a291901d8473c7e76b282bd08954f3fb1bff5a841fa32f73f73b2255",
+    ("sphere:m=5", 6): "2c79f0b63945edacb446f3c0a7fdf9e54e0d2c37007867a5c59a52a783131700",
+    ("sphere:m=7", 4): "5010b091f51328c4008b06e7a7520ecd39e8d1b05fc9b7e59193a45fc16c5c32",
+    ("sphere:m=7", 6): "fbb953bc02a049e6877f76b5a6b435ca1acea3fc45f3d2c302b28aa00d2314b9",
+    ("sphere:m=9", 4): "32efe129cc80cbcd606512635edccf030fff6b60f2a17a18e32a7868c9efbf80",
+    ("sphere:m=9", 6): "a91baca88b90bad0a3099bd2553eabc8e2a0124e9fb0d2d5c9060ad3819bdc8a",
+    ("sphere-e:m=5", 4): "debe9620df7004e424ee92768112323d0ce8915c296c805f29c0703169703e29",
+    ("sphere-e:m=5", 6): "088daa7bbc7e5e9ae90dfe37657abd025fa0bc794a87ff1a3a38fb6670b313d6",
+    ("sphere-e:m=7", 4): "1c4f8ce510bffa17a68e5d2e3e2fe8bb31259bdf021c5d1a6f1cb942175a7deb",
+    ("sphere-e:m=7", 6): "00cd6a5ba05c9da6d4bb5e98e31c02032a0d2f9107072f359db7239dca738c81",
+    ("sphere-e:m=9", 4): "29bc3ed25afc813e0bdfedbc8edf7829808b7e6e4332beeb89646b4695e5e2b3",
+    ("sphere-e:m=9", 6): "cbc25622f248d78ab666fa0ec41313b75838f26b76e4fba23254e959d0eabf70",
+    ("disk:m=9", 4): "62d7ba40af3465a9fc2d32265fb6b996fb71d1076625f2beb80a753fe501adf2",
+    ("disk:m=9", 6): "e76e007be9b428b95ab495b1603fc837b437080b304d1649baaf3ad049a82400",
 }
 
 NEAR_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_graph_points.json")
@@ -81,6 +100,13 @@ def digest(sample):
 @pytest.mark.parametrize("descriptor,n", sorted(GOLDEN))
 def test_golden_digest(descriptor, n, workers, monkeypatch):
     assert digest(campaign(descriptor, n, workers, monkeypatch)) == GOLDEN[descriptor, n]
+
+
+@pytest.mark.parametrize("descriptor,n", sorted(GOLDEN))
+def test_golden_digest_across_block_edges(descriptor, n, monkeypatch):
+    # 300 neither divides CHUNK nor equals it: blocks end inside both chunks
+    monkeypatch.setattr(engine, "BLOCK", 300)
+    assert digest(campaign(descriptor, n, 1, monkeypatch)) == GOLDEN[descriptor, n]
 
 
 # sha256 of the files written from one fixed sample: recorded with the

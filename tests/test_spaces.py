@@ -188,3 +188,20 @@ def test_parse_space_roundtrip():
 def test_parse_space_bad_option_names_the_descriptor(text):
     with pytest.raises(InvalidDescriptor, match=re.escape(repr(text))):
         spaces.parse_space(text)
+
+
+@pytest.mark.parametrize("dim", list(range(1, 21)) + [128, 129, 200])
+def test_dot_adds_in_numpys_order_for_any_layout(dim):
+    rng = np.random.default_rng(dim)
+    # magnitudes over ten decades: any change of summation order shows in the bits
+    p = rng.standard_normal((33, dim)) * 10.0 ** rng.integers(-5, 5, (33, dim))
+    q = rng.standard_normal((33, dim))
+    want_dot, want_norm = np.sum(p * q, axis=-1), np.linalg.norm(p, axis=-1)
+    pf, qf = np.asfortranarray(p), np.asfortranarray(q)  # contiguous coordinate columns
+    for a, b in ((p, q), (pf, qf)):
+        assert spaces._dot(a, b).tobytes() == want_dot.tobytes()
+        assert np.sqrt(spaces._dot(a, a)).tobytes() == want_norm.tobytes()
+    if dim >= 8:  # numpy's own sum adds columns in another order
+        assert np.sum(pf * qf, axis=-1).tobytes() != want_dot.tobytes()
+    zero = np.zeros((2, dim))  # a sum of negative zeros is +0, as in numpy
+    assert spaces._dot(-zero, zero + 1).tobytes() == np.sum(-zero * (zero + 1), axis=-1).tobytes()
