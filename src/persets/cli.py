@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from . import diagram_metrics, engine, graph_analysis, graphs, metric, regions, spaces
-from .errors import PersetsError
+from . import diagram_metrics, engine, graph_analysis, metric, regions, spaces
+from .errors import PersetsError, UnsupportedCombination
 
 
 def _print_json(doc) -> None:
@@ -43,33 +43,9 @@ def _add_workers_arg(p):
     p.add_argument("--workers", type=_workers, default=os.environ.get("PERSETS_WORKERS") or "1")
 
 
-def _add_campaign_args(p):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--space", help='model space, e.g. "s1", "sphere:m=2", "mk:kappa=-1:R=3.14159"')
-    src.add_argument("--graph", help="metric graph JSON file")
-    src.add_argument("--family", help='graph family, e.g. "glued:3.5,4.5:alpha=0.5"')
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tuples", type=int, default=1_000_000, help="number of sampled n-tuples")
-    p.add_argument("--seed", type=int, default=0)
-    _add_workers_arg(p)
-    p.add_argument("--oracle-fallback", action="store_true", help="allow n != 2k+2 via the brute-force oracle")
-
-
-def _campaign_space(args):
-    if args.space:
-        return spaces.parse_space(args.space)
-    if args.graph:
-        return graphs.read_graph_json(args.graph)
-    return graphs.parse_family(args.family)
-
-
 def cmd_sample(args) -> int:
-    space = _campaign_space(args)
-    sample = engine.sample_persistence_set(
-        space, args.n, args.k, args.tuples, args.seed,
-        workers=args.workers, oracle_fallback=args.oracle_fallback,
-    )
+    space = engine.space_of(args.space)
+    sample = engine.sample_persistence_set(space, args.n, args.k, args.tuples, args.seed, workers=args.workers)
     engine.write_sample(sample, args.out)
     if args.svg:
         engine.svg_scatter(sample.points, args.svg, angular=spaces.is_angular(space),
@@ -107,8 +83,11 @@ def cmd_compare(args) -> int:
             interior_step=max(args.step, args.interior_step),
         )
     elif args.a and args.b:
-        sa = engine.read_sample(args.a)
-        sb = engine.read_sample(args.b)
+        sa, sb = engine.read_sample(args.a), engine.read_sample(args.b)
+        for path, s in ((args.a, sa), (args.b, sb)):
+            if s.n != 2 * s.k + 2:  # rows are flattened multi-point diagrams
+                raise UnsupportedCombination(f"{path}: compare needs one-point diagrams, n = 2k+2; "
+                                             f"the sample has n={s.n}, k={s.k}")
         d = diagram_metrics.hausdorff_bottleneck_points(
             sa.points, sb.points, empty_a=sa.trivial_count > 0, empty_b=sb.trivial_count > 0
         )
@@ -121,8 +100,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph_betti(args) -> int:
-    graph = graphs.parse_family(args.graph) if graphs.is_family(args.graph) else graphs.read_graph_json(args.graph)
-    sample = engine.sample_persistence_set(graph, 4, 1, args.tuples, args.seed, workers=args.workers)
+    sample = engine.sample_persistence_set(args.graph, 4, 1, args.tuples, args.seed, workers=args.workers)
     report = graph_analysis.detect_corners(sample, rel_tol=args.rel_tol, min_support=args.min_support)
     _print_json({
         "betti": report.estimated_betti,
@@ -172,7 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="run a sampling campaign and write CSV/JSON/SVG")
-    _add_campaign_args(p)
+    p.add_argument("--space", required=True, help='a model space ("s1", "sphere:m=2", "mk:kappa=-1:R=3.14159"), '
+                   'a graph family ("glued:3.5,4.5:alpha=0.5") or a metric graph JSON file (a path ending in .json)')
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--k", type=int, default=1, help="homology degree; n = 2k+2 is the fast principal path, "
+                   f"other k+2 <= n <= {engine.MAX_POINTS} run the brute-force oracle")
+    p.add_argument("--tuples", type=int, default=1_000_000, help="number of sampled n-tuples")
+    p.add_argument("--seed", type=int, default=0)
+    _add_workers_arg(p)
     p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points + <out>.json")
     p.add_argument("--svg", default=None, help="scatter plot output")
     p.add_argument("--heatmap", default=None, help="heatmap plot output")
@@ -196,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("graph-betti", help="recover cycle count/lengths of a metric graph")
-    p.add_argument("--graph", required=True, help="graph JSON file or family descriptor")
+    p.add_argument("--graph", required=True, help="graph family or metric graph JSON file; "
+                   "takes every --space form of sample")
     p.add_argument("--tuples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_workers_arg(p)

@@ -26,6 +26,7 @@ import numpy as np
 from . import regions as reg
 from .errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
 from .oracle import Diagram
+from .principal import PrincipalDiagram
 
 MAX_MATCH_POINTS = 64
 
@@ -41,12 +42,10 @@ class MatchingCost:
 
 
 def _points_of(d) -> list[tuple[float, float]]:
-    if isinstance(d, Diagram):
-        return list(d.points)
     if d is None:
         return []
-    if hasattr(d, "point"):  # PrincipalDiagram
-        return [] if d.point is None else [d.point]
+    if isinstance(d, (Diagram, PrincipalDiagram)):
+        return list(d.points)
     return [(float(b), float(v)) for b, v in d]
 
 

@@ -1,12 +1,12 @@
-"""The sampling engine: estimate principal persistence sets and measures.
+"""The sampling engine: estimate persistence sets and measures.
 
 A campaign draws m_max i.i.d. n-tuples from a space (any object with the
 three members listed in ``persets.spaces``; entries sampled with
-replacement: that is exactly the n-fold product measure), pushes the
-n(n-1)/2 distances of every tuple through the O(n^2) principal-diagram
-kernel, and aggregates the nontrivial (t_b, t_d) points plus a scalar
-count of trivial (empty) diagrams.  The empty diagram is never encoded
-as a (0, 0) point.
+replacement: that is exactly the n-fold product measure), computes the
+degree-k diagram of every tuple from its n(n-1)/2 distances (the O(n^2)
+kernel when n = 2k+2, else the oracle), and aggregates the nontrivial
+(t_b, t_d) points plus a scalar count of trivial (empty) diagrams.  The
+empty diagram is never encoded as a (0, 0) point.
 
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
@@ -17,6 +17,7 @@ little of the GIL here).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -32,7 +33,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .metric import DistanceMatrix, read_csv, read_json, squareform, whole, write_csv, write_json
-from .oracle import vr_diagram
+from .oracle import MAX_POINTS, vr_diagram
 from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
@@ -52,7 +53,8 @@ class PersistenceSetSample:
 
     @property
     def nontrivial_fraction(self) -> float:
-        return len(self.points) / self.tuples_drawn if self.tuples_drawn else 0.0
+        """The share of tuples whose diagram is not empty (a diagram may hold several points)."""
+        return (self.tuples_drawn - self.trivial_count) / self.tuples_drawn if self.tuples_drawn else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +89,13 @@ class FiniteSpace:
         return self.matrix.entries[p[..., 0], q[..., 0]]
 
 
-def _space_of(space):
-    """A space object, or the model or graph family a descriptor string names."""
+def space_of(space):
+    """A space object as given, or the one a string names: a graph JSON file
+    (a path ending in ``.json``), a graph family or a model space descriptor."""
     if not isinstance(space, str):
         return space
+    if space.endswith(".json"):
+        return graphs_mod.read_graph_json(space)
     if graphs_mod.is_family(space):
         return graphs_mod.parse_family(space)
     return spaces_mod.parse_space(space)
@@ -145,26 +150,26 @@ def sample_persistence_set(
     m_max: int,
     seed: int,
     workers: int = 1,
-    oracle_fallback: bool = False,
     keep_nontrivial_tuples: bool = False,
 ) -> PersistenceSetSample:
     """Estimate the (n, k) persistence set / measure with m_max tuples.
 
-    n = 2k+2 is the principal path; other combinations with n <= 12
-    run every tuple through the brute-force oracle when
-    ``oracle_fallback`` is set, flattening all diagram points (row i of
-    ``kept_tuples`` is then the tuple of ``points[i]``, repeated per point).
+    ``space`` is a space object or any string ``space_of`` resolves.
+    n = 2k+2 is the principal path (the O(n^2) kernel, chunks of CHUNK
+    tuples); any other k+2 <= n <= oracle.MAX_POINTS runs every tuple
+    through the brute-force oracle, in chunks of 1024, flattening all
+    diagram points (row i of ``kept_tuples`` is then the tuple of
+    ``points[i]``, repeated per point).  The pool holds at most
+    ``workers``, the chunk count and the machine's CPU count processes.
     """
-    space = _space_of(space)
+    space = space_of(space)
     if m_max < 1 or workers < 1:
         raise UnsupportedCombination("m_max and workers must be >= 1")
-    if n < 2 or k < 0:
-        raise UnsupportedCombination(f"need n >= 2 and k >= 0, got n={n}, k={k}")
     principal = n == 2 * k + 2
-    if not principal and not (oracle_fallback and n <= 12):
+    if k < 0 or not (principal or k + 2 <= n <= MAX_POINTS):
         raise UnsupportedCombination(
-            f"n={n}, k={k}: principal sampling needs n = 2k+2; "
-            "pass oracle_fallback=True for n <= 12"
+            f"n={n}, k={k}: need k >= 0 and either n = 2k+2 (the principal kernel) "
+            f"or k+2 <= n <= {MAX_POINTS} (the oracle)"
         )
 
     chunk = CHUNK if principal else 1024
@@ -173,9 +178,10 @@ def sample_persistence_set(
         counts.append(m_max % chunk)
 
     tasks = [(space, n, k, seed, c, cnt, keep_nontrivial_tuples) for c, cnt in enumerate(counts)]
-    if workers > 1 and len(tasks) > 1:
-        # under fork the pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    # under fork the pool starts all its workers at the first submit
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
     else:
         results = [_run_chunk(*t) for t in tasks]

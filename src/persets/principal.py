@@ -33,6 +33,10 @@ class PrincipalDiagram:
         return self.point is None
 
     @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return () if self.point is None else (self.point,)
+
+    @property
     def persistence(self) -> float:
         return 0.0 if self.point is None else self.point[1] - self.point[0]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -256,12 +257,12 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--space", "s1:lambda=abc"],
-    ["sample", "--family", "glued:3.5,x:alpha=0.5"],
-    ["sample", "--family", "glued:3.5,4.5"],
+    ["sample", "--space", "glued:3.5,x:alpha=0.5"],
+    ["sample", "--space", "glued:3.5,4.5"],
     ["graph-betti", "--graph", "treecycles"],
     ["sample", "--space", "disk:m=0"],
     ["sample", "--space", "sphere:m=2.5"],
-    ["sample", "--family", "flares:c=6,k=2.7"],
+    ["sample", "--space", "flares:c=6,k=2.7"],
     ["sample", "--space", "s1", "--n", "0", "--k", "-1"],
 ])
 def test_bad_descriptor_is_validation_error(argv, tmp_path, monkeypatch, capsys):
@@ -305,7 +306,7 @@ def test_validate_json_missing_key_is_invalid(tmp_path, capsys):
 def test_malformed_graph_json_is_validation_error(doc, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(doc)
-    assert run(["sample", "--graph", str(path), "--tuples", "10", "--out", str(tmp_path / "s.csv")]) == 1
+    assert run(["sample", "--space", str(path), "--tuples", "10", "--out", str(tmp_path / "s.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -397,3 +398,54 @@ def test_validate_json_fractional_n_is_invalid(doc, tmp_path, capsys):
     assert run(["validate", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is False and "whole number" in out["error"]
+
+
+def test_sample_off_the_principal_path_runs_the_oracle(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--space", "s1", "--n", "5", "--k", "1", "--tuples", "1500", "--seed", "17",
+                "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["nontrivial_fraction"] == (1500 - 1125) / 1500
+    assert json.loads((tmp_path / "s.csv.json").read_text())["n"] == 5
+    # the oracle's limits are checked, and named, before anything is drawn
+    assert run(["sample", "--space", "s1", "--n", "3", "--k", "5", "--tuples", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=3, k=5:") and "max_dim" not in err
+
+
+def test_sample_space_takes_a_graph_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    argv = ["--tuples", "3000", "--seed", "1"]
+    assert run(["sample", "--space", "wedge:3,4", "--out", "family.csv"] + argv) == 0
+    assert run(["sample", "--space", "wedge.json", "--out", "file.csv"] + argv) == 0
+    assert (tmp_path / "family.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--family", "wedge:3,4"], ["--graph", "wedge.json"],
+                                  ["--space", "s1", "--oracle-fallback"]])
+def test_sample_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a flag that is wrongly accepted writes sample.csv here
+    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--tuples", "10"] + argv)
+    assert exc.value.code == 2
+
+
+def test_compare_refuses_a_non_principal_sample(tmp_path, capsys):
+    for name, n in (("a.csv", "6"), ("b.csv", "4")):
+        assert run(["sample", "--space", "s1", "--n", n, "--k", "1", "--tuples", "1000", "--seed", "2",
+                    "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert run(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a.csv" in err and "n=6, k=1" in err
+
+
+def test_readme_cli_lines_parse():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("persets ")]
+    assert len(lines) >= 7
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -342,3 +342,10 @@ def test_stability_of_principal_diagrams(rng):
         g1 = principal.principal_diagram(metric.DistanceMatrix(d1), 1)
         g2 = principal.principal_diagram(metric.DistanceMatrix(d2), 1)
         assert dmx.bottleneck_distance(g1, g2) <= 2 * eta + 1e-12
+
+
+def test_principal_diagrams_are_read_through_points():
+    empty, one = principal.PrincipalDiagram(), principal.PrincipalDiagram((0.5, 1.5))
+    assert empty.points == () and one.points == ((0.5, 1.5),)
+    assert dmx.bottleneck(one, dgm((0.5, 1.5))).value == 0.0
+    assert dmx.bottleneck(empty, one).value == dmx.bottleneck(EMPTY, dgm((0.5, 1.5))).value == 0.5

@@ -57,21 +57,39 @@ def test_determinism_across_workers():
 @pytest.mark.parametrize("n, k", [(0, -1), (1, 0), (4, -1)])
 def test_bad_n_or_k_is_unsupported(n, k):
     with pytest.raises(UnsupportedCombination):
-        engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0, oracle_fallback=True)
+        engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0)
 
 
 def test_unsupported_combination():
     with pytest.raises(UnsupportedCombination):
-        engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 100, seed=0)
+        engine.sample_persistence_set(spaces.CircleGeodesic(), 13, 1, 100, seed=0)
     with pytest.raises(UnsupportedCombination):
         engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 0, seed=0)
 
 
+@pytest.mark.parametrize("n, k", [(3, 5), (2, 1), (13, 1)])
+def test_oracle_limits_are_checked_before_drawing(n, k, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(engine, "sample_tuples", draw)
+    with pytest.raises(UnsupportedCombination, match=f"n={n}, k={k}: need") as exc:
+        engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0)
+    assert f"<= {oracle.MAX_POINTS}" in str(exc.value)
+
+
+def test_nontrivial_fraction_counts_tuples_not_points():
+    # off the principal path a diagram may hold several points
+    s = engine.sample_persistence_set("wedge:3.5,4.5", 8, 1, 1024, seed=3)
+    assert (s.trivial_count, len(s.points)) == (594, 449)
+    assert s.nontrivial_fraction == (1024 - 594) / 1024  # 0.4199, not 449 / 1024
+
+
 def test_oracle_fallback_matches_principal_on_principal_case():
-    # at n = 2k+2 the campaign takes the kernel even with oracle_fallback;
+    # at n = 2k+2 the campaign takes the kernel;
     # the oracle on the same one-chunk tuples must agree with it
     space = spaces.CircleGeodesic()
-    s = engine.sample_persistence_set(space, 4, 1, 500, seed=3, oracle_fallback=True)
+    s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
     _, pairs = engine.sample_tuples(space, engine._chunk_rng(3, 0), 500, 4)
     dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
@@ -81,7 +99,7 @@ def test_oracle_fallback_matches_principal_on_principal_case():
 
 def test_oracle_fallback_non_principal():
     s = engine.sample_persistence_set(
-        spaces.CircleGeodesic(), 5, 1, 300, seed=3, oracle_fallback=True
+        spaces.CircleGeodesic(), 5, 1, 300, seed=3
     )
     assert s.tuples_drawn == 300
     assert (s.points[:, 0] < s.points[:, 1]).all()
@@ -320,8 +338,7 @@ def test_kept_tuples_align_with_points():
 def test_oracle_kept_tuples_align_with_points():
     # eight points on a wedge of two circles: some diagrams carry two points
     g = graphs.parse_family("wedge:3.5,4.5")
-    s = engine.sample_persistence_set(g, 8, 1, 1024, seed=3, oracle_fallback=True,
-                                      keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(g, 8, 1, 1024, seed=3, keep_nontrivial_tuples=True)
     assert len(s.points) + s.trivial_count > s.tuples_drawn
     assert s.kept_tuples.shape == (len(s.points), 8, 2)
     i, j = np.triu_indices(8, 1)
@@ -340,7 +357,7 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
     runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w,
-                                          oracle_fallback=True, keep_nontrivial_tuples=True)
+                                          keep_nontrivial_tuples=True)
             for w in (1, 2)]
     assert runs[0].trivial_count == runs[1].trivial_count
     assert np.array_equal(runs[0].points, runs[1].points)
@@ -348,7 +365,8 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     assert started == [2]  # two chunks of at most 1024 tuples
 
 
-def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
     started = []
 
     class Pool:  # records the pool size and runs the chunks in this process
@@ -366,7 +384,21 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
 
     monkeypatch.setattr(engine, "CHUNK", 1024)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    return started
+
+
+def test_pool_is_capped_at_the_chunk_count(recording_pool):
+    started = recording_pool
     s8 = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 1500, seed=3, workers=8)
     s1 = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 1500, seed=3, workers=1)
     assert started == [2]  # two chunks: a larger pool would fork idle processes
     assert np.array_equal(s8.points, s1.points) and s8.trivial_count == s1.trivial_count
+
+
+@pytest.mark.parametrize("cpus, want", [(3, [3]), (1, []), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(cpus, want, recording_pool, monkeypatch):
+    # five chunks; one CPU, or an unknown count, runs them in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    s = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 5000, seed=3, workers=10_000)
+    assert recording_pool == want
+    assert s.trivial_count + len(s.points) == 5000

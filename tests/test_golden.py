@@ -72,6 +72,20 @@ GOLDEN = {
     ("disk:m=9", 6): "e76e007be9b428b95ab495b1603fc837b437080b304d1649baaf3ad049a82400",
 }
 
+# off the principal path every tuple goes through the oracle, in chunks of
+# 1024: (trivial count, sha256 of the points, sha256 of kept_tuples),
+# recorded while this path still needed an explicit oracle flag
+ORACLE_GOLDEN = {
+    ("s1", 5, 1): (1125, "ed5186cbe0e0b56c53cbad31a631ca4ed55e9d46858d5824c0e82aa08446f8ab",
+                   "2f3594b3bcc38734d4de418e8df2567ccf483095d4e7dc77d96115882f42d122"),
+    ("s1", 6, 1): (894, "9558533e645287e7abf25daf4876c2ede438ecaa3c89284dd3c4eef2ebc847fd",
+                   "0518f6fe22fa0bab2d505c7d4324bcfde75757f6bba07dfd084ba4b5f6b61230"),
+    ("s1", 7, 2): (1395, "7ec2897be29f915d483254f68b447b2a92d02a3184ac4808db170708e6a9db2f",
+                   "0e36ed68cb59282d51700bbb723feaaaa20b57e3821d84cade598b728d01de4f"),
+    ("wedge:3.5,4.5", 8, 1): (859, "d05f88747dd9f6238829b10b31aac6269cb0ce5a3a771aa02075273eff5c2b5a",
+                              "ef666caf363993a8b82db77abe97cece628275bd3e6830a676b37566c5879735"),
+}
+
 NEAR_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_graph_points.json")
 
 
@@ -107,6 +121,15 @@ def test_golden_digest_across_block_edges(descriptor, n, monkeypatch):
     # 300 neither divides CHUNK nor equals it: blocks end inside both chunks
     monkeypatch.setattr(engine, "BLOCK", 300)
     assert digest(campaign(descriptor, n, 1, monkeypatch)) == GOLDEN[descriptor, n]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("descriptor,n,k", sorted(ORACLE_GOLDEN))
+def test_oracle_golden_digest(descriptor, n, k, workers):
+    s = engine.sample_persistence_set(descriptor, n, k, TUPLES, SEED, workers=workers,
+                                      keep_nontrivial_tuples=True)
+    sha = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in (s.points, s.kept_tuples)]
+    assert (s.trivial_count, *sha) == ORACLE_GOLDEN[descriptor, n, k]
 
 
 # sha256 of the files written from one fixed sample: recorded with the
