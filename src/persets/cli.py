@@ -31,16 +31,25 @@ def _print_json(doc) -> None:
     print(json.dumps(finite(doc), allow_nan=False))
 
 
-def _workers(text):
-    """--workers / PERSETS_WORKERS: an integer >= 1, else a usage error."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers (--workers or PERSETS_WORKERS) must be an integer >= 1, got {text!r}")
-    return int(text)
+def _bounded(kind, low, above=False, name=None):
+    """An argparse type: a finite ``kind`` (int or float) >= low, or > low if
+    ``above``; anything else is a usage error (exit 2) naming ``name``."""
+    want = f"{'an integer' if kind is int else 'a finite number'} {'>' if above else '>='} {low}"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < math.inf or (above and value == low):
+            raise argparse.ArgumentTypeError(f"{name + ' ' if name else ''}must be {want}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_workers_arg(p):
-    p.add_argument("--workers", type=_workers, default=os.environ.get("PERSETS_WORKERS") or "1")
+    p.add_argument("--workers", type=_bounded(int, 1, name="workers (--workers or PERSETS_WORKERS)"),
+                   default=os.environ.get("PERSETS_WORKERS") or "1")
 
 
 def cmd_sample(args) -> int:
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="homology degree; n = 2k+2 is the fast principal path, "
                    f"other k+2 <= n <= {engine.MAX_POINTS} run the brute-force oracle")
     p.add_argument("--tuples", type=int, default=1_000_000, help="number of sampled n-tuples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
     p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points + <out>.json")
     p.add_argument("--svg", default=None, help="scatter plot output")
@@ -167,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="test sample points against an analytic region")
     p.add_argument("--region", required=True, help='region, e.g. "s1", "s2-geodesic", "mk:kappa=-1"')
     p.add_argument("--check", required=True, help="sample CSV to test (no sidecar needed)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-9)
     p.add_argument("--out", default=None, help="per-point boolean CSV")
     p.set_defaults(fn=cmd_oracle_check)
 
@@ -176,26 +185,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", help="sample CSV B (its <csv>.json sidecar is required)")
     p.add_argument("--region-a", help="analytic region A")
     p.add_argument("--region-b", help="analytic region B")
-    p.add_argument("--step", type=float, default=1e-3, help="boundary grid step")
-    p.add_argument("--interior-step", type=float, default=5e-3)
+    p.add_argument("--step", type=_bounded(float, 0.0, above=True), default=1e-3, help="boundary grid step")
+    p.add_argument("--interior-step", type=_bounded(float, 0.0, above=True), default=5e-3)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("graph-betti", help="recover cycle count/lengths of a metric graph")
     p.add_argument("--graph", required=True, help="graph family or metric graph JSON file; "
                    "takes every --space form of sample")
     p.add_argument("--tuples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
-    p.add_argument("--rel-tol", type=float, default=0.08)
-    p.add_argument("--min-support", type=int, default=10)
+    p.add_argument("--rel-tol", type=_bounded(float, 0.0, above=True), default=0.08)
+    p.add_argument("--min-support", type=_bounded(int, 1), default=10)
     p.set_defaults(fn=cmd_graph_betti)
 
     p = sub.add_parser("density-check", help="L1 error of the circle campaign vs the exact density")
     p.add_argument("--tuples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=_bounded(float, 0.0), default=0.05)
     p.set_defaults(fn=cmd_density_check)
 
     p = sub.add_parser("validate", help="check a distance matrix file against the metric axioms")

@@ -37,7 +37,7 @@ from .oracle import MAX_POINTS, vr_diagram
 from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
-BLOCK = 1 << 13  # tuples per coordinate-major copy and per kernel call
+BLOCK = 1 << 13  # tuples per pair_distance call and per kernel call
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +104,15 @@ def space_of(space):
 def sample_tuples(space, rng, count: int, n: int):
     """``count`` n-tuples, (count, n, D), and their pair list, (n(n-1)/2, count).
 
-    The tuples are drawn in one call, then walked in blocks of BLOCK: each
-    block is copied coordinate-major, so every ``pair_distance`` call gets
-    (B, D) points whose coordinate columns are contiguous, and its
+    The tuples are drawn in one call, then walked in blocks of BLOCK, so
+    every ``pair_distance`` call gets (B, D) row slices of the draw and its
     temporaries stay at B values per coordinate.
     """
     pts = space.sample_points(rng, count * n).reshape(count, n, -1)
     pairs = np.empty((n * (n - 1) // 2, count))
     ij = list(zip(*np.triu_indices(n, 1)))
     for b in range(0, count, BLOCK):
-        blk = np.ascontiguousarray(pts[b:b + BLOCK].T).T
+        blk = pts[b:b + BLOCK]
         for p, (i, j) in enumerate(ij):
             pairs[p, b:b + BLOCK] = space.pair_distance(blk[:, i], blk[:, j])
     return pts, pairs
@@ -163,8 +162,9 @@ def sample_persistence_set(
     ``workers``, the chunk count and the machine's CPU count processes.
     """
     space = space_of(space)
-    if m_max < 1 or workers < 1:
-        raise UnsupportedCombination("m_max and workers must be >= 1")
+    if m_max < 1 or workers < 1 or seed < 0:
+        raise UnsupportedCombination(f"m_max and workers must be >= 1 and seed >= 0, "
+                                     f"got m_max={m_max}, workers={workers}, seed={seed}")
     principal = n == 2 * k + 2
     if k < 0 or not (principal or k + 2 <= n <= MAX_POINTS):
         raise UnsupportedCombination(
@@ -215,10 +215,12 @@ def histogram(
     """2-D counts of the nontrivial points; trivial mass stays scalar.
 
     The default range is the data's bounding box, so counts + empty mass
-    equal the tuples drawn; with a caller-supplied range, points outside
-    it are excluded from counts and total alike.  The recorded ranges are
-    the outer bin edges numpy used, which widens a zero-width range by 0.5
-    on each side.
+    equal the tuples drawn when n = 2k+2; with a caller-supplied range,
+    points outside it are excluded from counts and total alike.  The
+    recorded ranges are the outer bin edges numpy used, which widens a
+    zero-width range by 0.5 on each side.  A sample with n != 2k+2 is
+    binned per diagram point: a tuple whose diagram holds several points
+    adds one count for each.
     """
     if bins_b < 1 or bins_d < 1:
         raise RegionMismatch("bins must be >= 1")
@@ -313,10 +315,15 @@ def coordinate_cdf(sample: PersistenceSetSample, coordinate: str = "totalPersist
     """Distribution function of a diagram coordinate under the campaign.
 
     The empty diagram contributes coordinate value 0 (its maximal
-    persistence; also the convention used for birth and death).
+    persistence; also the convention used for birth and death).  Only a
+    principal sample (n = 2k+2) has one point per nonempty diagram; any
+    other is refused.
     """
     if sample.tuples_drawn == 0:
         raise EmptySample("cannot build a CDF from zero tuples")
+    if sample.n != 2 * sample.k + 2:
+        raise UnsupportedCombination(f"coordinate_cdf needs one-point diagrams, n = 2k+2; "
+                                     f"the sample has n={sample.n}, k={sample.k}")
     if coordinate not in COORDINATES:
         raise UnsupportedCombination(f"coordinate must be one of {COORDINATES}")
     pts = sample.points

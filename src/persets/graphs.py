@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
 from .metric import read_json, squareform, whole, write_json
-from .spaces import parse_number, parse_options
+from .spaces import no_unused_options, parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,24 +320,29 @@ def parse_family(text: str) -> MetricGraph:
     "glued:3.5,4.5:alpha=0.5", "treecycles:6,8,10:edge=0.5"."""
     parts = text.strip().split(":")
     name = parts[0].lower()
+    kv = {}
     try:
         if name == "wedge" and len(parts) == 2:
-            return wedge_of_circles(_numbers(parts[1], text))
-        if name == "flares":
+            graph = wedge_of_circles(_numbers(parts[1], text))
+        elif name == "flares":
             kv = _parse_kv(parts[1:], text)
-            return cycle_with_flares(kv["c"], kv.get("k", 4), kv.get("l", 1.0))
-        if name == "flares-fig" and len(parts) == 1:
-            return circle_with_flares_figure()
-        if name == "glued" and len(parts) == 3:
-            return glued_cycles(_numbers(parts[1], text), _parse_kv(parts[2:], text)["alpha"])
-        if name == "treecycles" and len(parts) in (2, 3):
-            kv = _parse_kv(parts[2:], text)
-            return tree_of_cycles(_numbers(parts[1], text), kv.get("edge", 0.5))
+            graph = cycle_with_flares(kv.pop("c"), kv.pop("k", 4), kv.pop("l", 1.0))
+        elif name == "flares-fig" and len(parts) == 1:
+            graph = circle_with_flares_figure()
+        elif name == "glued" and len(parts) == 3:
+            lengths, kv = _numbers(parts[1], text), _parse_kv(parts[2:], text)
+            graph = glued_cycles(lengths, kv.pop("alpha"))
+        elif name == "treecycles" and len(parts) in (2, 3):
+            lengths, kv = _numbers(parts[1], text), _parse_kv(parts[2:], text)
+            graph = tree_of_cycles(lengths, kv.pop("edge", 0.5))
+        elif name in FAMILIES:
+            raise InvalidDescriptor(f"malformed {name} descriptor {text!r}; see parse_family")
+        else:
+            raise InvalidDescriptor(f"unknown graph family {name!r} in {text!r}")
     except KeyError as exc:
         raise InvalidDescriptor(f"missing option {exc} in {text!r}") from None
-    if name in FAMILIES:
-        raise InvalidDescriptor(f"malformed {name} descriptor {text!r}; see parse_family")
-    raise InvalidDescriptor(f"unknown graph family {name!r} in {text!r}")
+    no_unused_options(kv, text)
+    return graph
 
 
 def _numbers(part: str, text: str) -> list:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor
-from .spaces import parse_options
+from .spaces import no_unused_options, parse_options
 
 SQRT2 = math.sqrt(2.0)
 
@@ -256,17 +256,20 @@ def parse_region(text: str):
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
     if name == "s1":
-        return circle_region_for(kv.get("k", 1), kv.get("lambda", math.pi))
-    if name in ("s2-geodesic", "s2"):
-        return ModelSurfaceRegion(kappa=1.0)
-    if name == "mk":
-        return ModelSurfaceRegion(kappa=kv.get("kappa", 0.0))
-    if name == "r2":
-        return ModelSurfaceRegion(kappa=0.0)
-    if name == "s1-e":
-        return EuclideanCircle()
-    if name in ("s2-e", "sphere-e"):
-        return EuclideanSphereM(m=kv.get("m", 2))
-    if name == "ptolemaic":
-        return PtolemaicEnvelope(diameter_cap=kv.get("cap", math.inf))
-    raise InvalidDescriptor(f"unknown region {name!r} in {text!r}")
+        region = circle_region_for(kv.pop("k", 1), kv.pop("lambda", math.pi))
+    elif name in ("s2-geodesic", "s2"):
+        region = ModelSurfaceRegion(kappa=1.0)
+    elif name == "mk":
+        region = ModelSurfaceRegion(kappa=kv.pop("kappa", 0.0))
+    elif name == "r2":
+        region = ModelSurfaceRegion(kappa=0.0)
+    elif name == "s1-e":
+        region = EuclideanCircle()
+    elif name in ("s2-e", "sphere-e"):
+        region = EuclideanSphereM(m=kv.pop("m", 2))
+    elif name == "ptolemaic":
+        region = PtolemaicEnvelope(diameter_cap=kv.pop("cap", math.inf))
+    else:
+        raise InvalidDescriptor(f"unknown region {name!r} in {text!r}")
+    no_unused_options(kv, text)
+    return region

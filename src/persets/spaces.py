@@ -6,8 +6,8 @@ datasets) has the same three members:
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
   (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
 * ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
-  axes of two point arrays (the engine passes (B, D) views whose coordinate
-  columns ``p[..., d]`` are contiguous);
+  axes of two point arrays (the engine passes (B, D) row slices of its
+  (count, n, D) draw);
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
 Models also have ``validate_point(p)``: PointNotOnModel if p is off it.
@@ -27,45 +27,20 @@ TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
 
 
-def _lanes(term, lo, hi):
-    """term(lo) + ... + term(hi - 1) in the order of numpy's pairwise sum.
-
-    That order is sequential below 8 terms, eight lanes joined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the tail up to 128, and
-    halves at multiples of 8 above.  term(d) must return a fresh array:
-    the lanes are added in place.
-    """
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _lanes(term, lo, lo + half) + _lanes(term, lo + half, hi)
-    if n < 8:
-        total = term(lo)
-        for d in range(lo + 1, hi):
-            total += term(d)
-        return total
-    r = [term(lo + j) for j in range(8)]
-    tail = hi - n % 8
-    for i in range(lo + 8, tail, 8):
-        for j in range(8):
-            r[j] += term(i + j)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    for d in range(tail, hi):
-        r[0] += term(d)
-    return r[0]
-
-
 def _dot(p, q):
     """Sum of p * q over the last axis, with the bits ``np.sum(p * q, axis=-1)``
     gives on a contiguous last axis, whatever the layout of p and q.
 
-    On contiguous coordinate columns numpy adds the columns one after
-    another, which leaves its row order from 8 columns on; this adds one
-    column at a time in the row order.  The + 0.0 is numpy's zero start
-    (a sum of negative zeros is +0).
+    Below 8 coordinates numpy adds a row in sequence; one column at a
+    time gives the same bits, far faster on many short rows (the + 0.0 is
+    numpy's zero start: a sum of negative zeros is +0).
     """
-    return _lanes(lambda d: p[..., d] * q[..., d], 0, p.shape[-1]) + 0.0
+    if p.shape[-1] >= 8:
+        return np.sum(np.ascontiguousarray(p * q), axis=-1)
+    total = p[..., 0] * q[..., 0]
+    for d in range(1, p.shape[-1]):
+        total += p[..., d] * q[..., d]
+    return total + 0.0
 
 
 def _unit_vectors(rng, count, dim):
@@ -326,28 +301,37 @@ def parse_options(items, text: str) -> dict:
     return kv
 
 
+def no_unused_options(kv: dict, text: str) -> None:
+    """InvalidDescriptor naming the first option of ``text`` its parser did not pop from ``kv``."""
+    if kv:
+        raise InvalidDescriptor(f"unknown option {next(iter(kv))!r} in {text!r}")
+
+
 def parse_space(text: str) -> SpaceModel:
     parts = text.strip().split(":")
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
     try:
         if name == "s1":
-            return CircleGeodesic(diameter=kv.pop("lambda", math.pi))
-        if name == "s1-e":
-            return SphereEuclidean(m=1)
-        if name == "sphere":
-            return SphereGeodesic(m=kv.pop("m", 2))
-        if name in ("sphere-e", "s2-e"):
-            return SphereEuclidean(m=kv.pop("m", 2))
-        if name == "torus":
-            return TorusL2()
-        if name == "mk":
-            return ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", 0.0))
-        if name == "disk":
-            return EuclideanDisk(m=kv.pop("m", 2), radius=kv.pop("r", 1.0))
+            model = CircleGeodesic(diameter=kv.pop("lambda", math.pi))
+        elif name == "s1-e":
+            model = SphereEuclidean(m=1)
+        elif name == "sphere":
+            model = SphereGeodesic(m=kv.pop("m", 2))
+        elif name in ("sphere-e", "s2-e"):
+            model = SphereEuclidean(m=kv.pop("m", 2))
+        elif name == "torus":
+            model = TorusL2()
+        elif name == "mk":
+            model = ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", 0.0))
+        elif name == "disk":
+            model = EuclideanDisk(m=kv.pop("m", 2), radius=kv.pop("r", 1.0))
+        else:
+            raise InvalidDescriptor(f"unknown space {name!r} in {text!r}")
     except KeyError as exc:
         raise InvalidDescriptor(f"missing option {exc} in {text!r}") from None
-    raise InvalidDescriptor(f"unknown space {name!r} in {text!r}")
+    no_unused_options(kv, text)
+    return model
 
 
 def is_angular(model) -> bool:

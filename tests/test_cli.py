@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import persets
-from persets import cli, engine, graphs, metric, spaces
+from persets import cli, engine, graphs, metric, regions, spaces
+from persets.errors import InvalidDescriptor
 
 
 def run(argv):
@@ -255,6 +257,39 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
     assert run(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["sample", "--space", "s1"], "--seed", "-1"),
+    (["graph-betti", "--graph", "wedge:3,4"], "--seed", "1.5"),
+    (["density-check"], "--seed", "-2"),
+    (["compare", "--region-a", "s1", "--region-b", "r2"], "--step", "nan"),
+    (["compare", "--region-a", "s1", "--region-b", "r2"], "--step", "inf"),
+    (["compare", "--region-a", "s1", "--region-b", "r2"], "--interior-step", "0"),
+    (["graph-betti", "--graph", "wedge:3.5,4.5"], "--rel-tol", "nan"),
+    (["graph-betti", "--graph", "wedge:3.5,4.5"], "--rel-tol", "0"),
+    (["graph-betti", "--graph", "wedge:3.5,4.5"], "--min-support", "0"),
+    (["oracle-check", "--region", "s1", "--check", "s.csv"], "--tol", "nan"),
+    (["oracle-check", "--region", "s1", "--check", "s.csv"], "--tol", "-0.5"),
+    (["density-check"], "--threshold", "nan"),
+    (["density-check"], "--threshold", "inf"),
+])
+def test_bad_numeric_flag_is_usage_error(command, flag, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a value that is wrongly accepted writes its files here
+    with pytest.raises(SystemExit) as exc:
+        run(command + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err and repr(value) in err and "Traceback" not in err
+
+
+def test_numeric_flags_at_their_bounds_are_accepted():
+    parse = cli.build_parser().parse_args
+    args = parse(["sample", "--space", "s1", "--seed", "0"])
+    assert args.seed == 0 and type(args.seed) is int
+    assert parse(["oracle-check", "--region", "s1", "--check", "s.csv", "--tol", "0"]).tol == 0.0
+    assert parse(["graph-betti", "--graph", "wedge:3,4", "--min-support", "1"]).min_support == 1
+    assert parse(["sample", "--space", "s1", "--seed", str(2**70)]).seed == 2**70
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--space", "s1:lambda=abc"],
     ["sample", "--space", "glued:3.5,x:alpha=0.5"],
@@ -280,6 +315,29 @@ def test_bad_region_is_validation_error(region, tmp_path, capsys):
     assert run(["oracle-check", "--region", region, "--check", str(csv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and region in err
+
+
+@pytest.mark.parametrize("flag, text, key", [
+    ("--space", "sphere:mm=5", "mm"),
+    ("--space", "s1:lamda=2", "lamda"),
+    ("--region", "s1:lamda=2", "lamda"),
+    ("--region", "r2:kappa=1", "kappa"),
+    ("--space", "treecycles:6,8:edg=0.1", "edg"),
+    ("--space", "flares:c=6,k=2,width=3", "width"),
+    ("--space", "torus:m=3", "m"),
+    ("--region", "ptolemaic:cap=2:m=3", "m"),
+])
+def test_unknown_descriptor_key_is_validation_error(flag, text, key, tmp_path, monkeypatch, capsys):
+    parse = regions.parse_region if flag == "--region" else engine.space_of
+    with pytest.raises(InvalidDescriptor, match=f"unknown option '{key}' in {re.escape(repr(text))}"):
+        parse(text)
+    monkeypatch.chdir(tmp_path)  # a key that is wrongly dropped writes sample.csv here
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n2.0,2.5\n")
+    argv = (["oracle-check", "--region", text, "--check", str(csv)] if flag == "--region"
+            else ["sample", "--space", text, "--tuples", "10"])
+    assert run(argv) == 1
+    assert f"unknown option '{key}'" in capsys.readouterr().err
 
 
 def test_validate_ragged_matrix_is_invalid(tmp_path, capsys):

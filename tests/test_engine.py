@@ -135,9 +135,42 @@ def test_custom_space_needs_only_the_protocol():
     assert s.trivial_count == 5000 and s.kept_tuples.shape == (0, 4, 1)
 
 
+@dataclasses.dataclass(frozen=True)
+class PlainSphere:
+    """A sphere defined outside the package, with numpy's own coordinate sum."""
+
+    m: int
+    descriptor = "plain-sphere"
+
+    def sample_points(self, rng, count):
+        return spaces.SphereGeodesic(self.m).sample_points(rng, count)
+
+    def pair_distance(self, p, q):
+        return np.arccos(np.clip(np.sum(p * q, axis=-1), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("m", [7, 9])
+def test_custom_space_gets_row_slices(m):
+    # from D = 8 on, np.sum over the last axis gives other bits on coordinate-major
+    # points: a custom space needs no layout rule to match the built-in sphere
+    mine = engine.sample_persistence_set(PlainSphere(m), 4, 1, 3000, seed=11)
+    ours = engine.sample_persistence_set(f"sphere:m={m}", 4, 1, 3000, seed=11)
+    assert mine.trivial_count == ours.trivial_count
+    assert mine.points.tobytes() == ours.points.tobytes()
+
+
 def test_workers_must_be_positive():
     with pytest.raises(UnsupportedCombination):
         engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 100, seed=0, workers=0)
+
+
+def test_seed_must_not_be_negative(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a tuple was drawn")
+
+    monkeypatch.setattr(engine, "_run_chunk", no_draw)
+    with pytest.raises(UnsupportedCombination, match="seed"):
+        engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 100, seed=-1)
 
 
 def test_histogram_empty_sample():
@@ -238,6 +271,14 @@ def test_coordinate_cdf_identical_seeds():
     ca = engine.coordinate_cdf(a, "totalPersistence")
     cb = engine.coordinate_cdf(b, "totalPersistence")
     assert ca.l1_distance(cb) == 0.0
+
+
+def test_coordinate_cdf_refuses_multi_point_diagrams():
+    # n = 8, k = 1: a tuple may give several points; a per-point CDF is not the campaign's
+    s = engine.sample_persistence_set("wedge:3.5,4.5", 8, 1, 1024, seed=3)
+    assert len(s.points) + s.trivial_count > s.tuples_drawn
+    with pytest.raises(UnsupportedCombination, match="n = 2k"):
+        engine.coordinate_cdf(s, "death")
 
 
 def test_coordinate_cdf_errors(circle_sample):
@@ -348,6 +389,7 @@ def test_oracle_kept_tuples_align_with_points():
 
 
 def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
 
     class Pool(ProcessPoolExecutor):
