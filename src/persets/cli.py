@@ -117,6 +117,7 @@ def cmd_graph_betti(args) -> int:
             {"lambda": c.lam, "length": 2.0 * c.lam, "support": c.support, "caveat": c.caveat}
             for c in report.corners
         ],
+        "truncated": report.truncated,
     })
     return 0
 
@@ -164,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=1, help="homology degree; n = 2k+2 is the fast principal path, "
                    f"other k+2 <= n <= {engine.MAX_POINTS} run the brute-force oracle")
-    p.add_argument("--tuples", type=int, default=1_000_000, help="number of sampled n-tuples")
+    p.add_argument("--tuples", type=_bounded(int, 1), default=1_000_000, help="number of sampled n-tuples")
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
     p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points + <out>.json")
     p.add_argument("--svg", default=None, help="scatter plot output")
     p.add_argument("--heatmap", default=None, help="heatmap plot output")
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=_bounded(int, 1), default=100)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("oracle-check", help="test sample points against an analytic region")
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-betti", help="recover cycle count/lengths of a metric graph")
     p.add_argument("--graph", required=True, help="graph family or metric graph JSON file; "
                    "takes every --space form of sample")
-    p.add_argument("--tuples", type=int, default=100_000)
+    p.add_argument("--tuples", type=_bounded(int, 1), default=100_000)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
     p.add_argument("--rel-tol", type=_bounded(float, 0.0, above=True), default=0.08)
@@ -200,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_graph_betti)
 
     p = sub.add_parser("density-check", help="L1 error of the circle campaign vs the exact density")
-    p.add_argument("--tuples", type=int, default=1_000_000)
+    p.add_argument("--tuples", type=_bounded(int, 1), default=1_000_000)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_bounded(int, 1), default=50)
     p.add_argument("--threshold", type=_bounded(float, 0.0), default=0.05)
     p.set_defaults(fn=cmd_density_check)
 

@@ -12,9 +12,9 @@ Sets of diagrams come in two shapes: small lists of general Diagrams
 diagrams (a closed form per pair, maximized exactly by a numpy grid
 search that bounds every point's l-infinity nearest neighbor from box
 counts and searches only the points that can reach the maximum).
-Infinite analytic regions are compared on
-deterministic boundary + interior grids; the reported value carries the
-grid step as its resolution.
+Analytic regions are compared on deterministic boundary + interior grids
+through the same exact search; the reported value carries the grid step
+as its resolution.
 """
 from __future__ import annotations
 
@@ -290,6 +290,18 @@ class _Bucket:
         return best
 
 
+def _grid(pts_a, pts_b):
+    """Both (nonempty) point sets on one grid of about _CELL_POINTS points
+    per cell, and the cell side."""
+    lo = np.minimum(pts_a.min(axis=0), pts_b.min(axis=0))
+    extent = float(np.max(np.maximum(pts_a.max(axis=0), pts_b.max(axis=0)) - lo))
+    g = max(1, math.isqrt((len(pts_a) + len(pts_b)) // _CELL_POINTS))
+    side = extent / g
+    if not 0.0 < side < math.inf:  # all points (nearly) equal, or wider than the float range
+        g, side = 1, math.inf
+    return _Bucket(pts_a, lo, side, g), _Bucket(pts_b, lo, side, g), side
+
+
 def _bounds(q, t, cap, side):
     """Per query point, bounds lb <= min(nn, cap) <= ub, nn the l-infinity
     distance to the nearest point of t."""
@@ -373,14 +385,7 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
         if not (len(pts_a) and len(pts_b)):  # the points have only the empty diagram to go to
             return max(floor, float(half_a.max(initial=0.0)), float(half_b.max(initial=0.0)))
 
-        lo = np.minimum(pts_a.min(axis=0), pts_b.min(axis=0))
-        extent = float(np.max(np.maximum(pts_a.max(axis=0), pts_b.max(axis=0)) - lo))
-        g = max(1, math.isqrt((len(pts_a) + len(pts_b)) // _CELL_POINTS))
-        side = extent / g
-        if not 0.0 < side < math.inf:  # all points (nearly) equal, or wider than the float range
-            g, side = 1, math.inf
-        bucket_a, bucket_b = _Bucket(pts_a, lo, side, g), _Bucket(pts_b, lo, side, g)
-
+        bucket_a, bucket_b, side = _grid(pts_a, pts_b)
         directed = []
         for q, t, t_empty in ((bucket_a, bucket_b, empty_b), (bucket_b, bucket_a, empty_a)):
             half = (q.d - q.b) / 2.0
@@ -397,34 +402,19 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
 # Analytic-region comparison
 # ---------------------------------------------------------------------------
 
-def _distance_to_region(points, region, boundary) -> np.ndarray:
-    """l-infinity distance from each point to a solid region: zero inside,
-    else min over the dense boundary polyline."""
-    points = np.asarray(points, dtype=float)
-    out = np.empty(len(points))
-    inside = reg.contains(region, points[:, 0], points[:, 1], tol=1e-12)
-    out[inside] = 0.0
-    rest = np.flatnonzero(~inside)
-    for start in range(0, len(rest), 4096):
-        block = rest[start : start + 4096]
-        diff = np.abs(points[block, None, :] - boundary[None, :, :]).max(axis=2)
-        out[block] = diff.min(axis=1)
-    return out
-
-
 def _directed_region(region_b, region_a, step: float, interior_step: float) -> float:
     """sup over region B of the bottleneck distance to region A's diagram set
-    (its solid region plus the empty diagram)."""
-    bnd_a = reg.boundary_points(region_a, step)
-    best = 0.0
-    # a point can only win where its half persistence exceeds the best so far
-    for pts in (reg.boundary_points(region_b, step), reg.interior_grid(region_b, interior_step)):
-        half = (pts[:, 1] - pts[:, 0]) / 2.0
-        keep = half > best
-        if np.any(keep):
-            g = np.minimum(_distance_to_region(pts[keep], region_a, bnd_a), half[keep])
-            best = max(best, float(g.max(initial=0.0)))
-    return best
+    (its solid region plus the empty diagram): zero inside A, else the
+    smaller of half the persistence and the l-infinity distance to A's
+    boundary polyline, found by the exact grid search."""
+    pts = np.concatenate((reg.boundary_points(region_b, step), reg.interior_grid(region_b, interior_step)))
+    pts = pts[~reg.contains(region_a, pts[:, 0], pts[:, 1], tol=1e-12)]
+    if not len(pts):
+        return 0.0
+    q, t, side = _grid(pts, reg.boundary_points(region_a, step))
+    cap = (q.d - q.b) / 2.0
+    lb, ub = _bounds(q, t, cap, side)
+    return _exact_max(q, t, cap, ub, max(0.0, float(lb.max())), side)
 
 
 def compare_regions(region_a, region_b, step: float = 1e-3, interior_step: float = 5e-3) -> dict:

@@ -182,6 +182,7 @@ def test_graph_betti(capsys):
                 "--tuples", "50000", "--seed", "5"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["betti"] == 2
+    assert out["truncated"] is True  # the library's CornerReport.truncated for this campaign
     lengths = sorted(c["length"] for c in out["cycles"])
     assert lengths[0] == pytest.approx(3.5, rel=0.02)
     assert lengths[1] == pytest.approx(4.5, rel=0.02)
@@ -271,6 +272,14 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
     (["oracle-check", "--region", "s1", "--check", "s.csv"], "--tol", "-0.5"),
     (["density-check"], "--threshold", "nan"),
     (["density-check"], "--threshold", "inf"),
+    (["sample", "--space", "s1"], "--tuples", "0"),
+    (["sample", "--space", "s1"], "--tuples", "-5"),
+    (["sample", "--space", "s1"], "--bins", "0"),
+    (["sample", "--space", "s1", "--heatmap", "h.svg"], "--bins", "0"),
+    (["graph-betti", "--graph", "wedge:3,4"], "--tuples", "0"),
+    (["density-check"], "--tuples", "0"),
+    (["density-check"], "--bins", "0"),
+    (["density-check"], "--bins", "1.5"),
 ])
 def test_bad_numeric_flag_is_usage_error(command, flag, value, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a value that is wrongly accepted writes its files here
@@ -279,6 +288,7 @@ def test_bad_numeric_flag_is_usage_error(command, flag, value, tmp_path, monkeyp
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be" in err and repr(value) in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_numeric_flags_at_their_bounds_are_accepted():

@@ -98,6 +98,10 @@ COMPARE = {
     ("s1:k=3:lambda=2", "s1", 0.01): 0.7853981633974483,
     ("mk:kappa=0.25", "mk:kappa=1", 0.02): 1.5707963267948968,
     ("mk:kappa=0.25", "mk:kappa=1", 0.01): 1.5707963267948968,
+    ("s1", "mk:kappa=1", 1e-3): 0.4292465057222694,
+    ("s1", "mk:kappa=-1", 1e-3): 0.49987400391066306,
+    ("r2", "s1-e", 1e-3): 0.5857864376269051,
+    ("s1-e", "sphere-e:m=2", 1e-3): 0.24253762594698558,
 }
 
 
