@@ -1,7 +1,7 @@
 """The sampling engine: estimate persistence sets and measures.
 
 A campaign draws m_max i.i.d. n-tuples from a space (any object with the
-three members listed in ``persets.spaces``; entries sampled with
+four members listed in ``persets.spaces``; entries sampled with
 replacement: that is exactly the n-fold product measure), computes the
 degree-k diagram of every tuple from its n(n-1)/2 distances (the O(n^2)
 kernel when n = 2k+2, else the oracle), and aggregates the nontrivial
@@ -37,7 +37,7 @@ from .oracle import MAX_POINTS, vr_diagram
 from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
-BLOCK = 1 << 13  # tuples per pair_distance call and per kernel call
+BLOCK = 1 << 13  # tuples per prepare call, per pair_distance call and per kernel call
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ class Histogram2D:
 
 
 @dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(spaces_mod.RawPoints):
     """A finite dataset as a sampling space: points are (count, 1) row indices."""
 
     matrix: DistanceMatrix
@@ -104,17 +104,19 @@ def space_of(space):
 def sample_tuples(space, rng, count: int, n: int):
     """``count`` n-tuples, (count, n, D), and their pair list, (n(n-1)/2, count).
 
-    The tuples are drawn in one call, then walked in blocks of BLOCK, so
-    every ``pair_distance`` call gets (B, D) row slices of the draw and its
+    The tuples are drawn in one call, then walked in blocks of BLOCK:
+    ``prepare`` gets each block once, as an (n, B, D) view, and every
+    ``pair_distance`` call gets two of the n positions it returns, so
     temporaries stay at B values per coordinate.
     """
     pts = space.sample_points(rng, count * n).reshape(count, n, -1)
     pairs = np.empty((n * (n - 1) // 2, count))
     ij = list(zip(*np.triu_indices(n, 1)))
     for b in range(0, count, BLOCK):
-        blk = pts[b:b + BLOCK]
+        at = space.prepare(pts[b:b + BLOCK].swapaxes(0, 1))
         for p, (i, j) in enumerate(ij):
-            pairs[p, b:b + BLOCK] = space.pair_distance(blk[:, i], blk[:, j])
+            pairs[p, b:b + BLOCK] = space.pair_distance(at[i], at[j])
+        del at  # the next block's prepare reuses this memory instead of faulting in new pages
     return pts, pairs
 
 

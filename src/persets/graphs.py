@@ -9,6 +9,12 @@ once by repeated Dijkstra and cached; graphs here are small.
 Self-loops (u == u) are allowed and model whole circles attached at a
 single vertex: trying both orientations of each endpoint route recovers
 the correct arc distance.
+
+The engine hands each block of drawn (edge, offset) rows to
+``MetricGraph.prepare``, which computes every point's edge ends and the
+lengths to them once (``GraphEnds``); a pair then costs four look-ups in
+the vertex table.  Raw rows given to ``pair_distance`` are prepared on
+the spot, so both paths run the one route and give the same bits.
 """
 from __future__ import annotations
 
@@ -16,11 +22,12 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
-from .metric import read_json, squareform, whole, write_json
+from .metric import number, read_json, squareform, whole, write_json
 from .spaces import no_unused_options, parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +37,23 @@ TWO_PI = 2.0 * math.pi
 class GraphPoint:
     edge: int
     offset: float
+
+
+class GraphEnds(NamedTuple):
+    """Graph points ready for the route; ``MetricGraph.prepare`` makes them once per point.
+
+    Each field has the shape of the points' leading axes.  ``row_u`` and
+    ``row_v`` index the row of an end in the flat vertex table (u * V),
+    ``u`` and ``v`` its column.
+    """
+
+    edge: np.ndarray  # edge index, int
+    w_u: np.ndarray  # length from the point to the edge's u end: the offset
+    w_v: np.ndarray  # length to the v end: edge length - offset
+    row_u: np.ndarray
+    row_v: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,20 +78,35 @@ class MetricGraph:
     def sample_points(self, rng, count):
         return sample_graph(self, rng, count)
 
+    def prepare(self, points):
+        """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of (B,) arrays."""
+        return [GraphEnds(*cols) for cols in zip(*_ends(self, points))]
+
     def pair_distance(self, p, q):
-        return point_distance_batch(self, p[..., 0], p[..., 1], q[..., 0], q[..., 1])
+        """Distances of two prepared positions, or of two (..., 2) arrays of
+        (edge, offset) rows, which are prepared here."""
+        if not isinstance(p, GraphEnds):
+            p, q = _ends(self, p), _ends(self, q)
+        return point_distance_batch(self, p, q)
 
 
 def build_graph(vertex_count: int, edges) -> MetricGraph:
-    """Validate connectivity and positive lengths, precompute vertex table."""
+    """Validate edges, finite positive lengths and connectivity, precompute vertex table."""
     edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
     if vertex_count < 1:
         raise InvalidDescriptor("graph needs at least one vertex")
+    if not edges:
+        raise InvalidDescriptor("graph has no edges, so no points to sample")
     for u, v, w in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InvalidDescriptor(f"edge ({u},{v}) references a missing vertex")
-        if not (w > 0):
-            raise InvalidDescriptor(f"edge ({u},{v}) has nonpositive length {w}")
+        if not (0 < w < math.inf):
+            raise InvalidDescriptor(f"edge ({u},{v}) has length {w}, not a finite positive number")
+    elen = np.asarray([e[2] for e in edges], dtype=float)
+    with np.errstate(over="ignore"):
+        total = elen.sum()  # sample_graph draws an edge with probability length / total
+    if total == math.inf:
+        raise InvalidDescriptor("the total edge length overflows a double")
 
     adj: list[list[tuple[int, float]]] = [[] for _ in range(vertex_count)]
     for u, v, w in edges:
@@ -94,35 +133,32 @@ def build_graph(vertex_count: int, edges) -> MetricGraph:
     dist.flags.writeable = False
     eu = np.asarray([e[0] for e in edges], dtype=int)
     ev = np.asarray([e[1] for e in edges], dtype=int)
-    elen = np.asarray([e[2] for e in edges], dtype=float)
     return MetricGraph(vertex_count, edges, dist, eu, ev, elen)
 
 
-def _endpoint_route(graph: MetricGraph, e1, o1, e2, o2):
-    """min over the four endpoint routes, vectorized over aligned arrays."""
-    eu, ev, elen = graph.edge_u, graph.edge_v, graph.edge_len
-    D = graph.vertex_distances
-    u1, v1, u2, v2 = eu[e1], ev[e1], eu[e2], ev[e2]
-    wu1, wv1 = o1, elen[e1] - o1
-    wu2, wv2 = o2, elen[e2] - o2
-    best = wu1 + D[u1, u2] + wu2
-    best = np.minimum(best, wu1 + D[u1, v2] + wv2)
-    best = np.minimum(best, wv1 + D[v1, u2] + wu2)
-    best = np.minimum(best, wv1 + D[v1, v2] + wv2)
+def _ends(graph: MetricGraph, points) -> GraphEnds:
+    """The GraphEnds of (..., 2) (edge, offset) rows, as C-contiguous arrays."""
+    points = np.asarray(points, dtype=float)
+    edge = points[..., 0].astype(np.intp, order="C")
+    w_u = points[..., 1].astype(float, order="C")
+    u, v = graph.edge_u[edge], graph.edge_v[edge]
+    rows = graph.vertex_count
+    return GraphEnds(edge, w_u, graph.edge_len[edge] - w_u, u * rows, v * rows, u, v)
+
+
+def point_distance_batch(graph: MetricGraph, p: GraphEnds, q: GraphEnds):
+    """Shortest-path lengths of aligned prepared points: the minimum of the
+    four endpoint routes, then the in-edge segment where p and q share an edge."""
+    table = graph.vertex_distances
+    # row + column indices lie in the table by construction; "wrap" skips the bounds check
+    best = p.w_u + table.take(p.row_u + q.u, mode="wrap") + q.w_u
+    np.minimum(best, p.w_u + table.take(p.row_u + q.v, mode="wrap") + q.w_v, out=best)
+    np.minimum(best, p.w_v + table.take(p.row_v + q.u, mode="wrap") + q.w_u, out=best)
+    np.minimum(best, p.w_v + table.take(p.row_v + q.v, mode="wrap") + q.w_v, out=best)
+    same = p.edge == q.edge
+    if same.any():
+        best = np.where(same, np.minimum(best, np.abs(p.w_u - q.w_u)), best)
     return best
-
-
-def point_distance_batch(graph: MetricGraph, e1, o1, e2, o2):
-    e1 = np.asarray(e1, dtype=int)
-    e2 = np.asarray(e2, dtype=int)
-    o1 = np.asarray(o1, dtype=float)
-    o2 = np.asarray(o2, dtype=float)
-    d = _endpoint_route(graph, e1, o1, e2, o2)
-    same = e1 == e2
-    if np.any(same):
-        direct = np.abs(o1 - o2)
-        d = np.where(same, np.minimum(d, direct), d)
-    return d
 
 
 def point_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
@@ -132,15 +168,7 @@ def point_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
             raise InvalidPoint(f"edge index {pt.edge} out of range")
         if not (0.0 <= pt.offset <= graph.edges[pt.edge][2]):
             raise InvalidPoint(f"offset {pt.offset} outside edge {pt.edge}")
-    return float(
-        point_distance_batch(
-            graph,
-            np.asarray([p.edge]),
-            np.asarray([p.offset]),
-            np.asarray([q.edge]),
-            np.asarray([q.offset]),
-        )[0]
-    )
+    return float(graph.pair_distance(np.asarray([[p.edge, p.offset]]), np.asarray([[q.edge, q.offset]]))[0])
 
 
 def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
@@ -298,7 +326,7 @@ def random_tree(rng: np.random.Generator, vertices: int) -> MetricGraph:
 def read_graph_json(path) -> MetricGraph:
     doc = read_json(path, {
         "vertices": whole,
-        "edges": lambda edges: [(whole(u), whole(v), float(w)) for u, v, w in edges],
+        "edges": lambda edges: [(whole(u), whole(v), number(w)) for u, v, w in edges],
     })
     return build_graph(doc["vertices"], doc["edges"])
 

@@ -235,6 +235,17 @@ def whole(value) -> int:
     return int(value)
 
 
+def number(value) -> float:
+    """A JSON number as a float; ValueError for a string, a boolean, null or
+    an integer beyond the doubles."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer beyond the doubles") from None
+
+
 def read_json(path, fields: dict) -> dict:
     """{key: convert(value)} of the JSON object in ``path`` for each ``key: convert`` of
     ``fields``; MalformedFile if it does not parse, lacks a key or a converter fails."""

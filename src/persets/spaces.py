@@ -1,13 +1,18 @@
 """Closed-form model spaces: exact distances and uniform samplers.
 
 Every space the engine samples (these models, metric graphs, finite
-datasets) has the same three members:
+datasets) has the same four members:
 
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
   (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
+* ``prepare(points)`` -- called once per block of the draw with an
+  (n, B, D) view (position first); returns n items, item i being the
+  points of position i in the form ``pair_distance`` takes.  These
+  models and finite datasets return the view as it is (``RawPoints``),
+  so ``pair_distance`` gets (B, D) row slices; a metric graph returns
+  its points' edge ends (``graphs.GraphEnds``);
 * ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
-  axes of two point arrays (the engine passes (B, D) row slices of its
-  (count, n, D) draw);
+  axes of two point arrays;
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
 Models also have ``validate_point(p)``: PointNotOnModel if p is off it.
@@ -50,6 +55,13 @@ def _unit_vectors(rng, count, dim):
     return v
 
 
+class RawPoints:
+    """A space whose ``pair_distance`` takes the drawn points as they are."""
+
+    def prepare(self, points):
+        return points
+
+
 def _circle_arc(a, b):
     """Geodesic distance of two angles on the unit circle (diameter pi)."""
     d = np.abs(a - b)
@@ -57,7 +69,7 @@ def _circle_arc(a, b):
 
 
 @dataclass(frozen=True)
-class CircleGeodesic:
+class CircleGeodesic(RawPoints):
     """Geodesic circle of diameter ``diameter`` (unit circle: diameter pi)."""
 
     diameter: float = math.pi
@@ -79,7 +91,7 @@ class CircleGeodesic:
 
 
 @dataclass(frozen=True)
-class SphereGeodesic:
+class SphereGeodesic(RawPoints):
     """Unit m-sphere with geodesic (arc length) distance, range [0, pi]."""
 
     m: int = 2
@@ -105,7 +117,7 @@ class SphereGeodesic:
 
 
 @dataclass(frozen=True)
-class SphereEuclidean:
+class SphereEuclidean(RawPoints):
     """Unit m-sphere with chordal (Euclidean) distance, range [0, 2]."""
 
     m: int = 2
@@ -126,7 +138,7 @@ class SphereEuclidean:
 
 
 @dataclass(frozen=True)
-class TorusL2:
+class TorusL2(RawPoints):
     """Product of two unit geodesic circles with the l2 product metric."""
 
     descriptor = "torus"
@@ -146,7 +158,7 @@ class TorusL2:
 
 
 @dataclass(frozen=True)
-class ModelSurface:
+class ModelSurface(RawPoints):
     """Complete simply connected surface of constant curvature kappa != 0.
 
     kappa > 0: the sphere of radius 1/sqrt(kappa) in R^3, sampled uniformly.
@@ -217,7 +229,7 @@ class ModelSurface:
 
 
 @dataclass(frozen=True)
-class EuclideanDisk:
+class EuclideanDisk(RawPoints):
     """Closed ball of radius R in R^m with the Euclidean metric."""
 
     m: int = 2

@@ -124,6 +124,9 @@ class Segment:
     def sample_points(self, rng, count):
         return rng.random((count, 1))
 
+    def prepare(self, points):
+        return points
+
     def pair_distance(self, p, q):
         return np.abs(p[..., 0] - q[..., 0])
 
@@ -135,6 +138,25 @@ def test_custom_space_needs_only_the_protocol():
     assert s.trivial_count == 5000 and s.kept_tuples.shape == (0, 4, 1)
 
 
+def test_prepare_runs_once_per_block(monkeypatch):
+    calls = []
+    prepare, pair_distance = graphs.MetricGraph.prepare, graphs.MetricGraph.pair_distance
+
+    def spy_prepare(self, points):
+        calls.append(points.shape)
+        return prepare(self, points)
+
+    def spy_pair_distance(self, p, q):
+        calls.append("pair")
+        return pair_distance(self, p, q)
+
+    monkeypatch.setattr(graphs.MetricGraph, "prepare", spy_prepare)
+    monkeypatch.setattr(graphs.MetricGraph, "pair_distance", spy_pair_distance)
+    engine.sample_persistence_set("glued:3.5,4.5:alpha=0.5", 4, 1, 2 * engine.BLOCK + 100, seed=1)
+    pairs = ["pair"] * 6
+    assert calls == [(4, engine.BLOCK, 2), *pairs, (4, engine.BLOCK, 2), *pairs, (4, 100, 2), *pairs]
+
+
 @dataclasses.dataclass(frozen=True)
 class PlainSphere:
     """A sphere defined outside the package, with numpy's own coordinate sum."""
@@ -144,6 +166,9 @@ class PlainSphere:
 
     def sample_points(self, rng, count):
         return spaces.SphereGeodesic(self.m).sample_points(rng, count)
+
+    def prepare(self, points):
+        return points
 
     def pair_distance(self, p, q):
         return np.arccos(np.clip(np.sum(p * q, axis=-1), -1.0, 1.0))

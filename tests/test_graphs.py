@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persets import graphs, metric, spaces
+from persets import engine, graphs, metric, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint
 from persets.graphs import GraphPoint
 
@@ -49,6 +49,17 @@ def test_invalid_points_rejected():
 def test_disconnected_graph_rejected():
     with pytest.raises(InvalidDescriptor):
         graphs.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    (2, [(0, 1, math.inf)], "length inf"),
+    (2, [(0, 1, math.nan)], "length nan"),
+    (2, [(0, 1, 1e308), (0, 1, 1e308)], "overflows"),
+    (1, [], "no edges"),
+])
+def test_unsamplable_graph_rejected(vertices, edges, message):
+    with pytest.raises(InvalidDescriptor, match=message):
+        graphs.build_graph(vertices, edges)
 
 
 def test_sample_single_edge_uniform():
@@ -112,11 +123,9 @@ def test_triangle_inequality_on_graphs(maker):
     g = maker()
     rng = np.random.default_rng(5)
     pts = graphs.sample_graph(g, rng, 300_000).reshape(100_000, 3, 2)
-    e = pts[..., 0].astype(int)
-    o = pts[..., 1]
-    dab = graphs.point_distance_batch(g, e[:, 0], o[:, 0], e[:, 1], o[:, 1])
-    dbc = graphs.point_distance_batch(g, e[:, 1], o[:, 1], e[:, 2], o[:, 2])
-    dac = graphs.point_distance_batch(g, e[:, 0], o[:, 0], e[:, 2], o[:, 2])
+    dab = g.pair_distance(pts[:, 0], pts[:, 1])
+    dbc = g.pair_distance(pts[:, 1], pts[:, 2])
+    dac = g.pair_distance(pts[:, 0], pts[:, 2])
     assert (dac <= dab + dbc + 1e-9).all()
     assert (dab >= 0).all()
 
@@ -129,9 +138,8 @@ def test_wedge_circle_restriction_is_isometric():
     rng = np.random.default_rng(9)
     theta = rng.uniform(0, 2 * math.pi, size=(5000, 2))
     offs = theta * (c1 / (2 * math.pi))
-    d_graph = graphs.point_distance_batch(
-        g, np.zeros(5000, int), offs[:, 0], np.zeros(5000, int), offs[:, 1]
-    )
+    on_edge_0 = np.stack([np.zeros((5000, 2)), offs], axis=-1)  # (5000, 2, 2) (edge, offset) rows
+    d_graph = g.pair_distance(on_edge_0[:, 0], on_edge_0[:, 1])
     d_circle = circle.pair_distance(theta[:, :1], theta[:, 1:])
     np.testing.assert_allclose(d_graph, d_circle, atol=1e-12)
 
@@ -140,9 +148,7 @@ def test_single_cycle_distance_bounded_by_half_length():
     g = graphs.wedge_of_circles([7.0])
     rng = np.random.default_rng(10)
     pts = graphs.sample_graph(g, rng, 100_000)
-    d = graphs.point_distance_batch(
-        g, pts[0::2, 0].astype(int), pts[0::2, 1], pts[1::2, 0].astype(int), pts[1::2, 1]
-    )
+    d = g.pair_distance(pts[0::2], pts[1::2])
     assert d.max() <= 3.5 + 1e-12
 
 
@@ -201,7 +207,7 @@ def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count)
     rng = np.random.default_rng(seed)
     ends = rng.integers(0, vertices, size=(extra, 2))
     lengths = rng.uniform(0.1, 3.0, size=extra)
-    edges = list(graphs.random_tree(rng, vertices).edges)
+    edges = list(graphs.random_tree(rng, vertices).edges) if vertices > 1 else []  # an edgeless graph is refused
     edges += [(int(u), int(v), float(w)) for (u, v), w in zip(ends, lengths)]
     g = graphs.build_graph(vertices, edges)
     pts = g.sample_points(rng, count)
@@ -211,3 +217,42 @@ def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count)
     assert np.array_equal(d, d.T) and not np.diagonal(d).any()
     assert not g.pair_distance(pts, pts).any()
     metric.validate(d)
+
+
+def _endpoint_routes(g, p, q):
+    """The route of one pair of (edge, offset) points, one float at a time."""
+    table = g.vertex_distances
+    (e1, o1), (e2, o2) = (int(p[0]), p[1]), (int(q[0]), q[1])
+    (u1, v1, len1), (u2, v2, len2) = g.edges[e1], g.edges[e2]
+    best = o1 + table[u1, u2] + o2
+    best = min(best, o1 + table[u1, v2] + (len2 - o2))
+    best = min(best, (len1 - o1) + table[v1, u2] + o2)
+    best = min(best, (len1 - o1) + table[v1, v2] + (len2 - o2))
+    return min(best, abs(o1 - o2)) if e1 == e2 else best
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
+    # self-loops, parallel edges, pairs on one edge and offsets at both ends of an
+    # edge, over several blocks and a partial one
+    rng = np.random.default_rng(seed)
+    vertices = int(rng.integers(1, 6))
+    edges = list(graphs.random_tree(rng, vertices).edges) if vertices > 1 else []
+    edges += [(u, u, float(rng.uniform(0.5, 4.0))) for u in rng.integers(0, vertices, size=2)]
+    edges += [edges[0][:2] + (float(rng.uniform(0.1, 2.0)),)]
+    g = graphs.build_graph(vertices, edges)
+    n, count = 4, 150
+    draw = g.sample_points(rng, count * n)
+    shared = draw[0::3, 0][:len(draw[1::3])]  # a third of the points move to the previous point's edge
+    draw[1::3, 0] = shared
+    draw[1::3, 1] = rng.uniform(size=len(shared)) * g.edge_len[shared.astype(int)]
+    draw[::5, 1] = 0.0
+    draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
+    monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: draw)
+    monkeypatch.setattr(engine, "BLOCK", 64)
+    tuples, pairs = engine.sample_tuples(g, rng, count, n)
+    ij = list(zip(*np.triu_indices(n, 1)))
+    points = [[graphs.point_distance(g, GraphPoint(int(t[i, 0]), t[i, 1]), GraphPoint(int(t[j, 0]), t[j, 1]))
+               for t in tuples] for i, j in ij]
+    routes = [[_endpoint_routes(g, t[i], t[j]) for t in tuples] for i, j in ij]
+    assert pairs.tobytes() == np.array(points).tobytes() == np.array(routes).tobytes()
