@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a sampling campaign and write CSV/JSON/SVG")
     p.add_argument("--space", required=True, help='a model space ("s1", "sphere:m=2", "mk:kappa=-1:R=3.14159"), '
-                   'a graph family ("glued:3.5,4.5:alpha=0.5") or a metric graph JSON file (a path ending in .json)')
+                   'a graph family ("glued:3.5,4.5:alpha=0.5"), a metric graph JSON file (a path ending in .json) '
+                   'or a distance-matrix CSV (a path ending in .csv)')
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=1, help="homology degree; n = 2k+2 is the fast principal path, "
                    f"other k+2 <= n <= {engine.MAX_POINTS} run the brute-force oracle")

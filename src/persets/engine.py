@@ -32,7 +32,8 @@ from .errors import (
     RegionMismatch,
     UnsupportedCombination,
 )
-from .metric import DistanceMatrix, read_csv, read_json, squareform, whole, write_csv, write_json
+from .metric import (DistanceMatrix, read_csv, read_json, read_matrix_csv, squareform, whole, write_csv,
+                     write_json)
 from .oracle import MAX_POINTS, vr_diagram
 from .principal import principal_of_pairs
 
@@ -91,11 +92,14 @@ class FiniteSpace(spaces_mod.RawPoints):
 
 def space_of(space):
     """A space object as given, or the one a string names: a graph JSON file
-    (a path ending in ``.json``), a graph family or a model space descriptor."""
+    (a path ending in ``.json``), a distance-matrix CSV (a path ending in
+    ``.csv``), a graph family or a model space descriptor."""
     if not isinstance(space, str):
         return space
     if space.endswith(".json"):
         return graphs_mod.read_graph_json(space)
+    if space.endswith(".csv"):
+        return FiniteSpace(read_matrix_csv(space))
     if graphs_mod.is_family(space):
         return graphs_mod.parse_family(space)
     return spaces_mod.parse_space(space)

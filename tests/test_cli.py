@@ -475,6 +475,15 @@ def test_validate_json_fractional_n_is_invalid(doc, tmp_path, capsys):
     assert out["valid"] is False and "whole number" in out["error"]
 
 
+@pytest.mark.parametrize("doc", ['{"n": 2, "d": [0, true, "1", 0]}', '{"n": 2, "d": [0, 1%s, 1, 0]}' % ("0" * 400)])
+def test_validate_json_entry_that_is_not_a_number_is_invalid(doc, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(doc)
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is False and "expected a number" in out["error"] and out["violation_count"] == 0
+
+
 def test_sample_off_the_principal_path_runs_the_oracle(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run(["sample", "--space", "s1", "--n", "5", "--k", "1", "--tuples", "1500", "--seed", "17",
@@ -494,6 +503,26 @@ def test_sample_space_takes_a_graph_file(tmp_path, monkeypatch, capsys):
     assert run(["sample", "--space", "wedge:3,4", "--out", "family.csv"] + argv) == 0
     assert run(["sample", "--space", "wedge.json", "--out", "file.csv"] + argv) == 0
     assert (tmp_path / "family.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+def test_sample_space_takes_a_distance_matrix_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    pts = np.random.default_rng(5).standard_normal((40, 3))
+    metric.write_matrix_csv(metric.validate(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), "m.csv")
+    assert run(["sample", "--space", "m.csv", "--tuples", "5000", "--seed", "3", "--out", "cli.csv"]) == 0
+    space = engine.FiniteSpace(metric.read_matrix_csv("m.csv"))
+    engine.write_sample(engine.sample_persistence_set(space, 4, 1, 5000, 3), "lib.csv")
+    for suffix in ("", ".json"):
+        assert (tmp_path / f"cli.csv{suffix}").read_bytes() == (tmp_path / f"lib.csv{suffix}").read_bytes()
+    assert json.loads((tmp_path / "cli.csv.json").read_text())["space"] == "finite:40"
+
+
+def test_sample_space_refuses_a_non_metric_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("0,1,5\n1,0,1\n5,1,0\n")
+    assert run(["sample", "--space", "bad.csv", "--tuples", "10", "--out", "s.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: 2 axiom violation(s): triangle at (0, 1, 2)")
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["--family", "wedge:3,4"], ["--graph", "wedge.json"],

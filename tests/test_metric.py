@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persets import metric
-from persets.errors import AxiomViolation, IndexOutOfRange, NonFinite, NotSquare
+from persets.errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, NotSquare
 
 from conftest import cloud_matrix_r3
 
@@ -233,10 +233,17 @@ def test_validate_matches_reference_at_the_block_edge(n, rng):
     check_against_reference(cloud_matrix_r3(rng, n).entries)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 30, 31, 70])
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 21, 22, 30, 31, 32, 33, 64, 65, 70])
 def test_validate_matches_reference_across_blocks(n, rng, monkeypatch):
-    # a 64-entry budget sweeps 8 points in one block, 9 in two, 70 a row at a time
+    # a 64-entry budget sweeps 8 points in one block, 9 in two, 70 a row at a
+    # time; the half sweep takes a width-w block 64 // w rows at a time: one
+    # row while w > 32, two from 32, three from 21, one 8 x 8 block at 8
     monkeypatch.setattr(metric, "_SWEEP_ENTRIES", 64)
+    assert check_against_reference(cloud_matrix_r3(rng, n).entries) == 0
+    for i, j in ((0, 1), (n // 2, n - 1), (n - 2, n - 1)):
+        a = cloud_matrix_r3(rng, n).entries.copy()
+        a[i, j] = a[j, i] = 3 * a[i, j]  # one broken edge, in the first, a middle or the last block
+        assert check_against_reference(a) > 0
     check_against_reference(stretched(rng, n, 3))
     check_against_reference(symmetric(rng.random((n, n))))
     monkeypatch.setattr(metric, "VIOLATIONS_LISTED", 5)
@@ -244,9 +251,22 @@ def test_validate_matches_reference_across_blocks(n, rng, monkeypatch):
     check_against_reference(symmetric(rng.integers(0, 3, size=(n, n))))
 
 
-def test_validate_deficit_exactly_at_tolerance():
+def full_sweeps(monkeypatch):
+    """The sizes of the matrices that reach metric._triangles from now on."""
+    calls, sweep = [], metric._triangles
+
+    def spy(a, tol):
+        calls.append(len(a))
+        return sweep(a, tol)
+    monkeypatch.setattr(metric, "_triangles", spy)
+    return calls
+
+
+def test_validate_deficit_exactly_at_tolerance(monkeypatch):
     # tol = 1e-9 * 1e9 = 1.0; (1e9 - h) - h is exactly 1.0 and not broken,
-    # one ulp more is broken
+    # one ulp more is broken; both lie within the half sweep's margin of
+    # tol, so both reach the full sweep
+    calls = full_sweeps(monkeypatch)
     h = 499999999.5
     assert metric.TRIANGLE_RTOL * 1e9 == 1.0 and (1e9 - h) - h == 1.0
     at = [[0, h, 1e9], [h, 0, h], [1e9, h, 0]]
@@ -254,6 +274,36 @@ def test_validate_deficit_exactly_at_tolerance():
     below = np.nextafter(h, 0)
     over = [[0, h, 1e9], [h, 0, below], [1e9, below, 0]]
     assert check_against_reference(over) == 2
+    assert calls == [3, 3]
+
+
+def test_valid_matrix_is_certified_by_the_half_sweep(rng, monkeypatch):
+    def refuse(a, tol):
+        raise AssertionError("the full triangle sweep ran")
+    monkeypatch.setattr(metric, "_triangles", refuse)
+    a = cloud_matrix_r3(rng, 300).entries
+    assert metric.validate(a).entries.tobytes() == a.tobytes()
+
+
+def test_validate_finds_a_deficit_broken_only_in_the_mirrored_order(monkeypatch):
+    # d01 = x, d12 = y, d02 = z: the half sweep computes (z - x) - y for
+    # (i, j, k) = (0, 1, 2), the full sweep also (z - y) - x for (2, 1, 0);
+    # search z near x + y + tol until only the second rounds above tol
+    rng = np.random.default_rng(0)
+    while True:
+        x, y = rng.random(2) * [1.0, 1e3]
+        z = x + y + metric.TRIANGLE_RTOL * (x + y)
+        found = [c for c in z + np.arange(-8, 9) * np.spacing(z)
+                 if (c - x) - y <= metric.TRIANGLE_RTOL * c < (c - y) - x]
+        if found:
+            break
+    a = np.array([[0, x, found[0]], [x, 0, y], [found[0], y, 0]])
+    calls = full_sweeps(monkeypatch)
+    assert check_against_reference(a) == 1
+    with pytest.raises(AxiomViolation) as err:
+        metric.validate(a)
+    assert [idx for _, idx, _ in err.value.violations] == [(2, 1, 0)]
+    assert calls == [3, 3]
 
 
 def test_validate_pseudo_metric_zeros(rng):
@@ -324,6 +374,15 @@ def test_whole_accepts_whole_numbers(value, expected):
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError):
         metric.whole(value)
+
+
+@pytest.mark.parametrize("doc", ['{"n": 2, "d": [0, true, "1", 0]}', '{"n": 2, "d": [0, null, 1, 0]}',
+                                 '{"n": 2, "d": [0, 1%s, 1, 0]}' % ("0" * 400), '{"n": 2, "d": [[0, 1], [1, 0]]}'])
+def test_read_matrix_json_rejects_entries_that_are_not_numbers(doc, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(doc)
+    with pytest.raises(MalformedFile, match="expected a number"):
+        metric.read_matrix_json(path)
 
 
 def test_json_roundtrip(tmp_path, rng):
