@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -227,13 +228,17 @@ _CSV_ROWS = 1 << 14  # rows formatted at a time; bounds the Python lists of a wr
 
 
 def write_csv(path, *blocks, header=None) -> None:
-    """2-D arrays side by side, one row per line, each value ``repr`` of its ``tolist()`` item."""
+    """2-D arrays side by side, one row per line, each value ``repr`` of its ``tolist()`` item:
+    ``_CSV_ROWS`` rows at a time, one ``%r`` template (``%r`` is ``repr``) over the interleaved columns."""
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError(f"blocks of {' and '.join(str(len(b)) for b in blocks)} rows cannot share lines")
+    row = ",".join(["%r"] * sum(b.shape[1] for b in blocks)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(header + "\n")
         for i in range(0, len(blocks[0]), _CSV_ROWS):
-            cells = [[",".join(map(repr, row)) for row in b[i:i + _CSV_ROWS].tolist()] for b in blocks]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            columns = [c for b in blocks for c in b[i:i + _CSV_ROWS].T.tolist()]
+            fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def read_csv(path, header=None) -> np.ndarray:

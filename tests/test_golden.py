@@ -141,10 +141,17 @@ FILE_DIGESTS = {
     "m.csv": "e88152675383643f528b51711c8e01aa47e139a2cefd661e529e0e1139544699",
     "h.csv": "8c60c1c169b1527105dc909d0d51d6116c3204e416b206ec22da7967401c6233",
     "h.csv.json": "fbc06f24062ff4b659850102b7ba663c814c1c0f3c457d454422cbe158e8d344",
+    "empty.csv": "86696c979c03c2b4193fe9135ad884d4cebbb96565a1db1a59521fea6a69588c",
+    "empty_flags.csv": "305fb471d5aa014cc516b8cb021687834692c7e623649e2333bb4409b9656f43",
 }
 
 
-def test_file_bytes(tmp_path, capsys):
+def empty_sample():
+    return engine.PersistenceSetSample(space="s1", n=4, k=1, tuples_drawn=10, points=np.zeros((0, 2)),
+                                       trivial_count=10, seed=5)
+
+
+def write_files(tmp_path, capsys):
     s = engine.sample_persistence_set("s1", 4, 1, 5000, seed=5)
     # subnormal, smallest normal and near-overflow values; three lie outside the s1 region
     special = np.array([[5e-324, 1e308], [2.2250738585072014e-308, 0.1], [0.0, 1 / 3]])
@@ -159,7 +166,46 @@ def test_file_bytes(tmp_path, capsys):
     assert cli.main(["oracle-check", "--region", "s1", "--check", str(tmp_path / "s.csv"),
                      "--out", str(tmp_path / "flags.csv")]) == 1
     assert json.loads(capsys.readouterr().out)["violations"] == 3
+    engine.write_sample(empty_sample(), tmp_path / "empty.csv")
+    assert cli.main(["oracle-check", "--region", "s1", "--check", str(tmp_path / "empty.csv"),
+                     "--out", str(tmp_path / "empty_flags.csv")]) == 0
+    capsys.readouterr()
     for name, want in FILE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def test_file_bytes(tmp_path, capsys):
+    write_files(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_file_bytes_do_not_depend_on_the_csv_block(rows, tmp_path, capsys, monkeypatch):
+    # the sample has about 550 rows: blocks of 1 and 7 rows end everywhere, and 7 leaves a partial one
+    monkeypatch.setattr(metric, "_CSV_ROWS", rows)
+    write_files(tmp_path, capsys)
+
+
+# sha256 of the plots of one fixed sample, recorded with the per-point
+# writers that one format template per plot replaced
+SVG_DIGESTS = {
+    "angular.svg": "eb3069c0ab95d88a3f0716868edabc96176b330f2603211a323205f2be0c1517",
+    "linear.svg": "0165a4f3c7be40e59781ed81916e23035b5e7caa1aa70f9b0df5a199e30775c3",
+    "empty.svg": "3239b72abdda791a50fcd928bf79b1a3a1f5d9b352f8ed1a10bb5588181c6ac3",
+    "heat.svg": "910e7de166dbf52ee2820abcf759bb376a59d41d55766e3544fd8d3f74097dfc",
+    "empty_heat.svg": "3239b72abdda791a50fcd928bf79b1a3a1f5d9b352f8ed1a10bb5588181c6ac3",
+}
+
+
+def test_svg_file_bytes(tmp_path):
+    s = engine.sample_persistence_set("s1", 4, 1, 450_000, seed=5)
+    assert len(s.points) > 2 * 20000  # above max_points: every third point is drawn
+    empty = empty_sample()
+    engine.svg_scatter(s.points, tmp_path / "angular.svg", title="s1  n=4 k=1")
+    engine.svg_scatter(s.points, tmp_path / "linear.svg", angular=False, title="s1  n=4 k=1")
+    engine.svg_scatter(empty.points, tmp_path / "empty.svg")
+    engine.svg_heatmap(engine.histogram(s, 100, 100), tmp_path / "heat.svg", title="s1  n=4 k=1")
+    engine.svg_heatmap(engine.histogram(empty, 100, 100), tmp_path / "empty_heat.svg")
+    for name, want in SVG_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 

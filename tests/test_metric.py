@@ -143,6 +143,14 @@ def test_csv_roundtrip(tmp_path, rng):
         assert back.entries.tobytes() == dm.entries.tobytes()
 
 
+def test_write_csv_refuses_blocks_of_different_row_counts(tmp_path):
+    # zip would stop at the shorter block and write 2 of the 3 rows
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="3 and 2"):
+        metric.write_csv(path, np.zeros((3, 2)), np.zeros((2, 1)), header="a,b,c")
+    assert not path.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_validate_overflowing_deficit_is_no_violation():
     # d(0,1) - d(0,2) - d(2,1) overflows to -inf: far from a violation
