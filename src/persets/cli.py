@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import diagram_metrics, engine, graph_analysis, metric, regions, spaces
+from . import engine, metric, spaces
 from .errors import PersetsError, UnsupportedCombination
 
 
@@ -73,6 +73,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import regions
     region = regions.parse_region(args.region)
     points = metric.read_csv(args.check, engine.SAMPLE_HEADER)
     ok = regions.contains(region, points[:, 0], points[:, 1], tol=args.tol)
@@ -84,6 +85,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import diagram_metrics, regions
     if args.region_a and args.region_b:
         result = diagram_metrics.compare_regions(
             regions.parse_region(args.region_a),
@@ -109,6 +111,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph_betti(args) -> int:
+    from . import graph_analysis
     sample = engine.sample_persistence_set(args.graph, 4, 1, args.tuples, args.seed, workers=args.workers)
     report = graph_analysis.detect_corners(sample, rel_tol=args.rel_tol, min_support=args.min_support)
     _print_json({
@@ -123,6 +126,7 @@ def cmd_graph_betti(args) -> int:
 
 
 def cmd_density_check(args) -> int:
+    from . import regions
     sample = engine.sample_persistence_set(
         spaces.CircleGeodesic(), 4, 1, args.tuples, args.seed, workers=args.workers
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -187,6 +186,7 @@ def sample_persistence_set(
     # under fork the pool starts all its workers at the first submit
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
     else:

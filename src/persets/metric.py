@@ -243,15 +243,17 @@ def write_csv(path, *blocks, header=None) -> None:
 
 def read_csv(path, header=None) -> np.ndarray:
     """The float table of a CSV under ``header``, if given; MalformedFile if it does not parse."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             if header is not None and fh.readline().strip() != header:
                 raise MalformedFile(f"expected the header {header!r} in {path}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a table may have no rows
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise MalformedFile(f"malformed CSV {path}: {exc}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table may have no rows
+            # given a path, not a handle, numpy reads the file in blocks rather than by lines
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
+                               skiprows=0 if header is None else 1, encoding="utf-8")
+    except ValueError as exc:
+        raise MalformedFile(f"malformed CSV {path}: {exc}") from None
     columns = table.shape[1] if header is None else header.count(",") + 1
     if table.size and table.shape[1] != columns:
         raise MalformedFile(f"{path} has {table.shape[1]} columns under {header!r}")

@@ -8,7 +8,6 @@ validate the geometric algorithm, not to be fast.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -138,18 +137,3 @@ def vr_diagrams(matrix: DistanceMatrix, max_degree: int) -> list[Diagram]:
 def vr_diagram(matrix: DistanceMatrix, degree: int) -> Diagram:
     """The single degree-``degree`` reduced diagram of the matrix."""
     return vr_diagrams(matrix, degree)[degree]
-
-
-def diagram_to_json(diagram: Diagram) -> str:
-    pts = [
-        {"b": b, "d": ("inf" if math.isinf(d) else d)} for b, d in diagram.points
-    ]
-    return json.dumps(pts)
-
-
-def diagram_from_json(text: str, degree: int = 0) -> Diagram:
-    raw = json.loads(text)
-    pts = tuple(
-        (float(p["b"]), math.inf if p["d"] == "inf" else float(p["d"])) for p in raw
-    )
-    return Diagram(degree=degree, points=pts)

@@ -440,6 +440,21 @@ def test_import_leaves_scipy_out(tmp_path):
     assert strict_json(proc.stdout.splitlines()[0])["hausdorff_bottleneck"] == 0.36502377584059365
 
 
+def test_import_loads_only_what_sample_runs(tmp_path):
+    # the package root re-exports nothing, each other command imports its own
+    # modules, and the process pool is imported only for --workers > 1
+    loaded = ("print([m in sys.modules for m in ('persets.engine', 'persets.metric', 'persets.spaces', "
+              "'persets.graphs', 'persets.regions', 'persets.diagram_metrics', 'persets.graph_analysis', "
+              "'concurrent.futures.process')])")
+    want = "[True, True, True, True, False, False, False, False]"
+    proc = run_python("-c", f"import sys, persets, persets.cli; {loaded}", check=True)
+    assert proc.stdout.strip() == want
+    out = str(tmp_path / "s.csv")
+    code = f"import sys, persets.cli; persets.cli.main(['sample', '--space', 's1', '--tuples', '100', '--out', {out!r}]); {loaded}"
+    proc = run_python("-c", code, check=True)
+    assert proc.stdout.splitlines()[-1] == want
+
+
 def test_console_script_entry_point():
     proc = run_python("-m", "persets.cli", "--help")
     assert proc.returncode == 0

@@ -1,10 +1,10 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -417,12 +417,12 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
 
-    class Pool(ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w,
                                           keep_nontrivial_tuples=True)
             for w in (1, 2)]
@@ -450,7 +450,7 @@ def recording_pool(monkeypatch):
             return map(fn, *args)
 
     monkeypatch.setattr(engine, "CHUNK", 1024)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return started
 
 

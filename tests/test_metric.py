@@ -143,6 +143,32 @@ def test_csv_roundtrip(tmp_path, rng):
         assert back.entries.tobytes() == dm.entries.tobytes()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n", "expected the header 't_b,t_d' in "),
+    ("t_b,t_d\n1,2\n1.0,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+    ("t_b,t_d\n1,2\n1,2,3\n", "the number of columns changed from 2 to 3 at row 2;"),
+    ("t_b,t_d\n1,2,3\n", "has 3 columns under 't_b,t_d'"),
+    (b"t_b,t_d\n1,2\n\xff,3\n", "'utf-8' codec can't decode byte 0xff in position 12"),
+])
+def test_read_csv_names_what_does_not_parse(text, message, tmp_path):
+    # rows count from the first one after the header
+    path = tmp_path / "t.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(MalformedFile) as exc:
+        metric.read_csv(path, "t_b,t_d")
+    assert message in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_csv_takes_any_line_end_and_a_header_alone(newline, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(newline.join(["t_b,t_d", "1,2.5", "3,4", ""]).encode())
+    assert metric.read_csv(path, "t_b,t_d").tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    path.write_bytes(("t_b,t_d" + newline).encode())
+    assert metric.read_csv(path, "t_b,t_d").shape == (0, 2)
+
+
 def test_write_csv_refuses_blocks_of_different_row_counts(tmp_path):
     # zip would stop at the shorter block and write 2 of the 3 rows
     path = tmp_path / "t.csv"

@@ -151,9 +151,3 @@ def test_octahedron_degrees():
     assert dgms[1].is_empty
     assert len(dgms[2].points) == 1
     assert dgms[2].points[0] == pytest.approx((math.pi / 2, math.pi))
-
-
-def test_diagram_json_roundtrip():
-    dgm = oracle.Diagram(degree=1, points=((0.5, 2.0), (0.1, math.inf)))
-    back = oracle.diagram_from_json(oracle.diagram_to_json(dgm), degree=1)
-    assert back == dgm
