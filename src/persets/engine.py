@@ -147,6 +147,17 @@ def _run_chunk(space, n, k, seed, chunk_index, count, keep):
     return pairs, count - int(np.count_nonzero(per_tuple)), kept
 
 
+def check_campaign(n: int, k: int, tuples: int, seed: int) -> None:
+    """UnsupportedCombination unless ``tuples`` n-tuples drawn from ``seed`` make a degree-k campaign."""
+    if tuples < 1 or seed < 0:
+        raise UnsupportedCombination(f"tuples must be >= 1 and seed >= 0, got tuples={tuples}, seed={seed}")
+    if k < 0 or not (n == 2 * k + 2 or k + 2 <= n <= MAX_POINTS):
+        raise UnsupportedCombination(
+            f"n={n}, k={k}: need k >= 0 and either n = 2k+2 (the principal kernel) "
+            f"or k+2 <= n <= {MAX_POINTS} (the oracle)"
+        )
+
+
 def sample_persistence_set(
     space,
     n: int,
@@ -167,17 +178,11 @@ def sample_persistence_set(
     ``workers``, the chunk count and the machine's CPU count processes.
     """
     space = space_of(space)
-    if m_max < 1 or workers < 1 or seed < 0:
-        raise UnsupportedCombination(f"m_max and workers must be >= 1 and seed >= 0, "
-                                     f"got m_max={m_max}, workers={workers}, seed={seed}")
-    principal = n == 2 * k + 2
-    if k < 0 or not (principal or k + 2 <= n <= MAX_POINTS):
-        raise UnsupportedCombination(
-            f"n={n}, k={k}: need k >= 0 and either n = 2k+2 (the principal kernel) "
-            f"or k+2 <= n <= {MAX_POINTS} (the oracle)"
-        )
+    if workers < 1:
+        raise UnsupportedCombination(f"workers must be >= 1, got workers={workers}")
+    check_campaign(n, k, m_max, seed)
 
-    chunk = CHUNK if principal else 1024
+    chunk = CHUNK if n == 2 * k + 2 else 1024
     counts = [chunk] * (m_max // chunk)
     if m_max % chunk:
         counts.append(m_max % chunk)
@@ -399,7 +404,18 @@ def read_sample(csv_path) -> PersistenceSetSample:
     if len(bad):
         raise MalformedFile(f"{csv_path}: point {bad[0] + 1} is {tuple(points[bad[0]].tolist())}, "
                             "not finite with t_b < t_d")
-    meta = read_json(str(csv_path) + ".json", {key: t for key, (_, t) in _SIDECAR.items()})
+    sidecar = str(csv_path) + ".json"
+    meta = read_json(sidecar, {key: t for key, (_, t) in _SIDECAR.items()})
+    rows, tuples, trivial = len(points), meta["tuples"], meta["trivial"]
+    try:
+        check_campaign(meta["n"], meta["k"], tuples, meta["seed"])
+    except UnsupportedCombination as exc:
+        raise MalformedFile(f"{sidecar}: {exc}") from None
+    # a principal tuple gives one point or none; an oracle tuple any number
+    if not 0 <= trivial <= tuples or (rows + trivial != tuples if meta["n"] == 2 * meta["k"] + 2
+                                      else rows < tuples - trivial):
+        raise MalformedFile(f"{sidecar}: {rows} point(s) and trivial={trivial} do not fit tuples={tuples} "
+                            f"at n={meta['n']}, k={meta['k']}")
     return PersistenceSetSample(points=points, **{f: meta[key] for key, (f, _) in _SIDECAR.items()})
 
 

@@ -55,8 +55,9 @@ def validate(matrix) -> DistanceMatrix:
     Raises NotSquare / NonFinite for malformed input and AxiomViolation
     otherwise.  It counts every violation and lists the first
     VIOLATIONS_LISTED: negative entries, then diagonal ones, then
-    asymmetric pairs i < j, each row-major; broken triangles are swept
-    only when none of these is found.
+    asymmetric pairs i < j, each row-major.  Only when none of these is
+    found are the triangles checked, by one sweep over the pairs i <= k
+    (_broken_triangles).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -66,12 +67,8 @@ def validate(matrix) -> DistanceMatrix:
 
     violations, count = _entrywise(a)
     if not count:
-        # a deficit that overflows to -inf has a two-edge path beyond any
-        # double: no violation
-        with np.errstate(over="ignore"):
-            top = float(a.max(initial=0.0))
-            if not _half_clean(a, TRIANGLE_RTOL * top - 16 * np.finfo(float).eps * top):
-                violations, count = _triangles(a, TRIANGLE_RTOL * top)
+        with np.errstate(over="ignore"):  # a deficit at -inf has a two-edge path beyond any double
+            violations, count = _broken_triangles(a)
 
     if count:
         raise AxiomViolation(violations, count)
@@ -101,69 +98,55 @@ def _entrywise(a: np.ndarray):
     return listed, count
 
 
-def _half_clean(a: np.ndarray, bound: float) -> bool:
-    """True if no deficit (d(i,k) - d(i,j)) - d(j,k) with i <= k exceeds ``bound``.
-
-    For symmetric ``a`` the mirrored triple (k, j, i) computes (d(i,k) -
-    d(j,k)) - d(i,j), the same exact value.  With entries in [0, M], each
-    order is within 3u*M of it (u = eps/2: u*M from the first subtraction,
-    2u*M from the second) or overflows to -inf, so the two differ by at
-    most 3*eps*M: for bound = tol - 16*eps*M, True proves that the full
-    sweep finds no deficit above tol.  Row blocks [r, r+rows) are copied
-    over columns k >= r, rows growing as the width n - r shrinks so that a
-    block keeps about _SWEEP_ENTRIES entries.
-    """
-    n = a.shape[0]
-    bufs = np.empty((2, max(_SWEEP_ENTRIES, n)))
-    r = 0
-    while r < n:
-        width = n - r
-        rows = min(width, max(1, _SWEEP_ENTRIES // width))
-        block, out = (buf[:rows * width].reshape(rows, width) for buf in bufs)
-        np.copyto(block, a[r:r + rows, r:])
-        for j in range(n):
-            np.subtract(block, a[j, r:r + rows, None], out=out)  # d(i,j) = d(j,i)
-            if np.subtract(out, a[j, r:], out=out).max() > bound:
-                return False
-        r += rows
-    return True
-
-
-def _triangles(a: np.ndarray, tol: float):
+def _broken_triangles(a: np.ndarray):
     """The first VIOLATIONS_LISTED broken triangles in (j, i, k) order, and their count.
 
-    deficit(i, j, k) = (d(i,k) - d(i,j)) - d(j,k) for middle vertex j;
-    above ``tol`` means broken.  Each row block of _SWEEP_ENTRIES entries
-    goes through one buffer once per middle vertex, and only the count of
-    each (j, block) is kept; a second pass recomputes the broken (j, block)
-    pairs in that order until VIOLATIONS_LISTED triangles are listed.
+    deficit(i, j, k) = (d(i,k) - d(i,j)) - d(j,k) for middle vertex j; above
+    tol = TRIANGLE_RTOL * M (M the largest entry) means broken.  Row blocks
+    [r, e), over columns k >= r so that i <= k, keep about _SWEEP_ENTRIES
+    entries and go through one buffer per middle vertex.  As ``a`` is
+    symmetric, the mirror (k, j, i) computes (d(i,k) - d(j,k)) - d(i,j), the
+    same exact value, and each order is within 3u*M of it (u = eps/2: u*M
+    from the first subtraction, 2u*M from the second) or overflows to -inf.
+    So a (block, j) at or below bound = tol - 16*eps*M is clean in both
+    orders; any other is counted against tol, and its mirrors with k >= e
+    are credited to the block of row k.  The broken (j, block) pairs are
+    then recomputed over full rows, in that order, until VIOLATIONS_LISTED
+    triangles are listed.
     """
     n = a.shape[0]
-    rows = max(1, _SWEEP_ENTRIES // max(n, 1))
-    starts = range(0, n, rows)
-    buf = np.empty((min(rows, n), n))
-
-    def deficits(r, j):
-        block = a[r:r + rows]
-        out = buf[:len(block)]
-        np.subtract(block, block[:, j:j + 1], out=out)
-        return np.subtract(out, a[j], out=out)
-
-    broken = np.zeros((n, len(starts)), dtype=np.int64)
-    for b, r in enumerate(starts):
+    top = float(a.max(initial=0.0))
+    tol = TRIANGLE_RTOL * top
+    bound = tol - 16 * np.finfo(float).eps * top
+    starts = [0]
+    while starts[-1] < n:
+        width = n - starts[-1]
+        starts.append(starts[-1] + min(width, max(1, _SWEEP_ENTRIES // width)))
+    copy, spare = np.empty((2, max(_SWEEP_ENTRIES, n)))
+    broken = np.zeros((n, len(starts) - 1), dtype=np.int64)
+    for b, (r, e) in enumerate(zip(starts, starts[1:])):
+        block, out = (buf[:(e - r) * (n - r)].reshape(e - r, n - r) for buf in (copy, spare))
+        np.copyto(block, a[r:e, r:])
         for j in range(n):
-            d = deficits(r, j)
-            if d.max() > tol:
-                broken[j, b] = np.count_nonzero(d > tol)
+            np.subtract(block, a[j, r:e, None], out=out)  # d(i,j) = d(j,i)
+            if np.subtract(out, a[j, r:], out=out).max() <= bound:
+                continue
+            broken[j, b] += np.count_nonzero(out > tol)
+            if e < n:
+                mirror = spare[:(e - r) * (n - e)].reshape(e - r, n - e)  # [i, k] = deficit(k, j, i)
+                np.subtract(a[r:e, e:], a[j, e:], out=mirror)
+                per_k = np.count_nonzero(np.subtract(mirror, a[j, r:e, None], out=mirror) > tol, axis=0)
+                broken[j, b + 1:] += np.add.reduceat(per_k, np.subtract(starts[b + 1:-1], e))
     listed = []
     for j, b in zip(*np.nonzero(broken)):
         room = VIOLATIONS_LISTED - len(listed)
         if room <= 0:
             break
-        d = deficits(starts[b], j)
+        r, e = starts[b], starts[b + 1]
+        d = (a[r:e] - a[r:e, j, None]) - a[j]
         i, k = np.nonzero(d > tol)
-        for x, y in zip(i[:room].tolist(), k[:room].tolist()):
-            listed.append(("triangle", (starts[b] + x, int(j), y), float(d[x, y])))
+        listed += [("triangle", (r + x, int(j), y), float(d[x, y]))
+                   for x, y in zip(i[:room].tolist(), k[:room].tolist())]
     return listed, int(broken.sum())
 
 

@@ -144,10 +144,10 @@ def test_compare_samples_stdout_is_pinned(tmp_path, capsys):
 @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,1.0", "2.0,1.0", "1.0,1.0"])
 def test_compare_refuses_non_finite_or_inverted_points(row, tmp_path, capsys):
     good = tmp_path / "good.csv"
-    good.write_text("t_b,t_d\n0.1,3.0\n")
+    good.write_text("t_b,t_d\n0.1,3.0\n0.2,3.0\n")
     bad = tmp_path / "bad.csv"
     bad.write_text(f"t_b,t_d\n0.1,3.0\n{row}\n")
-    sidecar = '{"tuples": 5, "trivial": 3, "seed": 1, "space": "s1", "n": 4, "k": 1}'
+    sidecar = '{"tuples": 5, "trivial": 3, "seed": 1, "space": "s1", "n": 4, "k": 1}'  # 2 points + 3 trivial
     for csv in (good, bad):
         (tmp_path / f"{csv.name}.json").write_text(sidecar)
     assert run(["compare", "--a", str(good), "--b", str(bad)]) == 1
@@ -413,6 +413,22 @@ def test_compare_refuses_a_malformed_sidecar(sidecar, tmp_path, capsys):
     assert run(["compare", "--a", str(csv), "--b", str(csv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "s.csv.json" in err
+
+
+@pytest.mark.parametrize("fields, cause", [
+    ('"tuples": 10, "trivial": 11, "seed": 1, "n": 4, "k": 1', "1 point(s) and trivial=11 do not fit tuples=10"),
+    ('"tuples": 0, "trivial": 0, "seed": 1, "n": 4, "k": 1', "tuples must be >= 1"),
+    ('"tuples": 1, "trivial": 0, "seed": -3, "n": 4, "k": 1', "seed >= 0"),
+    ('"tuples": 1, "trivial": 0, "seed": 1, "n": 4, "k": -1', "need k >= 0"),
+], ids=["trivial-above-tuples", "no-tuples", "negative-seed", "negative-k"])
+def test_compare_refuses_an_impossible_sidecar(fields, cause, tmp_path, capsys):
+    # one row under each sidecar
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n0.1,3.0\n")
+    (tmp_path / "s.csv.json").write_text(f'{{{fields}, "space": "s1"}}')
+    assert run(["compare", "--a", str(csv), "--b", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}.json: ") and cause in err
 
 
 def test_sample_out_json_is_usage_error(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from persets import engine, graphs, metric, oracle, principal, regions, spaces
-from persets.errors import EmptySample, RegionMismatch, UnsupportedCombination
+from persets.errors import EmptySample, MalformedFile, RegionMismatch, UnsupportedCombination
 
 from conftest import circle_angles_matrix
 
@@ -346,7 +346,9 @@ def test_two_point_empirical_matches_closed_form():
 def test_sample_io_roundtrip(tmp_path, circle_sample):
     special = np.array([[5e-324, 1e308], [2.2250738585072014e-308, 0.1], [0.0, 1.0 / 3.0]])
     for points in (circle_sample.points, special, np.empty((0, 2))):
-        sample = dataclasses.replace(circle_sample, points=points)
+        # one point or none per tuple: the sidecar must add up
+        sample = dataclasses.replace(circle_sample, points=points,
+                                     tuples_drawn=circle_sample.trivial_count + len(points))
         csv = tmp_path / "s.csv"
         engine.write_sample(sample, csv)
         with warnings.catch_warnings():
@@ -355,10 +357,35 @@ def test_sample_io_roundtrip(tmp_path, circle_sample):
         assert back.points.shape == points.shape
         assert back.points.tobytes() == points.tobytes()
         assert back.trivial_count == circle_sample.trivial_count
-        assert back.tuples_drawn == circle_sample.tuples_drawn
+        assert back.tuples_drawn == sample.tuples_drawn
         assert back.space == circle_sample.space
         assert back.seed == circle_sample.seed
         assert (back.n, back.k) == (circle_sample.n, circle_sample.k)
+
+
+@pytest.mark.parametrize("n, k, rows, trivial, tuples, reads", [
+    (4, 1, 2, 3, 5, True), (4, 1, 2, 3, 6, False), (4, 1, 2, 3, 4, False), (4, 1, 0, 5, 5, True),
+    (5, 1, 2, 3, 5, True), (5, 1, 7, 3, 5, True), (5, 1, 1, 3, 5, False), (4, 1, 0, -1, 5, False)])
+def test_read_sample_checks_the_sidecar_counts(n, k, rows, trivial, tuples, reads, tmp_path):
+    # at n = 2k+2 each tuple gives one point or none; otherwise any number
+    points = np.column_stack([np.zeros(rows), np.arange(1.0, rows + 1)])
+    engine.write_sample(engine.PersistenceSetSample("x", n, k, tuples, points, trivial, 0), tmp_path / "s.csv")
+    if reads:
+        assert len(engine.read_sample(tmp_path / "s.csv").points) == rows
+    else:
+        with pytest.raises(MalformedFile, match="s.csv.json: "):
+            engine.read_sample(tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("n, k, tuples, seed", [(4, -1, 5, 0), (13, 1, 5, 0), (4, 1, 0, 0), (4, 1, 5, -1)])
+def test_read_sample_and_a_campaign_share_their_limits(n, k, tuples, seed, tmp_path):
+    with pytest.raises(UnsupportedCombination) as refused:
+        engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, tuples, seed=seed)
+    engine.write_sample(engine.PersistenceSetSample("x", n, k, tuples, np.empty((0, 2)), tuples, seed),
+                        tmp_path / "s.csv")
+    with pytest.raises(MalformedFile) as read:
+        engine.read_sample(tmp_path / "s.csv")
+    assert str(read.value) == f"{tmp_path / 's.csv'}.json: {refused.value}"
 
 
 def test_histogram_io(tmp_path, circle_sample):

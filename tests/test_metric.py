@@ -285,22 +285,10 @@ def test_validate_matches_reference_across_blocks(n, rng, monkeypatch):
     check_against_reference(symmetric(rng.integers(0, 3, size=(n, n))))
 
 
-def full_sweeps(monkeypatch):
-    """The sizes of the matrices that reach metric._triangles from now on."""
-    calls, sweep = [], metric._triangles
-
-    def spy(a, tol):
-        calls.append(len(a))
-        return sweep(a, tol)
-    monkeypatch.setattr(metric, "_triangles", spy)
-    return calls
-
-
-def test_validate_deficit_exactly_at_tolerance(monkeypatch):
+def test_validate_deficit_exactly_at_tolerance():
     # tol = 1e-9 * 1e9 = 1.0; (1e9 - h) - h is exactly 1.0 and not broken,
-    # one ulp more is broken; both lie within the half sweep's margin of
-    # tol, so both reach the full sweep
-    calls = full_sweeps(monkeypatch)
+    # one ulp more is broken; both lie within the sweep's margin of tol,
+    # so both are counted against tol in both orders
     h = 499999999.5
     assert metric.TRIANGLE_RTOL * 1e9 == 1.0 and (1e9 - h) - h == 1.0
     at = [[0, h, 1e9], [h, 0, h], [1e9, h, 0]]
@@ -308,20 +296,16 @@ def test_validate_deficit_exactly_at_tolerance(monkeypatch):
     below = np.nextafter(h, 0)
     over = [[0, h, 1e9], [h, 0, below], [1e9, below, 0]]
     assert check_against_reference(over) == 2
-    assert calls == [3, 3]
 
 
-def test_valid_matrix_is_certified_by_the_half_sweep(rng, monkeypatch):
-    def refuse(a, tol):
-        raise AssertionError("the full triangle sweep ran")
-    monkeypatch.setattr(metric, "_triangles", refuse)
+def test_valid_matrix_is_certified_by_the_half_sweep(rng):
     a = cloud_matrix_r3(rng, 300).entries
     assert metric.validate(a).entries.tobytes() == a.tobytes()
 
 
-def test_validate_finds_a_deficit_broken_only_in_the_mirrored_order(monkeypatch):
+def test_validate_finds_a_deficit_broken_only_in_the_mirrored_order():
     # d01 = x, d12 = y, d02 = z: the half sweep computes (z - x) - y for
-    # (i, j, k) = (0, 1, 2), the full sweep also (z - y) - x for (2, 1, 0);
+    # (i, j, k) = (0, 1, 2), and (z - y) - x for (2, 1, 0) only near tol;
     # search z near x + y + tol until only the second rounds above tol
     rng = np.random.default_rng(0)
     while True:
@@ -332,12 +316,15 @@ def test_validate_finds_a_deficit_broken_only_in_the_mirrored_order(monkeypatch)
         if found:
             break
     a = np.array([[0, x, found[0]], [x, 0, y], [found[0], y, 0]])
-    calls = full_sweeps(monkeypatch)
-    assert check_against_reference(a) == 1
-    with pytest.raises(AxiomViolation) as err:
-        metric.validate(a)
-    assert [idx for _, idx, _ in err.value.violations] == [(2, 1, 0)]
-    assert calls == [3, 3]
+    # at budgets 1 and 2 row 2 lies in a later block than row 0, so the
+    # triangle is found by the mirrored pass of block 0 and credited to row 2's
+    for budget in (1, 2, metric._SWEEP_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_SWEEP_ENTRIES", budget)
+            assert check_against_reference(a) == 1
+            with pytest.raises(AxiomViolation) as err:
+                metric.validate(a)
+            assert [idx for _, idx, _ in err.value.violations] == [(2, 1, 0)]
 
 
 def test_validate_pseudo_metric_zeros(rng):
