@@ -73,7 +73,7 @@ class Histogram2D:
 
 
 @dataclass(frozen=True)
-class FiniteSpace(spaces_mod.RawPoints):
+class FiniteSpace:
     """A finite dataset as a sampling space: points are (count, 1) row indices."""
 
     matrix: DistanceMatrix
@@ -85,8 +85,15 @@ class FiniteSpace(spaces_mod.RawPoints):
     def sample_points(self, rng, count):
         return rng.integers(0, self.matrix.n, size=(count, 1))
 
+    def prepare(self, points):
+        """Each of the n positions of (n, B, 1) row indices as (row * N, row): its
+        row-major offset into the flat N x N matrix and its column."""
+        rows = points[..., 0]
+        return list(zip(rows * self.matrix.n, rows))
+
     def pair_distance(self, p, q):
-        return self.matrix.entries[p[..., 0], q[..., 0]]
+        """Distances of two prepared positions: one add and one gather from the flat matrix."""
+        return self.matrix.entries.take(p[0] + q[1])
 
 
 def space_of(space):
@@ -135,7 +142,7 @@ def _run_chunk(space, n, k, seed, chunk_index, count, keep):
     if n == 2 * k + 2:
         tb, td = np.empty(count), np.empty(count)
         for b in range(0, count, BLOCK):
-            tb[b:b + BLOCK], td[b:b + BLOCK] = principal_of_pairs(dists[:, b:b + BLOCK], n)
+            principal_of_pairs(dists[:, b:b + BLOCK], n, out=(tb[b:b + BLOCK], td[b:b + BLOCK]))
         per_tuple = tb < td
         pairs = np.column_stack([tb[per_tuple], td[per_tuple]])
     else:

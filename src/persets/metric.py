@@ -224,17 +224,27 @@ def write_csv(path, *blocks, header=None) -> None:
             fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
 
 
+# suffixes by which numpy, given a path, picks a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_csv(path, header=None) -> np.ndarray:
-    """The float table of a CSV under ``header``, if given; MalformedFile if it does not parse."""
+    """The float table of a CSV under ``header``, if given; MalformedFile if it does not parse.
+
+    Every file is read as UTF-8 text, whatever its name.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if header is not None and fh.readline().strip() != header:
                 raise MalformedFile(f"expected the header {header!r} in {path}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a table may have no rows
-            # given a path, not a handle, numpy reads the file in blocks rather than by lines
-            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
-                               skiprows=0 if header is None else 1, encoding="utf-8")
+            fh.seek(0)
+            # given a path, not a handle, numpy reads the file in blocks rather than by
+            # lines, but it would decompress a name with a compressed suffix
+            source = fh if str(path).endswith(_COMPRESSED) else path
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table may have no rows
+                table = np.loadtxt(source, delimiter=",", ndmin=2, comments=None,
+                                   skiprows=0 if header is None else 1, encoding="utf-8")
     except ValueError as exc:
         raise MalformedFile(f"malformed CSV {path}: {exc}") from None
     columns = table.shape[1] if header is None else header.count(",") + 1

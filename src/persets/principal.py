@@ -9,11 +9,14 @@ t_d(x) the largest and t_b(x) the second largest,
 and the diagram is {(t_b(X), t_d(X))} exactly when t_b(X) < t_d(X),
 empty otherwise.  This costs O(n^2) per space and reads only its n(n-1)/2
 distances, as a pair list (``metric.condensed``) that vectorizes over the
-batches the sampling engine runs on.
+batches the sampling engine runs on.  Each point's top two is one running
+pass over its n - 1 distances, folded into (t_b(X), t_d(X)) as soon as it
+is done, so a batch of B spaces needs a few buffers of B values, whatever n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,28 +57,53 @@ class PointExtremes:
         return min(p[1] for p in self.per_point)
 
 
-def point_tops(pairs, n: int):
-    """Per-point (t_b, t_d), two (n, ...) arrays, of a (n(n-1)/2, ...) pair list.
+@lru_cache(maxsize=None)
+def _incident(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of each point's n - 1 distances in a pair list, in pair order."""
+    i, j = np.triu_indices(n, 1)
+    return tuple(tuple(np.flatnonzero((i == x) | (j == x)).tolist()) for x in range(n))
 
-    A running top two per point that starts from its diagonal zero, so a
-    two-point space has t_b = 0, t_d = its diameter (pseudo-metric convention).
+
+def _candidates(pairs, n: int) -> list:
+    """Each point's candidates for its top two: its distances and its diagonal zero.
+
+    From the first two distances on, the zero changes no bit of a top two
+    of distances >= 0 (on a tie numpy's maximum and minimum return their
+    second operand), so it is listed only at n = 2, where a point has one
+    distance.
+    """
+    if n == 2:
+        return [[0.0, pairs[0]]] * 2
+    return [[pairs[p] for p in rows] for rows in _incident(n)]
+
+
+def _top_two(xs, tb, td, low) -> None:
+    """The second largest and the largest of ``xs`` into ``tb`` and ``td``; ``low`` is scratch."""
+    first, second, *rest = xs
+    np.minimum(first, second, out=tb)
+    np.maximum(first, second, out=td)
+    for x in rest:
+        np.minimum(td, x, out=low)
+        np.maximum(tb, low, out=tb)
+        np.maximum(td, x, out=td)
+
+
+def principal_of_pairs(pairs, n: int, out=None):
+    """Global (t_b(X), t_d(X)) of n-point spaces given as a (n(n-1)/2, ...) pair list.
+
+    They are written into ``out``, two arrays of the batch shape ``pairs.shape[1:]``,
+    if given.  Each point's top two is folded in as soon as it is done.
     """
     pairs = np.asarray(pairs, dtype=float)
-    td = np.zeros((n,) + pairs.shape[1:])
-    tb = np.full_like(td, -np.inf)
-    low = np.empty(pairs.shape[1:])
-    for x, i, j in zip(pairs, *np.triu_indices(n, 1)):
-        for r in (i, j):
-            np.minimum(td[r, ...], x, out=low)
-            np.maximum(tb[r, ...], low, out=tb[r, ...])
-            np.maximum(td[r, ...], x, out=td[r, ...])
+    tb, td = out if out is not None else (np.empty(pairs.shape[1:]), np.empty(pairs.shape[1:]))
+    lo, hi, low = (np.empty(pairs.shape[1:]) for _ in range(3))
+    first, *rest = _candidates(pairs, n)
+    _top_two(first, tb, td, low)
+    for xs in rest:
+        _top_two(xs, lo, hi, low)
+        np.maximum(tb, lo, out=tb)
+        np.minimum(td, hi, out=td)
     return tb, td
-
-
-def principal_of_pairs(pairs, n: int):
-    """Global (t_b(X), t_d(X)) of n-point spaces given as a pair list."""
-    tb, td = point_tops(pairs, n)
-    return tb.max(axis=0), td.min(axis=0)
 
 
 def point_extremes(matrix: DistanceMatrix) -> PointExtremes:
@@ -83,14 +111,15 @@ def point_extremes(matrix: DistanceMatrix) -> PointExtremes:
     if matrix.n < 2:
         raise TooFewPoints("point extremes need at least 2 points")
     a = matrix.entries
-    tb_rows, td_rows = point_tops(condensed(a), matrix.n)
+    tb, td, low = np.empty(()), np.empty(()), np.empty(())
     per = []
-    for i in range(matrix.n):
+    for i, xs in enumerate(_candidates(condensed(a), matrix.n)):
+        _top_two(xs, tb, td, low)
         row = a[i].copy()
         row[i] = -np.inf  # the farthest point is over the *other* indices
-        top = np.flatnonzero(row == td_rows[i])
+        top = np.flatnonzero(row == td)
         vd = int(top[0]) if top.size == 1 else None
-        per.append((float(tb_rows[i]), float(td_rows[i]), vd))
+        per.append((float(tb), float(td), vd))
     return PointExtremes(tuple(per))
 
 

@@ -8,9 +8,10 @@ datasets) has the same four members:
 * ``prepare(points)`` -- called once per block of the draw with an
   (n, B, D) view (position first); returns n items, item i being the
   points of position i in the form ``pair_distance`` takes.  These
-  models and finite datasets return the view as it is (``RawPoints``),
-  so ``pair_distance`` gets (B, D) row slices; a metric graph returns
-  its points' edge ends (``graphs.GraphEnds``);
+  models return the view as it is (``RawPoints``), so ``pair_distance``
+  gets (B, D) row slices; a metric graph returns its points' edge ends
+  (``graphs.GraphEnds``), a finite dataset its row indices' flat offsets
+  into the distance matrix (``engine.FiniteSpace``);
 * ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
   axes of two point arrays;
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import re
@@ -120,6 +121,30 @@ def test_compare_samples(tmp_path, capsys):
     # same space, dense samples: tiny Hausdorff gap
     assert out["hausdorff_bottleneck"] < 0.1
     assert out["gh_lower_bound"] == out["hausdorff_bottleneck"] / 2.0
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_compressed_suffix_does_not_change_how_a_sample_reads(suffix, tmp_path, capsys):
+    # the name is only a name: the plain-text sample that ``sample`` writes reads back
+    paths = [str(tmp_path / f"{name}.csv{suffix}") for name in "ab"]
+    for path, seed in zip(paths, (1, 2)):
+        assert run(["sample", "--space", "s1", "--tuples", "4000", "--seed", str(seed), "--out", path]) == 0
+    capsys.readouterr()
+    assert run(["oracle-check", "--region", "s1", "--check", paths[0]]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == 0
+    assert run(["compare", "--a", paths[0], "--b", paths[1]]) == 0
+    assert json.loads(capsys.readouterr().out)["hausdorff_bottleneck"] < 0.5
+    np.testing.assert_array_equal(engine.read_sample(paths[0]).points,
+                                  engine.sample_persistence_set("s1", 4, 1, 4000, seed=1).points)
+
+
+def test_a_gzip_compressed_matrix_is_malformed(tmp_path, capsys):
+    path = tmp_path / "m.csv.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write("0.0,1.0\n1.0,0.0\n")
+    assert run(["validate", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["valid"] and out["error"].startswith(f"malformed CSV {path}")
 
 
 def write_pinned_samples(directory):

@@ -428,6 +428,20 @@ def test_kept_tuples_align_with_points():
         assert (tb, td) == (s.points[i, 0], s.points[i, 1])
 
 
+@pytest.mark.parametrize("block", [engine.BLOCK, 300])
+def test_finite_kept_tuples_align_with_points(block, monkeypatch):
+    # 20 points of the unit 2-sphere and three repeats; 300 ends blocks inside the chunk
+    monkeypatch.setattr(engine, "BLOCK", block)
+    v = np.random.default_rng(8).standard_normal((20, 3))
+    v = (v / np.linalg.norm(v, axis=1)[:, None])[[*range(20), 2, 5, 5]]
+    dm = metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1))
+    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 20_000, seed=6, keep_nontrivial_tuples=True)
+    assert s.kept_tuples.shape == (len(s.points), 4, 1) and len(s.points) > 500
+    for t, point in zip(s.kept_tuples[..., 0], s.points):
+        tb, td = principal.principal_of_pairs(metric.condensed(dm.entries[np.ix_(t, t)]), 4)
+        assert np.array([tb, td]).tobytes() == point.tobytes()
+
+
 def test_oracle_kept_tuples_align_with_points():
     # eight points on a wedge of two circles: some diagrams carry two points
     g = graphs.parse_family("wedge:3.5,4.5")

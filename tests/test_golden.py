@@ -222,3 +222,33 @@ def test_golden_points_of_asymmetric_routes(key, workers, monkeypatch):
     assert s.trivial_count == want["trivial"]
     np.testing.assert_allclose(s.points, np.asarray(want["points"]).reshape(-1, 2),
                                rtol=0.0, atol=4e-15)
+
+
+def signed_zero_space():
+    """30 points of the unit 2-sphere, six of them repeats, under the chord metric:
+    every zero distance is -0.0 but one +0.0 in the mirror of a repeated pair
+    (``validate`` accepts both signs)."""
+    v = np.random.default_rng(5).standard_normal((24, 3))
+    v = (v / np.linalg.norm(v, axis=1)[:, None])[[*range(24), 0, 3, 3, 7, 11, 19]]
+    d = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
+    d[d == 0] = -0.0
+    d[24, 0] = 0.0
+    return engine.FiniteSpace(metric.validate(d))
+
+
+# a FiniteSpace campaign on signed zeros and repeated indices, recorded
+# with the kernel that seeded each point's top two from the diagonal zero
+SIGNED_ZERO_GOLDEN = {
+    4: "8ca925487a53a62f7ac0883634ffa8df8619da9ab7b473bed56dec61276953f0",
+    6: "d9c35b39d362d0d590c2aaea0a556949e5dd97f788c49cd0d51b761e1724cedd",
+}
+
+
+@pytest.mark.parametrize("block", [engine.BLOCK, 300])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", sorted(SIGNED_ZERO_GOLDEN))
+def test_golden_digest_of_signed_zeros(n, workers, block, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK", CHUNK)
+    monkeypatch.setattr(engine, "BLOCK", block)
+    s = engine.sample_persistence_set(signed_zero_space(), n, n // 2 - 1, TUPLES, SEED, workers=workers)
+    assert digest(s) == SIGNED_ZERO_GOLDEN[n]

@@ -178,25 +178,36 @@ def test_ptolemy_slack_size():
 
 # Small integer-valued pseudo-metrics: points of a 4x4 grid under l1 or
 # l-infinity, drawn with repetition, so distances tie and repeat often.
+# Zero distances may carry either sign.
 @settings(max_examples=400, deadline=None)
 @given(
-    k=st.integers(0, 2),
-    grid=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6),
+    k=st.integers(0, 3),
+    grid=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
     linf=st.booleans(),
+    negative_zeros=st.booleans(),
     data=st.data(),
 )
-def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, data):
+def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, negative_zeros, data):
     n = 2 * k + 2
     idx = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n))
     pts = np.asarray(grid, dtype=float)[idx]
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    dm = metric.validate(diff.max(axis=-1) if linf else diff.sum(axis=-1))
+    d = diff.max(axis=-1) if linf else diff.sum(axis=-1)
+    if negative_zeros:
+        d[d == 0] = -0.0
+    dm = metric.validate(d)
 
-    # the running top two equals the sorted rows of the square matrix
-    tb, td = principal.point_tops(metric.condensed(dm.entries), n)
+    # each point's top two are the last two of its sorted row of the square matrix,
+    # and the kernel folds them: the max of the second largest, the min of the largest
     rows = np.sort(dm.entries, axis=1)
-    np.testing.assert_array_equal(tb, rows[:, -2])
-    np.testing.assert_array_equal(td, rows[:, -1])
+    ext = principal.point_extremes(dm)
+    np.testing.assert_array_equal([p[0] for p in ext.per_point], rows[:, -2])
+    np.testing.assert_array_equal([p[1] for p in ext.per_point], rows[:, -1])
+    tb, td = principal.principal_of_pairs(metric.condensed(dm.entries), n)
+    assert (tb, td) == (rows[:, -2].max(), rows[:, -1].min())
+    batch = np.repeat(metric.condensed(dm.entries)[:, None], 3, axis=1)
+    for got, want in zip(principal.principal_of_pairs(batch, n), (tb, td)):
+        np.testing.assert_array_equal(got, [want] * 3)
 
     fast = principal.principal_diagram(dm, k)
     slow = oracle.vr_diagram(dm, k)
