@@ -86,27 +86,27 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import diagram_metrics, regions
-    if args.region_a and args.region_b:
-        result = diagram_metrics.compare_regions(
-            regions.parse_region(args.region_a),
-            regions.parse_region(args.region_b),
-            step=args.step,
-            interior_step=max(args.step, args.interior_step),
-        )
-    elif args.a and args.b:
-        sa, sb = engine.read_sample(args.a), engine.read_sample(args.b)
-        for path, s in ((args.a, sa), (args.b, sb)):
-            if s.n != 2 * s.k + 2:  # rows are flattened multi-point diagrams
-                raise UnsupportedCombination(f"{path}: compare needs one-point diagrams, n = 2k+2; "
-                                             f"the sample has n={s.n}, k={s.k}")
-        d = diagram_metrics.hausdorff_bottleneck_points(
-            sa.points, sb.points, empty_a=sa.trivial_count > 0, empty_b=sb.trivial_count > 0
-        )
-        result = {"hausdorff_bottleneck": d, "gh_lower_bound": d / 2.0, "resolution": 0.0}
-    else:
-        print("compare needs --a/--b sample files or --region-a/--region-b", file=sys.stderr)
+    sides = ((args.a, args.region_a), (args.b, args.region_b))
+    if any((path is None) == (region is None) for path, region in sides):
+        print("compare needs each side once: --a or --region-a, and --b or --region-b", file=sys.stderr)
         return 2
-    _print_json(result)
+    interior_step = max(args.step, args.interior_step)
+
+    def side(path, text):
+        """(points, whether the empty diagram belongs, (region, boundary) or None) of one side."""
+        if text is not None:
+            pts, region = diagram_metrics.region_points(regions.parse_region(text), args.step, interior_step)
+            return pts, True, region
+        s = engine.read_sample(path)
+        if s.n != 2 * s.k + 2:  # rows are flattened multi-point diagrams
+            raise UnsupportedCombination(f"{path}: compare needs one-point diagrams, n = 2k+2; "
+                                         f"the sample has n={s.n}, k={s.k}")
+        return s.points, s.trivial_count > 0, None
+
+    (pa, ea, ra), (pb, eb, rb) = (side(*s) for s in sides)
+    d = diagram_metrics.hausdorff_bottleneck_points(pa, pb, empty_a=ea, empty_b=eb, region_a=ra, region_b=rb)
+    resolution = 0.0 if args.region_a is None and args.region_b is None else interior_step
+    _print_json({"hausdorff_bottleneck": d, "gh_lower_bound": d / 2.0, "resolution": resolution})
     return 0
 
 

@@ -7,14 +7,14 @@ feasibility check per candidate.  Diagrams here are tiny (principal
 diagrams have at most one point), so no geometric acceleration is needed
 and the combined size is capped at 64.
 
-Sets of diagrams come in two shapes: small lists of general Diagrams
-(exact all-pairs Hausdorff) and large samples of at-most-one-point
-diagrams (a closed form per pair, maximized exactly by a numpy grid
-search that bounds every point's l-infinity nearest neighbor from box
-counts and searches only the points that can reach the maximum).
-Analytic regions are compared on deterministic boundary + interior grids
-through the same exact search; the reported value carries the grid step
-as its resolution.
+Sets of diagrams are small lists of general Diagrams (exact all-pairs
+Hausdorff) or large sets of at-most-one-point diagrams (a closed form
+per pair, maximized exactly by a numpy grid search that bounds every
+point's l-infinity nearest neighbor from box counts and searches only
+the points that can reach the maximum).  Either side of that search is
+a sample or an analytic region, which enters as its deterministic
+boundary + interior grids; a comparison with a region is accurate to
+about the grid step.
 """
 from __future__ import annotations
 
@@ -290,16 +290,18 @@ class _Bucket:
         return best
 
 
-def _grid(pts_a, pts_b):
-    """Both (nonempty) point sets on one grid of about _CELL_POINTS points
-    per cell, and the cell side."""
-    lo = np.minimum(pts_a.min(axis=0), pts_b.min(axis=0))
-    extent = float(np.max(np.maximum(pts_a.max(axis=0), pts_b.max(axis=0)) - lo))
-    g = max(1, math.isqrt((len(pts_a) + len(pts_b)) // _CELL_POINTS))
+def _grid(arrays):
+    """Every distinct (nonempty) point array on one grid of about
+    _CELL_POINTS points per cell: a bucket per array, by id, and the cell
+    side."""
+    arrays = list({id(p): p for p in arrays}.values())
+    lo = np.min([p.min(axis=0) for p in arrays], axis=0)
+    extent = float(np.max(np.max([p.max(axis=0) for p in arrays], axis=0) - lo))
+    g = max(1, math.isqrt(sum(map(len, arrays)) // _CELL_POINTS))
     side = extent / g
     if not 0.0 < side < math.inf:  # all points (nearly) equal, or wider than the float range
         g, side = 1, math.inf
-    return _Bucket(pts_a, lo, side, g), _Bucket(pts_b, lo, side, g), side
+    return {id(p): _Bucket(p, lo, side, g) for p in arrays}, side
 
 
 def _bounds(q, t, cap, side):
@@ -342,7 +344,16 @@ def _exact_max(q, t, cap, ub, floor, side):
     return floor
 
 
-def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: bool = True) -> float:
+def region_points(region, step: float, interior_step: float):
+    """A region as one side of hausdorff_bottleneck_points: its boundary
+    polyline at ``step`` plus its interior grid at ``interior_step``, and
+    ``(region, boundary)``."""
+    boundary = reg.boundary_points(region, step)
+    return np.concatenate((boundary, reg.interior_grid(region, interior_step))), (region, boundary)
+
+
+def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: bool = True,
+                                region_a=None, region_b=None) -> float:
     """Hausdorff-bottleneck between two big sets of one-point diagrams.
 
     ``pts_*`` are (N, 2) arrays of finite (birth, death), else NonFinite;
@@ -351,9 +362,12 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
     hausdorff_bottleneck on the expanded lists: a point P of A is
     min(nn(P), max(pers P, min pers of B) / 2) from the points of B, nn
     the l-infinity distance to the nearest one, and pers P / 2 from the
-    empty diagram.
+    empty diagram.  A side that discretizes a region (``region_*`` is
+    ``(region, boundary)``, see region_points) stands for the solid
+    region: a point of the other side inside it (tol 1e-12) is at 0, and
+    any other point takes its nn on the boundary polyline.
 
-    The maximum needs few nn: both sets go on one uniform grid, box
+    The maximum needs few nn: all sets go on one uniform grid, box
     counts bound every point's value from below and above, and the
     largest lower bound is a floor.  Only points whose upper bound clears
     the floor are searched: first in their own cell, which settles most
@@ -385,55 +399,28 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
         if not (len(pts_a) and len(pts_b)):  # the points have only the empty diagram to go to
             return max(floor, float(half_a.max(initial=0.0)), float(half_b.max(initial=0.0)))
 
-        bucket_a, bucket_b, side = _grid(pts_a, pts_b)
         directed = []
-        for q, t, t_empty in ((bucket_a, bucket_b, empty_b), (bucket_b, bucket_a, empty_a)):
+        for q, t, t_half, t_empty, t_region in ((pts_a, pts_b, half_b, empty_b, region_b),
+                                                (pts_b, pts_a, half_a, empty_a, region_a)):
+            if t_region is not None:
+                region, t = t_region
+                q = q[~reg.contains(region, q[:, 0], q[:, 1], tol=1e-12)]
+            if len(q):
+                directed.append((q, t, None if t_empty else float(t_half.min())))
+        if not directed:  # every point lies inside the other side's region
+            return floor
+        buckets, side = _grid([p for q, t, _ in directed for p in (q, t)])
+        searches = []
+        for q, t, t_min_half in directed:
+            q, t = buckets[id(q)], buckets[id(t)]
             half = (q.d - q.b) / 2.0
-            cap = half if t_empty else np.maximum(half, float(((t.d - t.b) / 2.0).min()))
+            cap = half if t_min_half is None else np.maximum(half, t_min_half)
             lb, ub = _bounds(q, t, cap, side)
             floor = max(floor, float(lb.max()))
-            directed.append((q, t, cap, ub))
-        for q, t, cap, ub in directed:
+            searches.append((q, t, cap, ub))
+        for q, t, cap, ub in searches:
             floor = _exact_max(q, t, cap, ub, floor, side)
         return floor
-
-
-# ---------------------------------------------------------------------------
-# Analytic-region comparison
-# ---------------------------------------------------------------------------
-
-def _directed_region(region_b, region_a, step: float, interior_step: float) -> float:
-    """sup over region B of the bottleneck distance to region A's diagram set
-    (its solid region plus the empty diagram): zero inside A, else the
-    smaller of half the persistence and the l-infinity distance to A's
-    boundary polyline, found by the exact grid search."""
-    pts = np.concatenate((reg.boundary_points(region_b, step), reg.interior_grid(region_b, interior_step)))
-    pts = pts[~reg.contains(region_a, pts[:, 0], pts[:, 1], tol=1e-12)]
-    if not len(pts):
-        return 0.0
-    q, t, side = _grid(pts, reg.boundary_points(region_a, step))
-    cap = (q.d - q.b) / 2.0
-    lb, ub = _bounds(q, t, cap, side)
-    return _exact_max(q, t, cap, ub, max(0.0, float(lb.max())), side)
-
-
-def compare_regions(region_a, region_b, step: float = 1e-3, interior_step: float = 5e-3) -> dict:
-    """Hausdorff-bottleneck and GH lower bound between two analytic regions.
-
-    Grid-based: boundary polylines at ``step`` plus interior grids at
-    ``interior_step``; both distances are 1-Lipschitz in the grid points,
-    so the result is accurate to about the grid resolution, which is
-    reported alongside.
-    """
-    d = max(
-        _directed_region(region_b, region_a, step, interior_step),
-        _directed_region(region_a, region_b, step, interior_step),
-    )
-    return {
-        "hausdorff_bottleneck": d,
-        "gh_lower_bound": d / 2.0,
-        "resolution": max(step, interior_step),
-    }
 
 
 def circle_vs_sphere_crosspolytope_bound(k: int) -> float:

@@ -162,19 +162,20 @@ def test_criterion_08_euclidean_circle_and_sphere(s1_campaign):
 
 
 def test_criterion_09_gh_lower_bounds():
-    res = dmx.compare_regions(
-        regions.CircleOddK(1, PI), regions.ModelSurfaceRegion(1.0), step=1e-3, interior_step=5e-3
-    )
+    (pa, ra), (pb, rb) = (dmx.region_points(r, 1e-3, 5e-3)
+                          for r in (regions.CircleOddK(1, PI), regions.ModelSurfaceRegion(1.0)))
+    hausdorff = dmx.hausdorff_bottleneck_points(pa, pb, region_a=ra, region_b=rb)
+    gh = hausdorff / 2.0
     crosspoly = dmx.circle_vs_sphere_crosspolytope_bound(3)
     ok = (
-        abs(res["hausdorff_bottleneck"] - 0.4293) <= 0.01
-        and abs(res["gh_lower_bound"] - 0.2147) <= 0.005
+        abs(hausdorff - 0.4293) <= 0.01
+        and abs(gh - 0.2147) <= 0.005
         and crosspoly == PI / 8
     )
     report(
         9,
         ok,
-        f"hausdorff {res['hausdorff_bottleneck']:.4f} ~ 0.4293, gh {res['gh_lower_bound']:.4f} ~ 0.2147, "
+        f"hausdorff {hausdorff:.4f} ~ 0.4293, gh {gh:.4f} ~ 0.2147, "
         f"crosspolytope bound == pi/8 exactly: {crosspoly == PI / 8}",
     )
 

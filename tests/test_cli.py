@@ -109,6 +109,24 @@ def test_compare_regions(capsys):
                 "--step", "0.005", "--interior-step", "0.02"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["gh_lower_bound"] == pytest.approx(0.2147, abs=0.01)
+    assert out["gh_lower_bound"] == out["hausdorff_bottleneck"] / 2.0
+    assert out["resolution"] == 0.02
+
+
+@pytest.mark.parametrize("step, interior_step", [("0.01", "0.02"), ("0.03", "0.02")])
+def test_compare_a_sample_against_a_region_either_way(step, interior_step, tmp_path, capsys):
+    csv = str(tmp_path / "s1.csv")
+    assert run(["sample", "--space", "s1", "--tuples", "4000", "--seed", "1", "--out", csv]) == 0
+    outs = []
+    for argv in (["--a", csv, "--region-b", "s1"], ["--region-a", "s1", "--b", csv]):
+        capsys.readouterr()
+        assert run(["compare", *argv, "--step", step, "--interior-step", interior_step]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    out = json.loads(outs[0])
+    assert out["resolution"] == max(float(step), float(interior_step))
+    assert out["gh_lower_bound"] == out["hausdorff_bottleneck"] / 2.0
+    assert 0.0 < out["hausdorff_bottleneck"] < 0.5
 
 
 def test_compare_samples(tmp_path, capsys):
@@ -200,6 +218,20 @@ def test_cli_prints_strict_json_with_null_for_non_finite_amounts(tmp_path, capsy
 
 def test_compare_usage_error(capsys):
     assert run(["compare", "--a", "only-one.csv"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "a.csv", "--b", "b.csv", "--region-a", "s1", "--region-b", "s2-geodesic"],
+    ["--a", "a.csv", "--region-a", "s1", "--b", "b.csv"],
+    ["--region-a", "s1", "--b", "b.csv", "--region-b", "s1"],
+    ["--region-a", "s1"],
+    ["--b", "b.csv"],
+    [],
+])
+def test_compare_needs_each_side_as_a_sample_or_a_region(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a.csv and b.csv do not exist: the sides are checked before any read
+    assert run(["compare", *argv]) == 2
+    assert "--region-a" in capsys.readouterr().err
 
 
 def test_graph_betti(capsys):
@@ -599,6 +631,11 @@ def test_compare_refuses_a_non_principal_sample(tmp_path, capsys):
     assert run(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "a.csv" in err and "n=6, k=1" in err
+    for argv in (["--a", str(tmp_path / "a.csv"), "--region-b", "s1"],
+                 ["--region-a", "s1", "--b", str(tmp_path / "a.csv")]):
+        assert run(["compare", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "a.csv" in err and "n=6, k=1" in err
 
 
 def test_readme_cli_lines_parse():

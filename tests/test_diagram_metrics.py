@@ -308,22 +308,90 @@ def test_crosspolytope_bound_values():
     assert dmx.circle_vs_sphere_crosspolytope_bound(1) == 0.0
 
 
+def region_pair(region_a, region_b, step, interior_step):
+    (pa, ra), (pb, rb) = (dmx.region_points(r, step, interior_step) for r in (region_a, region_b))
+    return dmx.hausdorff_bottleneck_points(pa, pb, region_a=ra, region_b=rb)
+
+
 def test_compare_region_with_itself_is_zero():
-    res = dmx.compare_regions(
-        regions.CircleOddK(1, PI), regions.CircleOddK(1, PI), step=1e-2, interior_step=5e-2
-    )
-    assert res["hausdorff_bottleneck"] == 0.0
-    assert res["gh_lower_bound"] == 0.0
+    assert region_pair(regions.CircleOddK(1, PI), regions.CircleOddK(1, PI), 1e-2, 5e-2) == 0.0
 
 
 def test_compare_regions_circle_vs_sphere_coarse():
     # the acceptance suite runs step=1e-3; keep the module test cheap
-    res = dmx.compare_regions(
-        regions.CircleOddK(1, PI), regions.ModelSurfaceRegion(1.0), step=5e-3, interior_step=2e-2
-    )
-    assert res["hausdorff_bottleneck"] == pytest.approx(0.4293, abs=0.02)
-    assert res["gh_lower_bound"] == res["hausdorff_bottleneck"] / 2.0
-    assert res["resolution"] == 2e-2
+    d = region_pair(regions.CircleOddK(1, PI), regions.ModelSurfaceRegion(1.0), 5e-3, 2e-2)
+    assert d == pytest.approx(0.4293, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# a sample against a region
+# ---------------------------------------------------------------------------
+
+def assert_sample_vs_region_matches_all_pairs(sample, region, step, interior_step):
+    """The sample against the region's boundary and interior grids, all
+    pairs, on either side: a sample point inside the region (tol 1e-12)
+    is at 0, any other takes its nearest boundary point, and the region
+    holds the empty diagram."""
+    sample = np.asarray(sample, dtype=float).reshape(-1, 2)
+    pts, side = dmx.region_points(region, step, interior_step)
+    inside = regions.contains(region, sample[:, 0], sample[:, 1], tol=1e-12)
+    nearest = (np.where(inside, 0.0, all_pairs_nearest(sample, side[1])[0]), all_pairs_nearest(sample, pts)[1])
+    for empty in (True, False) if len(sample) else (True,):
+        want = reference_hausdorff(sample, pts, empty, True, nearest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dmx.hausdorff_bottleneck_points(sample, pts, empty_a=empty, region_b=side) == want, empty
+            assert dmx.hausdorff_bottleneck_points(pts, sample, empty_b=empty, region_a=side) == want, empty
+
+
+@pytest.mark.parametrize("space, seed", [("s1", 1), ("sphere:m=2", 2), ("s1-e", 3)])
+@pytest.mark.parametrize("region", ["s1", "s2-geodesic", "mk:kappa=-1", "sphere-e:m=2"])
+def test_campaign_against_a_region_matches_all_pairs(space, seed, region):
+    sample = engine.sample_persistence_set(spaces.parse_space(space), 4, 1, 1 << 10, seed=seed).points
+    assert_sample_vs_region_matches_all_pairs(sample, regions.parse_region(region), 0.05, 0.1)
+
+
+def test_points_on_and_near_a_region_boundary_match_all_pairs(rng):
+    region = regions.parse_region("s1")
+    edge = regions.boundary_points(region, 0.1)
+    scattered = np.sort(rng.uniform(0.0, 4.0, size=(300, 2)), axis=1)
+    for sample in (edge, edge + 1e-13, edge - 1e-13, edge + [0.0, 1e-6], scattered, scattered[:1],
+                   np.empty((0, 2))):
+        assert_sample_vs_region_matches_all_pairs(sample, region, 0.03, 0.1)
+    # boundary points far apart, interior points close: a point just above
+    # the top edge takes its nearest boundary point, not its nearest interior one
+    pts = dmx.region_points(region, 0.5, 0.02)[0]
+    top = np.sort(pts[pts[:, 1] == PI, 0])
+    above = np.column_stack([(top[:-1] + top[1:]) / 2.0, np.full(len(top) - 1, PI + 0.05)])
+    for sample in (above, np.concatenate((pts, above))):
+        assert_sample_vs_region_matches_all_pairs(sample, region, 0.5, 0.02)
+
+
+def test_a_sample_of_the_region_and_points_within_tolerance_is_at_zero():
+    region = regions.parse_region("s1")
+    pts, side = dmx.region_points(region, 0.1, 0.05)
+    # midway between boundary points on the top edge t_d = pi, less than the tolerance above it
+    top = np.sort(pts[pts[:, 1] == PI, 0])
+    near = np.column_stack([(top[:-1] + top[1:]) / 2.0, np.full(len(top) - 1, PI + 5e-13)])
+    assert len(near) and not regions.contains(region, near[:, 0], near[:, 1]).any()
+    sample = np.concatenate((pts, near))
+    assert dmx.hausdorff_bottleneck_points(sample, pts, region_b=side) == 0.0
+    assert dmx.hausdorff_bottleneck_points(pts, sample, region_a=side) == 0.0
+
+
+def test_s1_campaign_against_region_s1_falls_with_tuples():
+    region = regions.parse_region("s1")
+    pts, side = dmx.region_points(region, 1e-3, 5e-3)
+    values = []
+    for tuples in (1 << 12, 1 << 16, 1 << 20):
+        sample = engine.sample_persistence_set(spaces.parse_space("s1"), 4, 1, tuples, seed=3)
+        # every point lies in the region, so the sample-to-region term is 0
+        assert regions.contains(region, sample.points[:, 0], sample.points[:, 1], tol=1e-12).all()
+        empty = sample.trivial_count > 0
+        d = dmx.hausdorff_bottleneck_points(sample.points, pts, empty_a=empty, region_b=side)
+        assert dmx.hausdorff_bottleneck_points(pts, sample.points, empty_b=empty, region_a=side) == d
+        values.append(d)
+    assert values[0] > values[1] > values[2] > 0.0, values
 
 
 def test_stability_of_principal_diagrams(rng):

@@ -82,7 +82,7 @@ GOLDEN = {
     ),
 }
 
-# (region a, region b, boundary step): compare_regions hausdorff_bottleneck
+# (region a, region b, boundary step): hausdorff_bottleneck_points of the two region sides
 COMPARE = {
     ("s1", "mk:kappa=1", 0.02): 0.4261872847778232,
     ("s1", "mk:kappa=1", 0.01): 0.4287446157879098,
@@ -137,6 +137,6 @@ def test_scalar_membership_is_a_bool(name):
 
 @pytest.mark.parametrize("a, b, step", sorted(COMPARE))
 def test_compare_regions_values(a, b, step):
-    got = diagram_metrics.compare_regions(regions.parse_region(a), regions.parse_region(b),
-                                          step=step, interior_step=2e-2)
-    assert got["hausdorff_bottleneck"] == COMPARE[(a, b, step)]
+    (pa, ra), (pb, rb) = (diagram_metrics.region_points(regions.parse_region(r), step, 2e-2) for r in (a, b))
+    got = diagram_metrics.hausdorff_bottleneck_points(pa, pb, region_a=ra, region_b=rb)
+    assert got == COMPARE[(a, b, step)]
