@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +49,6 @@ class PersistenceSetSample:
     points: np.ndarray  # (m, 2) nontrivial (t_b, t_d) pairs
     trivial_count: int
     seed: int
-    kept_tuples: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def nontrivial_fraction(self) -> float:
@@ -117,7 +116,8 @@ def sample_tuples(space, rng, count: int, n: int):
     The tuples are drawn in one call, then walked in blocks of BLOCK:
     ``prepare`` gets each block once, as an (n, B, D) view, and every
     ``pair_distance`` call gets two of the n positions it returns, so
-    temporaries stay at B values per coordinate.
+    temporaries stay at B values per coordinate.  UnsupportedCombination
+    if a distance is negative, infinite or NaN.
     """
     pts = space.sample_points(rng, count * n).reshape(count, n, -1)
     pairs = np.empty((n * (n - 1) // 2, count))
@@ -127,17 +127,22 @@ def sample_tuples(space, rng, count: int, n: int):
         for p, (i, j) in enumerate(ij):
             pairs[p, b:b + BLOCK] = space.pair_distance(at[i], at[j])
         del at  # the next block's prepare reuses this memory instead of faulting in new pages
+    if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
+        raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
+                                     f"to {pairs.max()}; a campaign needs them in [0, inf)")
     return pts, pairs
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def _tasks(space, n, k, tuples, seed):
+    """The ``_chunk`` arguments of a campaign, in chunk order: CHUNK tuples a chunk at n = 2k+2, else 1024."""
+    size = CHUNK if n == 2 * k + 2 else 1024
+    return [(space, n, k, seed, c, min(size, tuples - b)) for c, b in enumerate(range(0, tuples, size))]
 
 
-def _run_chunk(space, n, k, seed, chunk_index, count, keep):
-    """The nontrivial points of one chunk, its trivial count and, if ``keep``, the
-    tuple of each point; the O(n^2) kernel when n = 2k+2, else the oracle."""
-    rng = _chunk_rng(seed, chunk_index)
+def _chunk(space, n, k, seed, chunk_index, count):
+    """The tuples of one chunk, their nontrivial points and each tuple's point
+    count; the O(n^2) kernel when n = 2k+2, else the oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     pts, dists = sample_tuples(space, rng, count, n)
     if n == 2 * k + 2:
         tb, td = np.empty(count), np.empty(count)
@@ -150,8 +155,12 @@ def _run_chunk(space, n, k, seed, chunk_index, count, keep):
         dgms = [vr_diagram(DistanceMatrix(m), k).points for m in squareform(dists, n)]
         per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
         pairs = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
-    kept = np.repeat(pts, per_tuple, axis=0) if keep else None
-    return pairs, count - int(np.count_nonzero(per_tuple)), kept
+    return pts, pairs, per_tuple
+
+
+def _run_chunk(space, n, k, seed, chunk_index, count):
+    _, points, per_tuple = _chunk(space, n, k, seed, chunk_index, count)
+    return points, count - int(np.count_nonzero(per_tuple))
 
 
 def check_campaign(n: int, k: int, tuples: int, seed: int) -> None:
@@ -172,7 +181,6 @@ def sample_persistence_set(
     m_max: int,
     seed: int,
     workers: int = 1,
-    keep_nontrivial_tuples: bool = False,
 ) -> PersistenceSetSample:
     """Estimate the (n, k) persistence set / measure with m_max tuples.
 
@@ -180,21 +188,15 @@ def sample_persistence_set(
     n = 2k+2 is the principal path (the O(n^2) kernel, chunks of CHUNK
     tuples); any other k+2 <= n <= oracle.MAX_POINTS runs every tuple
     through the brute-force oracle, in chunks of 1024, flattening all
-    diagram points (row i of ``kept_tuples`` is then the tuple of
-    ``points[i]``, repeated per point).  The pool holds at most
-    ``workers``, the chunk count and the machine's CPU count processes.
+    diagram points.  The pool holds at most ``workers``, the chunk
+    count and the machine's CPU count processes.
     """
     space = space_of(space)
     if workers < 1:
         raise UnsupportedCombination(f"workers must be >= 1, got workers={workers}")
     check_campaign(n, k, m_max, seed)
 
-    chunk = CHUNK if n == 2 * k + 2 else 1024
-    counts = [chunk] * (m_max // chunk)
-    if m_max % chunk:
-        counts.append(m_max % chunk)
-
-    tasks = [(space, n, k, seed, c, cnt, keep_nontrivial_tuples) for c, cnt in enumerate(counts)]
+    tasks = _tasks(space, n, k, m_max, seed)
     # under fork the pool starts all its workers at the first submit
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size > 1:
@@ -206,7 +208,6 @@ def sample_persistence_set(
 
     points = np.concatenate([r[0] for r in results], axis=0)
     trivial = sum(r[1] for r in results)
-    kept = np.concatenate([r[2] for r in results]) if keep_nontrivial_tuples else None
     return PersistenceSetSample(
         space=space.descriptor,
         n=n,
@@ -215,8 +216,25 @@ def sample_persistence_set(
         points=points,
         trivial_count=trivial,
         seed=seed,
-        kept_tuples=kept,
     )
+
+
+def kept_tuples(space, sample: PersistenceSetSample) -> np.ndarray:
+    """(m, n, D): row i is the tuple that produced ``sample.points[i]``, once per diagram point.  Each chunk
+    is redrawn from the seed in turn, so a sample read from its file gets its tuples too."""
+    space = space_of(space)
+    if space.descriptor != sample.space:
+        raise UnsupportedCombination(f"the sample is of {sample.space!r}, not of {space.descriptor!r}")
+    check_campaign(sample.n, sample.k, sample.tuples_drawn, sample.seed)
+    kept, at, same = [], 0, True
+    for task in _tasks(space, sample.n, sample.k, sample.tuples_drawn, sample.seed):
+        tuples, points, per_tuple = _chunk(*task)
+        same &= points.tobytes() == sample.points[at:at + len(points)].tobytes()
+        kept.append(np.repeat(tuples, per_tuple, axis=0))
+        at += len(points)
+    if not same or at != len(sample.points):
+        raise UnsupportedCombination(f"{space.descriptor!r} with seed {sample.seed} redraws other points")
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------

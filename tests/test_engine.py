@@ -90,7 +90,8 @@ def test_oracle_fallback_matches_principal_on_principal_case():
     # the oracle on the same one-chunk tuples must agree with it
     space = spaces.CircleGeodesic()
     s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
-    _, pairs = engine.sample_tuples(space, engine._chunk_rng(3, 0), 500, 4)
+    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))  # chunk 0's stream
+    _, pairs = engine.sample_tuples(space, rng, 500, 4)
     dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
     assert s.trivial_count == sum(not d for d in dgms)
@@ -107,11 +108,11 @@ def test_oracle_fallback_non_principal():
 
 def test_finite_space_kept_tuples_are_row_indices():
     dm = circle_angles_matrix([i * PI / 3 for i in range(6)])  # regular hexagon
-    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 3000, seed=4,
-                                      keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 3000, seed=4)
+    kept = engine.kept_tuples(engine.FiniteSpace(dm), s)
     assert s.space == "finite:6"
-    assert s.kept_tuples.shape == (len(s.points), 4, 1)
-    for tup, point in zip(s.kept_tuples[:50], s.points):
+    assert kept.shape == (len(s.points), 4, 1)
+    for tup, point in zip(kept[:50], s.points):
         dgm = principal.principal_diagram(metric.restrict(dm, tup[:, 0]), 1)
         assert dgm.point == tuple(point)
 
@@ -133,9 +134,33 @@ class Segment:
 
 def test_custom_space_needs_only_the_protocol():
     # an interval is a tree: no 4-point subset carries a 1-cycle
-    s = engine.sample_persistence_set(Segment(), 4, 1, 5000, seed=2, keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(Segment(), 4, 1, 5000, seed=2)
     assert s.space == "segment"
-    assert s.trivial_count == 5000 and s.kept_tuples.shape == (0, 4, 1)
+    assert s.trivial_count == 5000 and engine.kept_tuples(Segment(), s).shape == (0, 4, 1)
+
+
+class GapSegment(Segment):
+    """The unit interval, but ``gap`` is the distance from any point of its last hundredth."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def pair_distance(self, p, q):
+        return np.where(p[..., 0] < 0.99, np.abs(p[..., 0] - q[..., 0]), self.gap)
+
+
+class NegativeSegment(Segment):
+    def pair_distance(self, p, q):
+        return -np.abs(p[..., 0] - q[..., 0])
+
+
+@pytest.mark.parametrize("space, n, k", [(GapSegment(np.nan), 4, 1), (GapSegment(np.inf), 4, 1),
+                                         (NegativeSegment(), 4, 1), (NegativeSegment(), 5, 1)],
+                         ids=["nan", "inf", "negative", "negative-oracle"])
+def test_campaign_refuses_a_distance_outside_zero_to_inf(space, n, k):
+    # a NaN made every diagram trivial and a negative distance gave negative t_b and t_d, both silently
+    with pytest.raises(UnsupportedCombination, match="space 'segment' gave pair distances"):
+        engine.sample_persistence_set(space, n, k, 5000, seed=2)
 
 
 def test_prepare_runs_once_per_block(monkeypatch):
@@ -417,13 +442,12 @@ def test_svg_bytes(tmp_path, circle_sample):
 
 
 def test_kept_tuples_align_with_points():
-    s = engine.sample_persistence_set(
-        spaces.CircleGeodesic(), 4, 1, 50_000, seed=9, keep_nontrivial_tuples=True
-    )
-    assert s.kept_tuples is not None and len(s.kept_tuples) == len(s.points)
+    s = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 50_000, seed=9)
+    kept = engine.kept_tuples("s1", s)
+    assert kept is not None and len(kept) == len(s.points)
     c = spaces.CircleGeodesic()
     for i in range(0, len(s.points), 500):
-        mat = c.pair_distance(s.kept_tuples[i][:, None, :], s.kept_tuples[i][None, :, :])
+        mat = c.pair_distance(kept[i][:, None, :], kept[i][None, :, :])
         tb, td = principal.principal_of_pairs(metric.condensed(mat), 4)
         assert (tb, td) == (s.points[i, 0], s.points[i, 1])
 
@@ -435,9 +459,10 @@ def test_finite_kept_tuples_align_with_points(block, monkeypatch):
     v = np.random.default_rng(8).standard_normal((20, 3))
     v = (v / np.linalg.norm(v, axis=1)[:, None])[[*range(20), 2, 5, 5]]
     dm = metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1))
-    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 20_000, seed=6, keep_nontrivial_tuples=True)
-    assert s.kept_tuples.shape == (len(s.points), 4, 1) and len(s.points) > 500
-    for t, point in zip(s.kept_tuples[..., 0], s.points):
+    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 20_000, seed=6)
+    kept = engine.kept_tuples(engine.FiniteSpace(dm), s)
+    assert kept.shape == (len(s.points), 4, 1) and len(s.points) > 500
+    for t, point in zip(kept[..., 0], s.points):
         tb, td = principal.principal_of_pairs(metric.condensed(dm.entries[np.ix_(t, t)]), 4)
         assert np.array([tb, td]).tobytes() == point.tobytes()
 
@@ -445,11 +470,12 @@ def test_finite_kept_tuples_align_with_points(block, monkeypatch):
 def test_oracle_kept_tuples_align_with_points():
     # eight points on a wedge of two circles: some diagrams carry two points
     g = graphs.parse_family("wedge:3.5,4.5")
-    s = engine.sample_persistence_set(g, 8, 1, 1024, seed=3, keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(g, 8, 1, 1024, seed=3)
+    kept = engine.kept_tuples(g, s)
     assert len(s.points) + s.trivial_count > s.tuples_drawn
-    assert s.kept_tuples.shape == (len(s.points), 8, 2)
+    assert kept.shape == (len(s.points), 8, 2)
     i, j = np.triu_indices(8, 1)
-    for tup, point in zip(s.kept_tuples, s.points):
+    for tup, point in zip(kept, s.points):
         mat = metric.squareform(g.pair_distance(tup[i], tup[j]), 8)
         assert tuple(point) in oracle.vr_diagram(metric.DistanceMatrix(mat), 1).points
 
@@ -464,13 +490,46 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w,
-                                          keep_nontrivial_tuples=True)
+    runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w)
             for w in (1, 2)]
     assert runs[0].trivial_count == runs[1].trivial_count
     assert np.array_equal(runs[0].points, runs[1].points)
-    assert np.array_equal(runs[0].kept_tuples, runs[1].kept_tuples)
+    assert np.array_equal(*(engine.kept_tuples("s1", r) for r in runs))
     assert started == [2]  # two chunks of at most 1024 tuples
+
+
+def cloud_space(size=30):
+    v = np.random.default_rng(5).standard_normal((size, 3))
+    return engine.FiniteSpace(metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
+
+
+@pytest.mark.parametrize("space, n, k, tuples", [(cloud_space(), 4, 1, 140_000),
+                                                 ("glued:3.5,4.5:alpha=0.5", 4, 1, 140_000),
+                                                 ("s1", 5, 1, 1100)], ids=["finite", "graph", "oracle"])
+def test_kept_tuples_of_a_sample_read_from_its_file(space, n, k, tuples, tmp_path):
+    # a partial last chunk each; the sample file holds no tuples, the redraw from its seed does
+    s = engine.sample_persistence_set(space, n, k, tuples, seed=4)
+    engine.write_sample(s, tmp_path / "s.csv")
+    kept = engine.kept_tuples(space, engine.read_sample(tmp_path / "s.csv"))
+    assert len(kept) == len(s.points) > 0
+    assert kept.tobytes() == engine.kept_tuples(space, s).tobytes()
+
+
+def test_kept_tuples_refuse_a_space_or_sample_that_does_not_match():
+    s = engine.sample_persistence_set("glued:3.5,4.5:alpha=0.5", 4, 1, 70_000, seed=4)
+    with pytest.raises(UnsupportedCombination, match="the sample is of 'graph:2v:3e', not of 's1'"):
+        engine.kept_tuples("s1", s)
+    # one descriptor, other edge lengths: the redraw gives other points
+    assert graphs.parse_family("glued:3.6,4.5:alpha=0.5").descriptor == s.space
+    with pytest.raises(UnsupportedCombination, match="redraws other points"):
+        engine.kept_tuples("glued:3.6,4.5:alpha=0.5", s)
+    # another seed, a point short, a point over, one ulp off
+    for points, seed in [(s.points, 5), (s.points[:-1], 4), (s.points[[*range(len(s.points)), 0]], 4),
+                         (np.nextafter(s.points, 9), 4)]:
+        with pytest.raises(UnsupportedCombination, match="redraws other points"):
+            engine.kept_tuples("glued:3.5,4.5:alpha=0.5", dataclasses.replace(s, points=points, seed=seed))
+    with pytest.raises(UnsupportedCombination, match="tuples must be >= 1"):
+        engine.kept_tuples("glued:3.5,4.5:alpha=0.5", dataclasses.replace(s, points=s.points[:0], tuples_drawn=0))
 
 
 @pytest.fixture

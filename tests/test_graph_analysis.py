@@ -143,13 +143,13 @@ def test_near_corner_configurations_look_like_squares():
     # configurations within the apex band of the corner have all sides
     # close to lam/2 and both diagonals close to lam
     g = graphs.wedge_of_circles([2 * PI])  # single circle, lam = pi
-    s = engine.sample_persistence_set(g, 4, 1, 400_000, seed=11, keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(g, 4, 1, 400_000, seed=11)
     band = 0.1
     tb, td = s.points[:, 0], s.points[:, 1]
     apex = np.abs(td - 2.0 * tb) <= band * td
     assert apex.sum() > 50
     lam = PI
-    for tup in s.kept_tuples[apex][:200]:
+    for tup in engine.kept_tuples(g, s)[apex][:200]:
         d = graphs.distance_matrix_of_points(g, [(int(e), o) for e, o in tup])
         partner = d.argmax(axis=1)
         diagonals = d[np.arange(4), partner]
@@ -163,17 +163,18 @@ def test_near_corner_configurations_look_like_squares():
 def test_no_straddling_corner_configurations_on_glued_cycles():
     # square-like configurations in an admissible gluing stay inside one side
     g = graphs.glued_cycles([3.5, 4.5], 0.5)
-    s = engine.sample_persistence_set(g, 4, 1, 200_000, seed=12, keep_nontrivial_tuples=True)
+    s = engine.sample_persistence_set(g, 4, 1, 200_000, seed=12)
     rep = ga.detect_corners(s)
     assert rep.estimated_betti == 2
     tb, td = s.points[:, 0], s.points[:, 1]
     rho = tb + td / 2.0
     near_line = np.abs(td - 2.0 * tb) <= 0.1 * td
+    kept = engine.kept_tuples(g, s)
     # edge 0 = shared path, edge 1 = arc of cycle 1, edge 2 = arc of cycle 2
     for corner in rep.corners:
         strip = (rho <= corner.lam * 1.08) & near_line
         assert strip.any()
-        for tup in s.kept_tuples[strip]:
+        for tup in kept[strip]:
             edges = set(int(e) for e, _ in tup)
             assert not ({1, 2} <= edges), "corner configuration straddles the gluing"
 
