@@ -26,7 +26,6 @@ import numpy as np
 from . import regions as reg
 from .errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
 from .oracle import Diagram
-from .principal import PrincipalDiagram
 
 MAX_MATCH_POINTS = 64
 
@@ -44,7 +43,7 @@ class MatchingCost:
 def _points_of(d) -> list[tuple[float, float]]:
     if d is None:
         return []
-    if isinstance(d, (Diagram, PrincipalDiagram)):
+    if isinstance(d, Diagram):
         return list(d.points)
     return [(float(b), float(v)) for b, v in d]
 
@@ -142,7 +141,7 @@ def _matcher(pa, pb) -> MatchingCost:
 def bottleneck(d1, d2) -> MatchingCost:
     """Exact bottleneck distance between two finite diagrams.
 
-    Accepts Diagram, PrincipalDiagram or plain (birth, death) lists.
+    Accepts Diagram or plain (birth, death) lists.
     Diagrams with at most one point each take the closed form
     min(l_inf(P, Q), max(pers P, pers Q) / 2); the general matcher agrees
     with it (a tested invariant).

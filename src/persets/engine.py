@@ -278,11 +278,7 @@ def histogram(
     )
 
 
-def density_l1_error(
-    hist: Histogram2D,
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    subsamples: int = 32,
-) -> float:
+def density_l1_error(hist: Histogram2D, density: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """L1 distance between the empirical and analytic nontrivial densities.
 
     Both sides are compared on the nontrivial-mass scale: the empirical
@@ -290,7 +286,7 @@ def density_l1_error(
     to the nontrivial fraction, and ``density`` must integrate to the same
     fraction (the trivial mass is excluded from both sides rather than
     renormalized to 1; renormalizing would just multiply the error by the
-    reciprocal fraction).  Analytic bin averages use a subsample grid.
+    reciprocal fraction).  Analytic bin averages use a 32 x 32 subsample grid.
     """
     counts = hist.counts
     if counts.sum() == 0:
@@ -299,7 +295,7 @@ def density_l1_error(
     (b0, b1), (d0, d1) = hist.range_b, hist.range_d
     wb, wd = (b1 - b0) / nb, (d1 - d0) / nd
 
-    s = subsamples
+    s = 32
     off = (np.arange(s) + 0.5) / s
     tb = b0 + (np.arange(nb)[:, None] + off[None, :]) * wb  # (nb, s)
     td = d0 + (np.arange(nd)[:, None] + off[None, :]) * wd  # (nd, s)
@@ -461,6 +457,7 @@ def write_histogram(hist: Histogram2D, csv_path) -> None:
 
 _SVG_SIZE = 720
 _SVG_MARGIN = 60
+_SVG_MAX_POINTS = 20000  # a scatter of more points draws every ceil(len / this)-th one
 
 
 def _axes(lo, hi, angular: bool) -> list[tuple[float, str]]:
@@ -511,12 +508,12 @@ def _svg_close(lines, path, template: str, *columns) -> None:
         fh.write("\n".join(lines + marks + ["</svg>"]) + "\n")
 
 
-def svg_scatter(points: np.ndarray, path, angular: bool = True, title: str = "", max_points: int = 20000) -> None:
+def svg_scatter(points: np.ndarray, path, angular: bool = True, title: str = "") -> None:
     """Scatter plot of (t_b, t_d) pairs on the square [0, max]^2, all points
     formatted by one ``%.1f`` template: the bytes of one f-string per point."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) > max_points:
-        stride = int(math.ceil(len(pts) / max_points))
+    if len(pts) > _SVG_MAX_POINTS:
+        stride = int(math.ceil(len(pts) / _SVG_MAX_POINTS))
         pts = pts[::stride]
     hi = float(pts.max()) * 1.05 if len(pts) else 1.0
     lines, sx, sy = _svg_open(title, 0.0, hi, angular)

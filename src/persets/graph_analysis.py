@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NotPrincipal41, SizeMismatch
 from .metric import DistanceMatrix
-from .principal import PrincipalDiagram
+from .oracle import Diagram
 
 _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
@@ -122,7 +122,7 @@ def reconstruct(dec: SplitDecomposition) -> np.ndarray:
     return m[np.ix_(inv, inv)]
 
 
-def tight_span_persistence(dec: SplitDecomposition) -> PrincipalDiagram:
+def tight_span_persistence(dec: SplitDecomposition) -> Diagram:
     """Degree-1 persistence read off the box realization.
 
     Independent of the t_b/t_d route: the four strict pendant inequalities
@@ -134,8 +134,8 @@ def tight_span_persistence(dec: SplitDecomposition) -> PrincipalDiagram:
         m = dec.relabeled
         t_b = max(m[0, 1], m[1, 2], m[2, 3], m[0, 3])
         t_d = min(m[0, 2], m[1, 3])
-        return PrincipalDiagram((float(t_b), float(t_d)))
-    return PrincipalDiagram(None)
+        return Diagram(1, ((float(t_b), float(t_d)),))
+    return Diagram(1, ())
 
 
 def detect_corners(sample, rel_tol: float = 0.08, min_support: int = 10) -> CornerReport:

@@ -10,11 +10,13 @@ Self-loops (u == u) are allowed and model whole circles attached at a
 single vertex: trying both orientations of each endpoint route recovers
 the correct arc distance.
 
-The engine hands each block of drawn (edge, offset) rows to
-``MetricGraph.prepare``, which computes every point's edge ends and the
-lengths to them once (``GraphEnds``); a pair then costs four look-ups in
-the vertex table.  Raw rows given to ``pair_distance`` are prepared on
-the spot, so both paths run the one route and give the same bits.
+A point is an (edge index, offset) row.  ``MetricGraph.prepare`` turns
+(n, B, 2) rows into each point's edge ends and the lengths to them
+(``GraphEnds``), once per point, and ``pair_distance`` takes only those:
+a pair then costs four look-ups in the vertex table.  Raw rows reach a
+distance through ``spaces.distance`` and ``spaces.distance_matrix``,
+which check them with ``MetricGraph.validate_point`` first and then run
+the engine's route, so both give the same bits.
 """
 from __future__ import annotations
 
@@ -27,16 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
-from .metric import number, read_json, squareform, whole, write_json
+from .metric import number, read_json, whole, write_json
 from .spaces import no_unused_options, parse_number, parse_options
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class GraphPoint:
-    edge: int
-    offset: float
 
 
 class GraphEnds(NamedTuple):
@@ -79,15 +75,29 @@ class MetricGraph:
         return sample_graph(self, rng, count)
 
     def prepare(self, points):
-        """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of (B,) arrays."""
-        return [GraphEnds(*cols) for cols in zip(*_ends(self, points))]
+        """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of C-contiguous (B,) arrays."""
+        edge = points[..., 0].astype(np.intp, order="C")
+        w_u = points[..., 1].astype(float, order="C")
+        u, v = self.edge_u[edge], self.edge_v[edge]
+        rows = self.vertex_count
+        return [GraphEnds(*cols) for cols in zip(edge, w_u, self.edge_len[edge] - w_u, u * rows, v * rows, u, v)]
 
     def pair_distance(self, p, q):
-        """Distances of two prepared positions, or of two (..., 2) arrays of
-        (edge, offset) rows, which are prepared here."""
-        if not isinstance(p, GraphEnds):
-            p, q = _ends(self, p), _ends(self, q)
+        """Distances of two prepared positions."""
         return point_distance_batch(self, p, q)
+
+    def validate_point(self, p):
+        """InvalidPoint unless every (..., 2) row is an edge index and an offset on that edge."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 0 or p.shape[-1] != 2:
+            raise InvalidPoint(f"graph points are (edge, offset) rows, got shape {p.shape}")
+        edge, offset = p[..., 0], p[..., 1]
+        bad = ~((edge >= 0) & (edge < len(self.edges)) & (edge == np.floor(edge)))  # NaN fails
+        if bad.any():
+            raise InvalidPoint(f"edge index {edge[bad][0]:g} is not one of the {len(self.edges)} edges")
+        bad = ~((offset >= 0) & (offset <= self.edge_len[edge.astype(np.intp)]))
+        if bad.any():
+            raise InvalidPoint(f"offset {offset[bad][0]:g} outside edge {int(edge[bad][0])}")
 
 
 def build_graph(vertex_count: int, edges) -> MetricGraph:
@@ -136,16 +146,6 @@ def build_graph(vertex_count: int, edges) -> MetricGraph:
     return MetricGraph(vertex_count, edges, dist, eu, ev, elen)
 
 
-def _ends(graph: MetricGraph, points) -> GraphEnds:
-    """The GraphEnds of (..., 2) (edge, offset) rows, as C-contiguous arrays."""
-    points = np.asarray(points, dtype=float)
-    edge = points[..., 0].astype(np.intp, order="C")
-    w_u = points[..., 1].astype(float, order="C")
-    u, v = graph.edge_u[edge], graph.edge_v[edge]
-    rows = graph.vertex_count
-    return GraphEnds(edge, w_u, graph.edge_len[edge] - w_u, u * rows, v * rows, u, v)
-
-
 def point_distance_batch(graph: MetricGraph, p: GraphEnds, q: GraphEnds):
     """Shortest-path lengths of aligned prepared points: the minimum of the
     four endpoint routes, then the in-edge segment where p and q share an edge."""
@@ -159,16 +159,6 @@ def point_distance_batch(graph: MetricGraph, p: GraphEnds, q: GraphEnds):
     if same.any():
         best = np.where(same, np.minimum(best, np.abs(p.w_u - q.w_u)), best)
     return best
-
-
-def point_distance(graph: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
-    """Exact shortest-path length between two edge points."""
-    for pt in (p, q):
-        if not (0 <= pt.edge < len(graph.edges)):
-            raise InvalidPoint(f"edge index {pt.edge} out of range")
-        if not (0.0 <= pt.offset <= graph.edges[pt.edge][2]):
-            raise InvalidPoint(f"offset {pt.offset} outside edge {pt.edge}")
-    return float(graph.pair_distance(np.asarray([[p.edge, p.offset]]), np.asarray([[q.edge, q.offset]]))[0])
 
 
 def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
@@ -186,16 +176,6 @@ def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
     out[:, 0] = e
     out[:, 1] = o
     return out
-
-
-def distance_matrix_of_points(graph: MetricGraph, points) -> np.ndarray:
-    """Pairwise matrix of GraphPoints or (edge, offset) rows: i < j values, mirrored."""
-    arr = np.asarray(
-        [(p.edge, p.offset) if isinstance(p, GraphPoint) else tuple(p) for p in points],
-        dtype=float,
-    )
-    i, j = np.triu_indices(len(arr), 1)
-    return squareform(graph.pair_distance(arr[i], arr[j]), len(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -23,25 +23,7 @@ import numpy as np
 
 from .errors import SizeMismatch, TooFewPoints
 from .metric import DistanceMatrix, condensed
-
-
-@dataclass(frozen=True)
-class PrincipalDiagram:
-    """Empty diagram or a single (birth, death) point with birth < death."""
-
-    point: Optional[tuple[float, float]] = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.point is None
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return () if self.point is None else (self.point,)
-
-    @property
-    def persistence(self) -> float:
-        return 0.0 if self.point is None else self.point[1] - self.point[0]
+from .oracle import Diagram
 
 
 @dataclass(frozen=True)
@@ -123,8 +105,8 @@ def point_extremes(matrix: DistanceMatrix) -> PointExtremes:
     return PointExtremes(tuple(per))
 
 
-def principal_diagram(matrix: DistanceMatrix, k: int) -> PrincipalDiagram:
-    """The unique degree-k diagram point of a 2k+2 point space, or empty.
+def principal_diagram(matrix: DistanceMatrix, k: int) -> Diagram:
+    """The degree-k diagram of a 2k+2 point space: one point or empty.
 
     Fewer than 2k+2 points can never produce degree-k homology, so that
     case is a constant-empty fast path.  More points are out of scope
@@ -138,13 +120,11 @@ def principal_diagram(matrix: DistanceMatrix, k: int) -> PrincipalDiagram:
         raise SizeMismatch("k must be >= 0")
     n = 2 * k + 2
     if matrix.n < n:
-        return PrincipalDiagram(None)
+        return Diagram(k, ())
     if matrix.n > n:
         raise SizeMismatch(f"degree {k} needs at most {n} points, got {matrix.n}")
     tb, td = principal_of_pairs(condensed(matrix.entries), n)
-    if tb < td:
-        return PrincipalDiagram((float(tb), float(td)))
-    return PrincipalDiagram(None)
+    return Diagram(k, ((float(tb), float(td)),) if tb < td else ())
 
 
 def ptolemy_slack(matrix: DistanceMatrix) -> float:

@@ -209,13 +209,13 @@ def circle_density(t_b, t_d) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def circle_density_mass(quad_points: int = 2001) -> float:
-    """Numerical integral of circle_density over its region (Simpson grid).
+def circle_density_mass() -> float:
+    """Numerical integral of circle_density over its region (Simpson, 2001 nodes).
 
     Independent check of the closed-form total mass 1/9: integrate the
     strip width analytically in t_b and Simpson-integrate over t_d.
     """
-    td = np.linspace(2.0 * math.pi / 3.0, math.pi, quad_points)
+    td = np.linspace(2.0 * math.pi / 3.0, math.pi, 2001)
     width = np.maximum(1.5 * td - math.pi, 0.0)
     f = 12.0 / math.pi**3 * (math.pi - td) * width
     # Simpson weights

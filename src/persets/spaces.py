@@ -5,18 +5,22 @@ datasets) has the same four members:
 
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
   (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
-* ``prepare(points)`` -- called once per block of the draw with an
-  (n, B, D) view (position first); returns n items, item i being the
-  points of position i in the form ``pair_distance`` takes.  These
-  models return the view as it is (``RawPoints``), so ``pair_distance``
-  gets (B, D) row slices; a metric graph returns its points' edge ends
-  (``graphs.GraphEnds``), a finite dataset its row indices' flat offsets
-  into the distance matrix (``engine.FiniteSpace``);
-* ``pair_distance(p, q)`` -- exact distance, broadcasting over leading
-  axes of two point arrays;
+* ``prepare(points)`` -- called with an (n, B, D) array of points
+  (position first); returns n items, item i being the points of
+  position i in the form ``pair_distance`` takes.  These models return
+  the array as it is (``RawPoints``), a metric graph its points' edge
+  ends (``graphs.GraphEnds``), a finite dataset its row indices' flat
+  offsets into the distance matrix (``engine.FiniteSpace``);
+* ``pair_distance(p, q)`` -- exact distances of two items that
+  ``prepare`` returned, and only of those;
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
-Models also have ``validate_point(p)``: PointNotOnModel if p is off it.
+Models and metric graphs also have ``validate_point(p)``, which refuses
+a point off the space (PointNotOnModel for a model, InvalidPoint for a
+graph).  Raw points of either reach a distance only through ``distance``
+and ``distance_matrix`` below: validate, ``prepare``, ``pair_distance``.
+A finite dataset is a matrix already; ``metric.restrict`` gives the
+matrix of an index tuple.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidDescriptor, PointNotOnModel
-from .metric import DistanceMatrix, validate
+from .metric import DistanceMatrix, squareform, validate
 
 TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
@@ -262,11 +266,21 @@ SpaceModel = Union[
 ]
 
 
-def distance(model: SpaceModel, p, q) -> float:
-    """Exact distance between two validated points of the model."""
-    model.validate_point(p)
-    model.validate_point(q)
-    return float(model.pair_distance(np.asarray(p, float), np.asarray(q, float)))
+def _pair_distance(space, p, q):
+    """``pair_distance`` of valid raw points p and q, broadcast, through ``prepare``."""
+    p, q = np.broadcast_arrays(p, q)
+    d = space.pair_distance(*space.prepare(np.stack([p, q]).reshape(2, -1, p.shape[-1])))
+    return d.reshape(p.shape[:-1])
+
+
+def distance(space, p, q):
+    """Exact distances of the points p and q of a model or a metric graph,
+    validated, broadcasting over leading axes; a float for two single points."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    space.validate_point(p)
+    space.validate_point(q)
+    d = _pair_distance(space, p, q)
+    return float(d) if d.ndim == 0 else d
 
 
 def sample(model: SpaceModel, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -276,13 +290,13 @@ def sample(model: SpaceModel, rng: np.random.Generator, count: int) -> np.ndarra
     return model.sample_points(rng, count)
 
 
-def distance_matrix(model: SpaceModel, points) -> DistanceMatrix:
-    """Pairwise distance matrix of a point list, validated."""
+def distance_matrix(space, points) -> DistanceMatrix:
+    """Validated distance matrix of a point list of a model or a metric graph:
+    its i < j pairs, mirrored."""
     pts = np.asarray(points, dtype=float)
-    model.validate_point(pts)
-    d = model.pair_distance(pts[:, None, :], pts[None, :, :])
-    np.fill_diagonal(d, 0.0)
-    return validate(d)
+    space.validate_point(pts)
+    i, j = np.triu_indices(len(pts), 1)
+    return validate(squareform(_pair_distance(space, pts[i], pts[j]), len(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +305,14 @@ def distance_matrix(model: SpaceModel, points) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 def parse_number(value: str, text: str) -> float:
-    """A number of the descriptor ``text``; InvalidDescriptor if malformed."""
+    """A finite number of the descriptor ``text``; InvalidDescriptor if malformed."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise InvalidDescriptor(f"bad number {value!r} in {text!r}") from None
+    if not math.isfinite(number):
+        raise InvalidDescriptor(f"{value!r} is not a finite number in {text!r}")
+    return number
 
 
 def parse_options(items, text: str) -> dict:
@@ -324,6 +341,9 @@ def parse_space(text: str) -> SpaceModel:
     parts = text.strip().split(":")
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
+    for key in ("lambda", "r"):
+        if kv.get(key, 1.0) <= 0:
+            raise InvalidDescriptor(f"{key} must be > 0 in {text!r}")
     try:
         if name == "s1":
             model = CircleGeodesic(diameter=kv.pop("lambda", math.pi))
@@ -336,6 +356,8 @@ def parse_space(text: str) -> SpaceModel:
         elif name == "torus":
             model = TorusL2()
         elif name == "mk":
+            if kv["kappa"] > 0 and "r" in kv:
+                raise InvalidDescriptor(f"R is the disk radius of kappa < 0 only, in {text!r}")
             model = ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", 0.0))
         elif name == "disk":
             model = EuclideanDisk(m=kv.pop("m", 2), radius=kv.pop("r", 1.0))

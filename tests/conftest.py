@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from persets.metric import DistanceMatrix, validate
+
+# every property test draws the same examples on every run, and keeps no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def cloud_matrix_r3(rng, n, scale=1.0):

@@ -58,8 +58,8 @@ def test_criterion_01_oracle_equivalence():
             assert fast.is_empty == slow.is_empty, (k, i)
             if not fast.is_empty:
                 assert len(slow.points) == 1
-                assert abs(slow.points[0][0] - fast.point[0]) <= 1e-12
-                assert abs(slow.points[0][1] - fast.point[1]) <= 1e-12
+                assert abs(slow.points[0][0] - fast.points[0][0]) <= 1e-12
+                assert abs(slow.points[0][1] - fast.points[0][1]) <= 1e-12
                 nontrivial += 1
             checked += 1
     elapsed = time.perf_counter() - t0

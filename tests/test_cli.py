@@ -375,6 +375,32 @@ def test_bad_descriptor_is_validation_error(argv, tmp_path, monkeypatch, capsys)
     assert argv[-1] in err
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--space", "mk:kappa=-1:R=0"),
+    ("--space", "mk:kappa=-1:R=-2"),
+    ("--space", "mk:kappa=1:R=5"),
+    ("--space", "disk:m=2:R=-1"),
+    ("--space", "s1:lambda=0"),
+    ("--space", "mk:kappa=nan"),
+    ("--space", "glued:3.5,4.5:alpha=nan"),
+    ("--space", "wedge:3.5,inf"),
+    ("--region", "ptolemaic:cap=nan"),
+    ("--region", "mk:kappa=nan"),
+    ("--region", "s1:lambda=inf"),
+])
+def test_descriptor_number_out_of_range_is_validation_error(flag, text, tmp_path, monkeypatch, capsys):
+    # each of these exited 0, rewriting, dropping or keeping the number
+    monkeypatch.chdir(tmp_path)  # a descriptor that is wrongly accepted writes sample.csv here
+    csv = tmp_path / "s.csv"
+    csv.write_text("t_b,t_d\n2.0,2.5\n")
+    argv = (["oracle-check", "--region", text, "--check", str(csv)] if flag == "--region"
+            else ["sample", "--space", text, "--tuples", "10"])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(text) in err and "Traceback" not in err
+    assert not (tmp_path / "sample.csv").exists()
+
+
 @pytest.mark.parametrize("region", ["s1:k=abc", "s1:k=1.5", "s1:k=0", "sphere-e:m=2.5"])
 def test_bad_region_is_validation_error(region, tmp_path, capsys):
     csv = tmp_path / "s.csv"

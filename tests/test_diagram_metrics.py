@@ -413,7 +413,9 @@ def test_stability_of_principal_diagrams(rng):
 
 
 def test_principal_diagrams_are_read_through_points():
-    empty, one = principal.PrincipalDiagram(), principal.PrincipalDiagram((0.5, 1.5))
-    assert empty.points == () and one.points == ((0.5, 1.5),)
-    assert dmx.bottleneck(one, dgm((0.5, 1.5))).value == 0.0
-    assert dmx.bottleneck(empty, one).value == dmx.bottleneck(EMPTY, dgm((0.5, 1.5))).value == 0.5
+    # a principal diagram is an oracle Diagram: empty, or of one point
+    empty = principal.principal_diagram(metric.validate([[0.0]]), 0)
+    one = principal.principal_diagram(metric.validate([[0.0, 1.0], [1.0, 0.0]]), 0)
+    assert empty == Diagram(0, ()) and one == Diagram(0, ((0.0, 1.0),))
+    assert dmx.bottleneck(one, dgm((0.0, 1.0))).value == 0.0
+    assert dmx.bottleneck(empty, one).value == dmx.bottleneck(EMPTY, dgm((0.0, 1.0))).value == 0.5

@@ -114,7 +114,7 @@ def test_finite_space_kept_tuples_are_row_indices():
     assert kept.shape == (len(s.points), 4, 1)
     for tup, point in zip(kept[:50], s.points):
         dgm = principal.principal_diagram(metric.restrict(dm, tup[:, 0]), 1)
-        assert dgm.point == tuple(point)
+        assert dgm.points == (tuple(point),)
 
 
 class Segment:
@@ -441,15 +441,18 @@ def test_svg_bytes(tmp_path, circle_sample):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
-def test_kept_tuples_align_with_points():
-    s = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 50_000, seed=9)
-    kept = engine.kept_tuples("s1", s)
-    assert kept is not None and len(kept) == len(s.points)
-    c = spaces.CircleGeodesic()
-    for i in range(0, len(s.points), 500):
-        mat = c.pair_distance(kept[i][:, None, :], kept[i][None, :, :])
-        tb, td = principal.principal_of_pairs(metric.condensed(mat), 4)
-        assert (tb, td) == (s.points[i, 0], s.points[i, 1])
+@pytest.mark.parametrize("descriptor", ["s1", "sphere:m=2", "torus", "glued:3.5,4.5:alpha=0.5"],
+                         ids=["s1", "sphere", "torus", "glued"])
+def test_distance_matrix_of_a_kept_tuple_gives_its_point(descriptor):
+    # the matrix of a kept tuple, by the one raw-point route, gives the tuple's point bit for bit
+    space = engine.space_of(descriptor)
+    s = engine.sample_persistence_set(space, 4, 1, 50_000, seed=9)
+    kept = engine.kept_tuples(space, s)
+    assert len(kept) == len(s.points) > 1000
+    for i in range(0, len(s.points), 50):
+        dm = spaces.distance_matrix(space, kept[i])
+        tb, td = principal.principal_of_pairs(metric.condensed(dm.entries), 4)
+        assert np.array([tb, td]).tobytes() == s.points[i].tobytes()
 
 
 @pytest.mark.parametrize("block", [engine.BLOCK, 300])
@@ -474,10 +477,8 @@ def test_oracle_kept_tuples_align_with_points():
     kept = engine.kept_tuples(g, s)
     assert len(s.points) + s.trivial_count > s.tuples_drawn
     assert kept.shape == (len(s.points), 8, 2)
-    i, j = np.triu_indices(8, 1)
     for tup, point in zip(kept, s.points):
-        mat = metric.squareform(g.pair_distance(tup[i], tup[j]), 8)
-        assert tuple(point) in oracle.vr_diagram(metric.DistanceMatrix(mat), 1).points
+        assert tuple(point) in oracle.vr_diagram(spaces.distance_matrix(g, tup), 1).points
 
 
 def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):

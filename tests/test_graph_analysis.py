@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from persets import engine, graph_analysis as ga, graphs, metric, principal
+from persets import engine, graph_analysis as ga, graphs, metric, principal, spaces
 from persets.errors import NotPrincipal41, SizeMismatch
 
 from conftest import circle_matrix, cloud_matrix_r3
@@ -20,7 +20,7 @@ def test_split_square():
     assert np.allclose(dec.pendant, 1.0 - s2 / 2.0)
     np.testing.assert_allclose(ga.reconstruct(dec), d, atol=1e-12)
     dgm = ga.tight_span_persistence(dec)
-    assert dgm.point == pytest.approx((1.0, s2))
+    assert dgm.points[0] == pytest.approx((1.0, s2))
 
 
 def test_split_collinear_points():
@@ -44,11 +44,11 @@ def test_split_wedge_two_and_two():
     # two points per circle: the box degenerates (b = 0), no persistence
     g = graphs.wedge_of_circles([4.0, 6.0])
     pts = [(0, 0.7), (0, 2.9), (1, 1.1), (1, 4.9)]
-    d = graphs.distance_matrix_of_points(g, pts)
-    dec = ga.split_decompose(metric.DistanceMatrix(d))
+    dm = spaces.distance_matrix(g, pts)
+    dec = ga.split_decompose(dm)
     assert min(dec.b, dec.c) == pytest.approx(0.0, abs=1e-12)
     assert ga.tight_span_persistence(dec).is_empty
-    assert principal.principal_diagram(metric.DistanceMatrix(d), 1).is_empty
+    assert principal.principal_diagram(dm, 1).is_empty
 
 
 def test_split_needs_four_points():
@@ -80,7 +80,8 @@ def test_tight_span_persistence_bounded_by_box_sides(rng):
         dec = ga.split_decompose(dm)
         dgm = ga.tight_span_persistence(dec)
         if not dgm.is_empty:
-            assert dgm.persistence <= min(dec.b, dec.c) + 1e-12
+            (tb, td), = dgm.points
+            assert td - tb <= min(dec.b, dec.c) + 1e-12
 
 
 def test_detect_corners_glued_cycles():
@@ -150,7 +151,7 @@ def test_near_corner_configurations_look_like_squares():
     assert apex.sum() > 50
     lam = PI
     for tup in engine.kept_tuples(g, s)[apex][:200]:
-        d = graphs.distance_matrix_of_points(g, [(int(e), o) for e, o in tup])
+        d = spaces.distance_matrix(g, tup).entries
         partner = d.argmax(axis=1)
         diagonals = d[np.arange(4), partner]
         side_mask = ~np.eye(4, dtype=bool)

@@ -6,44 +6,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persets import engine, graphs, metric, spaces
+from persets import engine, graphs, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint
-from persets.graphs import GraphPoint
 
 
 def test_same_edge_distance_in_tree():
     g = graphs.build_graph(2, [(0, 1, 5.0)])
-    assert graphs.point_distance(g, GraphPoint(0, 1.0), GraphPoint(0, 4.0)) == 3.0
+    assert spaces.distance(g, [0, 1.0], [0, 4.0]) == 3.0
 
 
 def test_wedge_distance_adds_arc_lengths():
     g = graphs.wedge_of_circles([4.0, 6.0])
     # arc distances to the hub: min(offset, c - offset)
-    p = GraphPoint(0, 1.5)  # 1.5 from hub on circle 1
-    q = GraphPoint(1, 4.5)  # min(4.5, 1.5) = 1.5 from hub on circle 2
-    assert graphs.point_distance(g, p, q) == pytest.approx(3.0, abs=1e-12)
+    p = [0, 1.5]  # 1.5 from hub on circle 1
+    q = [1, 4.5]  # min(4.5, 1.5) = 1.5 from hub on circle 2
+    assert spaces.distance(g, p, q) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_unit_cycle_antipodal_vertices():
     # cycle of total length 8 as 8 unit edges
     edges = [(i, (i + 1) % 8, 1.0) for i in range(8)]
     g = graphs.build_graph(8, edges)
-    assert graphs.point_distance(g, GraphPoint(0, 0.0), GraphPoint(4, 0.0)) == 4.0
+    assert spaces.distance(g, [0, 0.0], [4, 0.0]) == 4.0
 
 
 def test_long_edge_bypassed_through_cycle():
     # triangle with one long edge: the in-edge route is not shortest
     g = graphs.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 10.0)])
-    p, q = GraphPoint(2, 0.5), GraphPoint(2, 9.5)
-    assert graphs.point_distance(g, p, q) == pytest.approx(3.0)
+    assert spaces.distance(g, [2, 0.5], [2, 9.5]) == pytest.approx(3.0)
 
 
 def test_invalid_points_rejected():
     g = graphs.build_graph(2, [(0, 1, 2.0)])
     with pytest.raises(InvalidPoint):
-        graphs.point_distance(g, GraphPoint(1, 0.0), GraphPoint(0, 1.0))
+        spaces.distance(g, [1, 0.0], [0, 1.0])
     with pytest.raises(InvalidPoint):
-        graphs.point_distance(g, GraphPoint(0, 3.0), GraphPoint(0, 1.0))
+        spaces.distance(g, [0, 3.0], [0, 1.0])
+
+
+@pytest.mark.parametrize("point, message", [
+    ([1.5, 1.0], "edge index 1.5"),  # not a whole edge index
+    ([-1, 1.0], "edge index -1"),
+    ([2, 1.0], "edge index 2 is not one of the 2 edges"),
+    ([math.nan, 1.0], "edge index nan"),
+    ([0, -0.5], "offset -0.5 outside edge 0"),
+    ([1, 3.5], "offset 3.5 outside edge 1"),  # past its edge, though inside the longer edge 0
+    ([0, math.nan], "offset nan outside edge 0"),
+], ids=["fractional-edge", "negative-edge", "edge-past-end", "nan-edge", "negative-offset", "offset-past-edge",
+        "nan-offset"])
+def test_graph_points_from_outside_raise_invalid_point(point, message):
+    g = graphs.build_graph(2, [(0, 1, 4.0), (0, 1, 3.0)])
+    with pytest.raises(InvalidPoint, match=message):
+        spaces.distance(g, point, [0, 1.0])
+    with pytest.raises(InvalidPoint, match=message):
+        spaces.distance(g, [[0, 1.0], [1, 2.0]], [[0, 1.0], point])
+    with pytest.raises(InvalidPoint, match=message):
+        spaces.distance_matrix(g, [[0, 1.0], [1, 2.0], point])
+
+
+@pytest.mark.parametrize("rows", [[0, 1.0, 0.0], [[0], [1]], 0.0], ids=["three-wide", "one-wide", "scalar"])
+def test_graph_points_are_two_wide_rows(rows):
+    g = graphs.wedge_of_circles([4.0, 6.0])
+    with pytest.raises(InvalidPoint, match=r"\(edge, offset\) rows"):
+        spaces.distance(g, rows, rows)
+    with pytest.raises(InvalidPoint, match=r"\(edge, offset\) rows"):
+        spaces.distance_matrix(g, rows)
 
 
 def test_disconnected_graph_rejected():
@@ -123,9 +150,9 @@ def test_triangle_inequality_on_graphs(maker):
     g = maker()
     rng = np.random.default_rng(5)
     pts = graphs.sample_graph(g, rng, 300_000).reshape(100_000, 3, 2)
-    dab = g.pair_distance(pts[:, 0], pts[:, 1])
-    dbc = g.pair_distance(pts[:, 1], pts[:, 2])
-    dac = g.pair_distance(pts[:, 0], pts[:, 2])
+    dab = spaces.distance(g, pts[:, 0], pts[:, 1])
+    dbc = spaces.distance(g, pts[:, 1], pts[:, 2])
+    dac = spaces.distance(g, pts[:, 0], pts[:, 2])
     assert (dac <= dab + dbc + 1e-9).all()
     assert (dab >= 0).all()
 
@@ -139,7 +166,7 @@ def test_wedge_circle_restriction_is_isometric():
     theta = rng.uniform(0, 2 * math.pi, size=(5000, 2))
     offs = theta * (c1 / (2 * math.pi))
     on_edge_0 = np.stack([np.zeros((5000, 2)), offs], axis=-1)  # (5000, 2, 2) (edge, offset) rows
-    d_graph = g.pair_distance(on_edge_0[:, 0], on_edge_0[:, 1])
+    d_graph = spaces.distance(g, on_edge_0[:, 0], on_edge_0[:, 1])
     d_circle = circle.pair_distance(theta[:, :1], theta[:, 1:])
     np.testing.assert_allclose(d_graph, d_circle, atol=1e-12)
 
@@ -148,7 +175,7 @@ def test_single_cycle_distance_bounded_by_half_length():
     g = graphs.wedge_of_circles([7.0])
     rng = np.random.default_rng(10)
     pts = graphs.sample_graph(g, rng, 100_000)
-    d = g.pair_distance(pts[0::2], pts[1::2])
+    d = spaces.distance(g, pts[0::2], pts[1::2])
     assert d.max() <= 3.5 + 1e-12
 
 
@@ -186,8 +213,7 @@ def test_point_matrices_are_exactly_symmetric(family):
     g = graphs.parse_family(family)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        d = graphs.distance_matrix_of_points(g, graphs.sample_graph(g, rng, 6))
-        metric.validate(d)
+        d = spaces.distance_matrix(g, graphs.sample_graph(g, rng, 6)).entries
         assert np.array_equal(d, d.T)
 
 
@@ -213,10 +239,9 @@ def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count)
     pts = g.sample_points(rng, count)
     pts[0, 1] = 0.0  # a vertex, and the far end of an edge
     pts[-1, 1] = g.edge_len[int(pts[-1, 0])]
-    d = graphs.distance_matrix_of_points(g, pts)
+    d = spaces.distance_matrix(g, pts).entries  # validated
     assert np.array_equal(d, d.T) and not np.diagonal(d).any()
-    assert not g.pair_distance(pts, pts).any()
-    metric.validate(d)
+    assert not spaces.distance(g, pts, pts).any()
 
 
 def _endpoint_routes(g, p, q):
@@ -252,7 +277,6 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     monkeypatch.setattr(engine, "BLOCK", 64)
     tuples, pairs = engine.sample_tuples(g, rng, count, n)
     ij = list(zip(*np.triu_indices(n, 1)))
-    points = [[graphs.point_distance(g, GraphPoint(int(t[i, 0]), t[i, 1]), GraphPoint(int(t[j, 0]), t[j, 1]))
-               for t in tuples] for i, j in ij]
+    points = [[spaces.distance(g, t[i], t[j]) for t in tuples] for i, j in ij]
     routes = [[_endpoint_routes(g, t[i], t[j]) for t in tuples] for i, j in ij]
     assert pairs.tobytes() == np.array(points).tobytes() == np.array(routes).tobytes()

@@ -121,11 +121,7 @@ def test_oracle_agrees_with_principal_quick(rng):
             dm = cloud_matrix_r3(rng, n)
             fast = principal.principal_diagram(dm, k)
             slow = oracle.vr_diagram(dm, k)
-            if fast.is_empty:
-                assert slow.is_empty
-            else:
-                assert len(slow.points) == 1
-                assert slow.points[0] == fast.point
+            assert fast == slow
 
 
 def test_regular_pentagon_degree_one():

@@ -66,7 +66,7 @@ def test_point_extremes_pseudo_metric_repeats():
 
 def test_principal_regular_four_gon():
     dgm = principal.principal_diagram(four_gon(), 1)
-    assert dgm.point == pytest.approx((math.pi / 2, math.pi))
+    assert dgm.points[0] == pytest.approx((math.pi / 2, math.pi))
 
 
 def test_principal_collinear_is_empty():
@@ -82,7 +82,7 @@ def test_principal_cross_polytope_s2():
         d[i, i] = 0.0
         d[i, i ^ 1] = math.pi
     dgm = principal.principal_diagram(metric.validate(d), 2)
-    assert dgm.point == pytest.approx((math.pi / 2, math.pi))
+    assert dgm.points[0] == pytest.approx((math.pi / 2, math.pi))
 
 
 def test_principal_triangle_with_duplicate_is_empty():
@@ -93,7 +93,7 @@ def test_principal_triangle_with_duplicate_is_empty():
 
 def test_principal_two_points_degree_zero():
     dgm = principal.principal_diagram(metric.validate([[0, 0.7], [0.7, 0]]), 0)
-    assert dgm.point == (0.0, 0.7)
+    assert dgm.points == ((0.0, 0.7),)
 
 
 def test_principal_size_handling():
@@ -116,7 +116,7 @@ def test_persistence_bounds(rng):
         if dgm.is_empty:
             continue
         found += 1
-        tb, td = dgm.point
+        (tb, td), = dgm.points
         assert td <= 2 * tb + 1e-12
         assert td - tb <= metric.stats(dm).separation + 1e-12
     assert found > 20
@@ -211,4 +211,4 @@ def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, negative_zer
 
     fast = principal.principal_diagram(dm, k)
     slow = oracle.vr_diagram(dm, k)
-    assert slow.points == (() if fast.is_empty else (fast.point,))
+    assert fast == slow

@@ -190,6 +190,22 @@ def test_parse_space_bad_option_names_the_descriptor(text):
         spaces.parse_space(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mk:kappa=-1:R=0", "r must be > 0"),  # was read as the default R = pi
+    ("mk:kappa=-1:R=-2", "r must be > 0"),
+    ("mk:kappa=1:R=5", "R is the disk radius of kappa < 0 only"),  # R was dropped
+    ("disk:m=2:R=-1", "r must be > 0"),
+    ("s1:lambda=0", "lambda must be > 0"),  # every tuple was trivial
+    ("s1:lambda=-3.5", "lambda must be > 0"),
+    ("mk:kappa=nan", "'nan' is not a finite number"),
+    ("mk:kappa=-inf", "'-inf' is not a finite number"),
+    ("disk:m=2:R=inf", "'inf' is not a finite number"),
+])
+def test_parse_space_refuses_numbers_out_of_range(text, message):
+    with pytest.raises(InvalidDescriptor, match=f"{re.escape(message)}.* in {re.escape(repr(text))}"):
+        spaces.parse_space(text)
+
+
 @pytest.mark.parametrize("dim", list(range(1, 21)) + [128, 129, 200])
 def test_dot_adds_in_numpys_order_for_any_layout(dim):
     rng = np.random.default_rng(dim)

@@ -44,7 +44,7 @@ def two_spaces(size, dim, eps, seed):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
-@settings(max_examples=5, deadline=None, derandomize=True)
+@settings(max_examples=5, deadline=None)
 @given(cloud=clouds)
 def test_kernel_samples_move_by_at_most_eps(n, workers, cloud):
     sx, sy, eps = two_spaces(**cloud)
@@ -58,7 +58,7 @@ def test_kernel_samples_move_by_at_most_eps(n, workers, cloud):
     assert d <= eps
 
 
-@settings(max_examples=2, deadline=None, derandomize=True)
+@settings(max_examples=2, deadline=None)
 @given(cloud=clouds)
 def test_oracle_diagrams_move_by_at_most_eps(cloud):
     sx, sy, eps = two_spaces(**cloud)
