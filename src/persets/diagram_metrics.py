@@ -1,11 +1,12 @@
 """Bottleneck distance, Hausdorff distance between diagram sets, and the
 resulting Gromov-Hausdorff lower bound.
 
-The bottleneck matcher is exact: binary search over the finite candidate
-set (pairwise l-infinity costs and half-persistences) with a bipartite
-feasibility check per candidate.  Diagrams here are tiny (principal
-diagrams have at most one point), so no geometric acceleration is needed
-and the combined size is capped at 64.
+The bottleneck distance is exact, for any two diagrams: binary search
+over the finite candidate set (pairwise l-infinity costs and
+half-persistences) with a bipartite feasibility check per candidate.
+Diagrams here are tiny (principal diagrams have at most one point), so
+no geometric acceleration is needed and the combined size is capped at
+64.
 
 Sets of diagrams are small lists of general Diagrams (exact all-pairs
 Hausdorff) or large sets of at-most-one-point diagrams (a closed form
@@ -19,59 +20,25 @@ about the grid step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import regions as reg
 from .errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
-from .oracle import Diagram
 
 MAX_MATCH_POINTS = 64
 
 
-@dataclass(frozen=True)
-class MatchingCost:
-    """Optimal bottleneck value with the realizing partial matching."""
-
-    value: float
-    matched_pairs: tuple[tuple[int, int], ...]
-    unmatched_a: tuple[int, ...]
-    unmatched_b: tuple[int, ...]
-
-
-def _points_of(d) -> list[tuple[float, float]]:
-    if d is None:
-        return []
-    if isinstance(d, Diagram):
-        return list(d.points)
-    return [(float(b), float(v)) for b, v in d]
-
-
-def _closed_form_small(pa, pb) -> float:
-    # both diagrams have at most one point
-    if not pa and not pb:
-        return 0.0
-    if pa and pb:
-        (b1, d1), (b2, d2) = pa[0], pb[0]
-        linf = max(abs(b1 - b2), abs(d1 - d2))
-        return min(linf, max(d1 - b1, d2 - b2) / 2.0)
-    (b, d) = (pa or pb)[0]
-    return (d - b) / 2.0
-
-
-def _feasible(cost_a, cost_b, cross, t) -> tuple | None:
+def _feasible(cost_a, cost_b, cross, t) -> bool:
     """Perfect matching in the diagonal-augmented bipartite graph at level t.
 
     Left side: points of A plus one diagonal proxy per point of B; right
     side: points of B plus one diagonal proxy per point of A.  Edges:
     A_i - B_j when the cross cost is <= t, each point to its own diagonal
     proxy when its half persistence is <= t, proxies to proxies always.
-    A perfect matching exists iff J(phi) <= t for some partial matching,
-    and reading it back gives the realizing matching.
+    A perfect matching exists iff J(phi) <= t for some partial matching.
     """
     na, nb = len(cost_a), len(cost_b)
-    n_left = na + nb  # A points, then proxies of B
     n_right = nb + na  # B points, then proxies of A
 
     def neighbors(left):
@@ -99,74 +66,38 @@ def _feasible(cost_a, cost_b, cross, t) -> tuple | None:
                     return True
         return False
 
-    for left in range(n_left):
-        if not augment(left, [False] * n_right):
-            return None
-
-    pairs = tuple(
-        (match_right[j], j) for j in range(nb) if match_right[j] != -1 and match_right[j] < na
-    )
-    matched_a = {i for i, _ in pairs}
-    matched_b = {j for _, j in pairs}
-    un_a = tuple(i for i in range(na) if i not in matched_a)
-    un_b = tuple(j for j in range(nb) if j not in matched_b)
-    return pairs, un_a, un_b
+    # left: A points, then proxies of B
+    return all(augment(left, [False] * n_right) for left in range(na + nb))
 
 
-def _matcher(pa, pb) -> MatchingCost:
-    """Binary search over candidate costs with a feasibility check each."""
-    cost_a = [(d - b) / 2.0 for b, d in pa]
-    cost_b = [(d - b) / 2.0 for b, d in pb]
-    cross = [
-        [max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in pb] for b1, d1 in pa
-    ]
-    candidates = sorted(set(cost_a) | set(cost_b) | {c for row in cross for c in row} | {0.0})
-    lo, hi = 0, len(candidates) - 1
-    best = None
-    # the optimum is always one of the candidates: J is a max of such terms
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        sol = _feasible(cost_a, cost_b, cross, candidates[mid])
-        if sol is not None:
-            best = (candidates[mid], sol)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise AssertionError("bottleneck: no feasible candidate (unreachable)")
-    value, (pairs, un_a, un_b) = best
-    return MatchingCost(float(value), pairs, un_a, un_b)
+def bottleneck_distance(d1, d2) -> float:
+    """Exact bottleneck distance between two finite Diagrams.
 
-
-def bottleneck(d1, d2) -> MatchingCost:
-    """Exact bottleneck distance between two finite diagrams.
-
-    Accepts Diagram or plain (birth, death) lists.
-    Diagrams with at most one point each take the closed form
-    min(l_inf(P, Q), max(pers P, pers Q) / 2); the general matcher agrees
-    with it (a tested invariant).
+    Binary search over the candidate costs (pairwise l-infinity costs,
+    half persistences and 0) with a feasibility check each.  J of a
+    partial matching is a max of such terms, so the optimum is a
+    candidate; the largest is always feasible, as every point can go to
+    the diagonal.
     """
-    pa, pb = _points_of(d1), _points_of(d2)
+    pa, pb = d1.points, d2.points
     for b, d in pa + pb:
         if math.isinf(d):
             raise InfiniteDeath("bottleneck needs finite deaths")
     if len(pa) + len(pb) > MAX_MATCH_POINTS:
         raise TooLarge(f"combined diagram size {len(pa) + len(pb)} > {MAX_MATCH_POINTS}")
 
-    if len(pa) <= 1 and len(pb) <= 1:
-        value = _closed_form_small(pa, pb)
-        if pa and pb:
-            linf = max(abs(pa[0][0] - pb[0][0]), abs(pa[0][1] - pb[0][1]))
-            if linf <= value:
-                return MatchingCost(value, ((0, 0),), (), ())
-            return MatchingCost(value, (), (0,), (0,))
-        return MatchingCost(value, (), tuple(range(len(pa))), tuple(range(len(pb))))
-
-    return _matcher(pa, pb)
-
-
-def bottleneck_distance(d1, d2) -> float:
-    return bottleneck(d1, d2).value
+    cost_a = [(d - b) / 2.0 for b, d in pa]
+    cost_b = [(d - b) / 2.0 for b, d in pb]
+    cross = [[max(abs(ba - bb), abs(da - db)) for bb, db in pb] for ba, da in pa]
+    candidates = sorted(set(cost_a) | set(cost_b) | {c for row in cross for c in row} | {0.0})
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(cost_a, cost_b, cross, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def hausdorff_bottleneck(set_a, set_b) -> float:

@@ -25,7 +25,7 @@ matrix of an index tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -117,7 +117,7 @@ class SphereGeodesic(RawPoints):
         p = np.asarray(p, dtype=float)
         if p.shape[-1] != self.m + 1:
             raise PointNotOnModel(f"expected a vector in R^{self.m + 1}")
-        if np.abs(np.linalg.norm(p, axis=-1) - 1.0).max() > _POINT_TOL:
+        if not np.abs(np.linalg.norm(p, axis=-1) - 1.0).max() <= _POINT_TOL:  # NaN fails too
             raise PointNotOnModel("sphere point is not a unit vector")
 
 
@@ -169,17 +169,23 @@ class ModelSurface(RawPoints):
     kappa > 0: the sphere of radius 1/sqrt(kappa) in R^3, sampled uniformly.
     kappa < 0: the hyperboloid model (x1 > 0); the surface is unbounded, so
     sampling is uniform w.r.t. hyperbolic area on the geodesic disk of
-    radius ``disk_radius`` around the apex (default pi/sqrt(-kappa)).
+    radius ``disk_radius`` around the apex (default pi/sqrt(-kappa)), a
+    finite number > 0; kappa > 0 takes none.
     """
 
     kappa: float
-    disk_radius: float = field(default=0.0)
+    disk_radius: float | None = None
 
     def __post_init__(self):
         if self.kappa == 0:
             raise InvalidDescriptor("kappa must be nonzero; use EuclideanDisk for flat space")
-        if self.kappa < 0 and self.disk_radius <= 0:
-            object.__setattr__(self, "disk_radius", math.pi / math.sqrt(-self.kappa))
+        if self.disk_radius is None:
+            if self.kappa < 0:
+                object.__setattr__(self, "disk_radius", math.pi / math.sqrt(-self.kappa))
+        elif self.kappa > 0:
+            raise InvalidDescriptor("R is the disk radius of kappa < 0 only")
+        elif not 0.0 < self.disk_radius < math.inf:
+            raise InvalidDescriptor(f"disk radius must be finite and > 0, not {self.disk_radius!r}")
 
     @property
     def descriptor(self):
@@ -224,12 +230,12 @@ class ModelSurface(RawPoints):
             form = np.sum(p * p, axis=-1)
         else:
             form = -p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2
-            if np.min(p[..., 0]) <= 0:
+            if not np.min(p[..., 0]) > 0:
                 raise PointNotOnModel("hyperboloid points need x1 > 0")
         # the quadratic form cancels terms of size |p|^2, so the achievable
         # accuracy scales with them (hyperboloid points grow with the disk)
         scale = max(1.0, abs(1.0 / self.kappa), float(np.max(np.sum(p * p, axis=-1))))
-        if np.abs(form - 1.0 / self.kappa).max() > _POINT_TOL * scale:
+        if not np.abs(form - 1.0 / self.kappa).max() <= _POINT_TOL * scale:
             raise PointNotOnModel("point does not satisfy the quadric equation")
 
 
@@ -257,7 +263,7 @@ class EuclideanDisk(RawPoints):
         p = np.asarray(p, dtype=float)
         if p.shape[-1] != self.m:
             raise PointNotOnModel(f"expected a vector in R^{self.m}")
-        if np.linalg.norm(p, axis=-1).max() > self.radius * (1 + 1e-12):
+        if not np.linalg.norm(p, axis=-1).max() <= self.radius * (1 + 1e-12):
             raise PointNotOnModel("point is outside the disk")
 
 
@@ -316,7 +322,8 @@ def parse_number(value: str, text: str) -> float:
 
 
 def parse_options(items, text: str) -> dict:
-    """{key: number} of the "key=value" items of the descriptor ``text``; m and k are ints >= 1."""
+    """{key: number} of the "key=value" items of the descriptor ``text``; m and k
+    are ints >= 1, and lambda, r and cap (diameters, radii, caps) are > 0."""
     kv = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -327,6 +334,8 @@ def parse_options(items, text: str) -> dict:
             if not (number >= 1 and number.is_integer()):
                 raise InvalidDescriptor(f"{key} must be a whole number >= 1 in {text!r}")
             number = int(number)
+        elif key in ("lambda", "r", "cap") and not number > 0:
+            raise InvalidDescriptor(f"{key} must be > 0 in {text!r}")
         kv[key] = number
     return kv
 
@@ -341,9 +350,6 @@ def parse_space(text: str) -> SpaceModel:
     parts = text.strip().split(":")
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
-    for key in ("lambda", "r"):
-        if kv.get(key, 1.0) <= 0:
-            raise InvalidDescriptor(f"{key} must be > 0 in {text!r}")
     try:
         if name == "s1":
             model = CircleGeodesic(diameter=kv.pop("lambda", math.pi))
@@ -356,9 +362,10 @@ def parse_space(text: str) -> SpaceModel:
         elif name == "torus":
             model = TorusL2()
         elif name == "mk":
-            if kv["kappa"] > 0 and "r" in kv:
-                raise InvalidDescriptor(f"R is the disk radius of kappa < 0 only, in {text!r}")
-            model = ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", 0.0))
+            try:
+                model = ModelSurface(kappa=kv.pop("kappa"), disk_radius=kv.pop("r", None))
+            except InvalidDescriptor as exc:
+                raise InvalidDescriptor(f"{exc}, in {text!r}") from None
         elif name == "disk":
             model = EuclideanDisk(m=kv.pop("m", 2), radius=kv.pop("r", 1.0))
         else:

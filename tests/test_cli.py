@@ -401,7 +401,8 @@ def test_descriptor_number_out_of_range_is_validation_error(flag, text, tmp_path
     assert not (tmp_path / "sample.csv").exists()
 
 
-@pytest.mark.parametrize("region", ["s1:k=abc", "s1:k=1.5", "s1:k=0", "sphere-e:m=2.5"])
+@pytest.mark.parametrize("region", ["s1:k=abc", "s1:k=1.5", "s1:k=0", "sphere-e:m=2.5",
+                                    "s1:lambda=-2", "s1:lambda=0", "ptolemaic:cap=-1"])
 def test_bad_region_is_validation_error(region, tmp_path, capsys):
     csv = tmp_path / "s.csv"
     csv.write_text("t_b,t_d\n2.0,2.5\n")  # inside the s1 and sphere-e regions

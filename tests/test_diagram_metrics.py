@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -51,13 +52,8 @@ def test_bottleneck_optimizer_pair_from_sphere_example():
 
 
 def test_bottleneck_matcher_agrees_with_closed_form(rng):
-    # 1e5 random one-point pairs: exact agreement of the two routes
     bs = rng.uniform(0, 3, size=(100_000, 2))
     ps = rng.uniform(1e-6, 3, size=(100_000, 2))
-    for i in range(0, 100_000, 1000):
-        a = [(bs[i, 0], bs[i, 0] + ps[i, 0])]
-        b = [(bs[i, 1], bs[i, 1] + ps[i, 1])]
-        assert dmx._matcher(a, b).value == dmx._closed_form_small(a, b)
     # vectorized sweep of the closed form against the public op
     death = bs + ps
     vals_closed = np.minimum(
@@ -82,17 +78,38 @@ def test_bottleneck_matcher_on_multipoint_diagrams():
     assert dmx.bottleneck_distance(c, d) == pytest.approx(0.5)
 
 
-def test_matching_realizes_reported_value(rng):
-    for _ in range(300):
-        a, b = random_diagram(rng), random_diagram(rng)
-        cost = dmx.bottleneck(a, b)
-        pa, pb = list(a.points), list(b.points)
+def integer_diagram(rng, max_pts=3):
+    pts = []
+    for _ in range(int(rng.integers(0, max_pts + 1))):
+        b = float(rng.integers(0, 4))
+        pts.append((b, b + float(rng.integers(1, 4))))
+    return dgm(*pts)
+
+
+def brute_force_bottleneck(a, b):
+    """Min over every partial matching of a and b of its cost: the largest
+    l-infinity distance of a matched pair and half persistence of an
+    unmatched point (0 for none), in the matcher's float operations."""
+    pa, pb = a.points, b.points
+    best = math.inf
+    for targets in itertools.product([None, *range(len(pb))], repeat=len(pa)):
+        matched = [j for j in targets if j is not None]
+        if len(set(matched)) < len(matched):
+            continue  # two points of a on one point of b
         terms = [0.0]
-        for i, j in cost.matched_pairs:
-            terms.append(max(abs(pa[i][0] - pb[j][0]), abs(pa[i][1] - pb[j][1])))
-        terms += [(pa[i][1] - pa[i][0]) / 2.0 for i in cost.unmatched_a]
-        terms += [(pb[j][1] - pb[j][0]) / 2.0 for j in cost.unmatched_b]
-        assert max(terms) == pytest.approx(cost.value, abs=1e-12)
+        for (ba, da), j in zip(pa, targets):
+            terms.append((da - ba) / 2.0 if j is None else max(abs(ba - pb[j][0]), abs(da - pb[j][1])))
+        terms += [(db - bb) / 2.0 for j, (bb, db) in enumerate(pb) if j not in matched]
+        best = min(best, max(terms))
+    return best
+
+
+def test_bottleneck_is_the_cheapest_partial_matching(rng):
+    # uniform coordinates, and small integers, where costs tie
+    for draw in (random_diagram, integer_diagram):
+        for _ in range(300):
+            a, b = draw(rng), draw(rng)
+            assert dmx.bottleneck_distance(a, b) == brute_force_bottleneck(a, b)
 
 
 def test_bottleneck_symmetry_and_triangle(rng):
@@ -105,10 +122,10 @@ def test_bottleneck_symmetry_and_triangle(rng):
 
 def test_bottleneck_errors():
     with pytest.raises(InfiniteDeath):
-        dmx.bottleneck(dgm((0.0, math.inf)), EMPTY)
+        dmx.bottleneck_distance(dgm((0.0, math.inf)), EMPTY)
     big = dgm(*[(float(i), float(i) + 1.0) for i in range(40)])
     with pytest.raises(TooLarge):
-        dmx.bottleneck(big, big)
+        dmx.bottleneck_distance(big, big)
 
 
 def test_hausdorff_identical_sets(rng):
@@ -417,5 +434,5 @@ def test_principal_diagrams_are_read_through_points():
     empty = principal.principal_diagram(metric.validate([[0.0]]), 0)
     one = principal.principal_diagram(metric.validate([[0.0, 1.0], [1.0, 0.0]]), 0)
     assert empty == Diagram(0, ()) and one == Diagram(0, ((0.0, 1.0),))
-    assert dmx.bottleneck(one, dgm((0.0, 1.0))).value == 0.0
-    assert dmx.bottleneck(empty, one).value == dmx.bottleneck(EMPTY, dgm((0.0, 1.0))).value == 0.5
+    assert dmx.bottleneck_distance(one, dgm((0.0, 1.0))) == 0.0
+    assert dmx.bottleneck_distance(empty, one) == dmx.bottleneck_distance(EMPTY, dgm((0.0, 1.0))) == 0.5

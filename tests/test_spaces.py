@@ -54,6 +54,32 @@ def test_point_validation():
         spaces.distance(h, [1, 0, 0], [-1, 0, 0])  # lower sheet
 
 
+@pytest.mark.parametrize("model, point", [
+    (spaces.SphereGeodesic(m=2), [math.nan, 0.0, 0.0]),
+    (spaces.SphereEuclidean(m=2), [math.nan, 0.0, 0.0]),
+    (spaces.EuclideanDisk(m=2, radius=1.0), [math.nan, 0.0]),
+    (spaces.ModelSurface(kappa=1.0), [math.nan, 0.0, 0.0]),
+    (spaces.ModelSurface(kappa=-1.0), [math.nan, 0.0, 0.0]),  # the x1 > 0 check
+    (spaces.ModelSurface(kappa=-1.0), [1.0, math.nan, 0.0]),  # the quadric check
+], ids=["sphere", "sphere-e", "disk", "mk+", "mk-x1", "mk-quadric"])
+def test_a_nan_point_is_not_on_the_model(model, point):
+    # every comparison with NaN is false, so each check must fail on it
+    other = model.sample_points(np.random.default_rng(0), 1)[0]
+    with pytest.raises(PointNotOnModel):
+        spaces.distance(model, point, other)
+    with pytest.raises(PointNotOnModel):
+        spaces.distance_matrix(model, [other, point])
+
+
+def test_model_surface_disk_radius():
+    assert spaces.ModelSurface(kappa=-4.0).disk_radius == math.pi / 2
+    assert spaces.ModelSurface(kappa=1.0).disk_radius is None
+    for kappa, radius in [(-1.0, -3.0), (-1.0, 0.0), (-1.0, math.inf), (-1.0, math.nan),
+                          (1.0, 5.0), (1.0, math.pi)]:
+        with pytest.raises(InvalidDescriptor):
+            spaces.ModelSurface(kappa=kappa, disk_radius=radius)
+
+
 def test_sample_count_zero():
     rng = np.random.default_rng(0)
     assert len(spaces.sample(spaces.CircleGeodesic(), rng, 0)) == 0

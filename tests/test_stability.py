@@ -66,4 +66,4 @@ def test_oracle_diagrams_move_by_at_most_eps(cloud):
     assert len(kept) > 0
     for rows in kept[..., 0]:  # two chunks of X's nontrivial tuples
         dgm_x, dgm_y = (oracle.vr_diagram(metric.restrict(s.matrix, rows), 1) for s in (sx, sy))
-        assert diagram_metrics.bottleneck(dgm_x, dgm_y).value <= eps
+        assert diagram_metrics.bottleneck_distance(dgm_x, dgm_y) <= eps
