@@ -87,12 +87,17 @@ class FiniteSpace:
     def prepare(self, points):
         """Each of the n positions of (n, B, 1) row indices as (row * N, row): its
         row-major offset into the flat N x N matrix and its column."""
-        rows = points[..., 0]
+        rows = points[..., 0].astype(np.intp, copy=False)
         return list(zip(rows * self.matrix.n, rows))
 
     def pair_distance(self, p, q):
         """Distances of two prepared positions: one add and one gather from the flat matrix."""
         return self.matrix.entries.take(p[0] + q[1])
+
+    def validate_point(self, p):
+        """InvalidPoint unless every (..., 1) row is a whole row index of the matrix."""
+        spaces_mod.check_indices(spaces_mod.points_of(p, 1, "finite points are row indices")[..., 0],
+                                 self.matrix.n, "row")
 
 
 def space_of(space):

@@ -39,10 +39,6 @@ class MalformedFile(PersetsError):
     """An input file does not parse: bad header, ragged row, missing key, not a number."""
 
 
-class IndexOutOfRange(PersetsError):
-    pass
-
-
 class TooFewPoints(PersetsError):
     pass
 
@@ -56,10 +52,6 @@ class TooLarge(PersetsError):
 
 
 class NonMonotoneFiltration(PersetsError):
-    pass
-
-
-class PointNotOnModel(PersetsError):
     pass
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
 from .metric import number, read_json, whole, write_json
-from .spaces import no_unused_options, parse_number, parse_options
+from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,13 +88,9 @@ class MetricGraph:
 
     def validate_point(self, p):
         """InvalidPoint unless every (..., 2) row is an edge index and an offset on that edge."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 0 or p.shape[-1] != 2:
-            raise InvalidPoint(f"graph points are (edge, offset) rows, got shape {p.shape}")
+        p = points_of(p, 2, "graph points are (edge, offset) rows")
         edge, offset = p[..., 0], p[..., 1]
-        bad = ~((edge >= 0) & (edge < len(self.edges)) & (edge == np.floor(edge)))  # NaN fails
-        if bad.any():
-            raise InvalidPoint(f"edge index {edge[bad][0]:g} is not one of the {len(self.edges)} edges")
+        check_indices(edge, len(self.edges), "edge")
         bad = ~((offset >= 0) & (offset <= self.edge_len[edge.astype(np.intp)]))
         if bad.any():
             raise InvalidPoint(f"offset {offset[bad][0]:g} outside edge {int(edge[bad][0])}")

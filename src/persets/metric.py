@@ -3,8 +3,8 @@
 A DistanceMatrix is the universal input format of the package: symmetric,
 nonnegative, zero diagonal, triangle inequality within a relative
 tolerance.  Pseudo-metrics (zero off-diagonal entries from repeated
-points) are accepted on purpose: restricting a matrix to an index tuple
-with repeats produces exactly such matrices.
+points) are accepted on purpose: the distance matrix of an index tuple
+with repeats is exactly such a matrix.
 """
 from __future__ import annotations
 
@@ -13,11 +13,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, NotSquare
+from .errors import AxiomViolation, MalformedFile, NonFinite, NotSquare
 
 # Relative triangle-inequality tolerance.  Model-space distances go through
 # arccos, which loses ~1e-16 absolute near +-1; 1e-9 * max entry absorbs that.
@@ -148,23 +147,6 @@ def _broken_triangles(a: np.ndarray):
         listed += [("triangle", (r + x, int(j), y), float(d[x, y]))
                    for x, y in zip(i[:room].tolist(), k[:room].tolist())]
     return listed, int(broken.sum())
-
-
-def restrict(matrix: DistanceMatrix, indices: Sequence[int]) -> DistanceMatrix:
-    """Submatrix at an index tuple, repeats allowed.
-
-    This realizes the map sending an n-tuple of points to its distance
-    matrix; repeated indices give zero off-diagonal rows (a pseudo-metric).
-    Axioms are hereditary, so no re-validation is needed.
-    """
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1:
-        raise IndexOutOfRange("indices must be a flat tuple")
-    if idx.size and (idx.min() < 0 or idx.max() >= matrix.n):
-        raise IndexOutOfRange(f"index out of range for size-{matrix.n} matrix")
-    sub = matrix.entries[np.ix_(idx, idx)].copy()
-    sub.flags.writeable = False
-    return DistanceMatrix(sub)
 
 
 def condensed(entries) -> np.ndarray:

@@ -15,12 +15,12 @@ datasets) has the same four members:
   ``prepare`` returned, and only of those;
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
 
-Models and metric graphs also have ``validate_point(p)``, which refuses
-a point off the space (PointNotOnModel for a model, InvalidPoint for a
-graph).  Raw points of either reach a distance only through ``distance``
+Each of the three also has ``validate_point(p)``: InvalidPoint unless p
+is (..., D) rows of points of the space, checked first for width by
+``points_of``.  Raw points reach a distance only through ``distance``
 and ``distance_matrix`` below: validate, ``prepare``, ``pair_distance``.
-A finite dataset is a matrix already; ``metric.restrict`` gives the
-matrix of an index tuple.
+So the distance matrix of an index tuple of a dataset ``dm`` is
+``distance_matrix(engine.FiniteSpace(dm), rows)`` for (count, 1) rows.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidDescriptor, PointNotOnModel
+from .errors import InvalidDescriptor, InvalidPoint
 from .metric import DistanceMatrix, squareform, validate
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +51,21 @@ def _dot(p, q):
     for d in range(1, p.shape[-1]):
         total += p[..., d] * q[..., d]
     return total + 0.0
+
+
+def points_of(p, width, what):
+    """p as a float array of (..., width) rows; InvalidPoint naming ``what`` otherwise."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != width:
+        raise InvalidPoint(f"{what}, got shape {p.shape}")
+    return p
+
+
+def check_indices(index, count, name):
+    """InvalidPoint unless every value of ``index`` is a whole number in [0, count)."""
+    bad = ~((index >= 0) & (index < count) & (index == np.floor(index)))  # NaN fails
+    if bad.any():
+        raise InvalidPoint(f"{name} index {index[bad][0]:g} is not one of the {count} {name}s")
 
 
 def _unit_vectors(rng, count, dim):
@@ -90,9 +105,8 @@ class CircleGeodesic(RawPoints):
         return _circle_arc(p[..., 0], q[..., 0]) * (self.diameter / math.pi)
 
     def validate_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != 1 or not np.isfinite(p).all():
-            raise PointNotOnModel("circle points are single finite angles")
+        if not np.isfinite(points_of(p, 1, "circle points are single angles")).all():
+            raise InvalidPoint("circle points are finite angles")
 
 
 @dataclass(frozen=True)
@@ -114,11 +128,9 @@ class SphereGeodesic(RawPoints):
         return np.arccos(dot)
 
     def validate_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != self.m + 1:
-            raise PointNotOnModel(f"expected a vector in R^{self.m + 1}")
-        if not np.abs(np.linalg.norm(p, axis=-1) - 1.0).max() <= _POINT_TOL:  # NaN fails too
-            raise PointNotOnModel("sphere point is not a unit vector")
+        p = points_of(p, self.m + 1, f"sphere points are vectors in R^{self.m + 1}")
+        if not np.abs(np.linalg.norm(p, axis=-1) - 1.0).max(initial=0.0) <= _POINT_TOL:  # NaN fails too
+            raise InvalidPoint("sphere point is not a unit vector")
 
 
 @dataclass(frozen=True)
@@ -157,9 +169,8 @@ class TorusL2(RawPoints):
         return np.sqrt(d1 * d1 + d2 * d2)
 
     def validate_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != 2 or not np.isfinite(p).all():
-            raise PointNotOnModel("torus points are angle pairs")
+        if not np.isfinite(points_of(p, 2, "torus points are angle pairs")).all():
+            raise InvalidPoint("torus points are finite angles")
 
 
 @dataclass(frozen=True)
@@ -223,20 +234,18 @@ class ModelSurface(RawPoints):
         return np.arccosh(np.maximum(dot, 1.0)) / math.sqrt(-self.kappa)
 
     def validate_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != 3:
-            raise PointNotOnModel("model surface points live in R^3")
+        p = points_of(p, 3, "model surface points live in R^3")
         if self.kappa > 0:
             form = np.sum(p * p, axis=-1)
         else:
             form = -p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2
-            if not np.min(p[..., 0]) > 0:
-                raise PointNotOnModel("hyperboloid points need x1 > 0")
+            if not np.min(p[..., 0], initial=np.inf) > 0:
+                raise InvalidPoint("hyperboloid points need x1 > 0")
         # the quadratic form cancels terms of size |p|^2, so the achievable
         # accuracy scales with them (hyperboloid points grow with the disk)
-        scale = max(1.0, abs(1.0 / self.kappa), float(np.max(np.sum(p * p, axis=-1))))
-        if not np.abs(form - 1.0 / self.kappa).max() <= _POINT_TOL * scale:
-            raise PointNotOnModel("point does not satisfy the quadric equation")
+        scale = max(1.0, abs(1.0 / self.kappa), float(np.max(np.sum(p * p, axis=-1), initial=0.0)))
+        if not np.abs(form - 1.0 / self.kappa).max(initial=0.0) <= _POINT_TOL * scale:
+            raise InvalidPoint("point does not satisfy the quadric equation")
 
 
 @dataclass(frozen=True)
@@ -260,11 +269,9 @@ class EuclideanDisk(RawPoints):
         return np.sqrt(_dot(diff, diff))
 
     def validate_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1] != self.m:
-            raise PointNotOnModel(f"expected a vector in R^{self.m}")
-        if not np.linalg.norm(p, axis=-1).max() <= self.radius * (1 + 1e-12):
-            raise PointNotOnModel("point is outside the disk")
+        p = points_of(p, self.m, f"disk points are vectors in R^{self.m}")
+        if not np.linalg.norm(p, axis=-1).max(initial=0.0) <= self.radius * (1 + 1e-12):
+            raise InvalidPoint("point is outside the disk")
 
 
 SpaceModel = Union[
@@ -280,8 +287,8 @@ def _pair_distance(space, p, q):
 
 
 def distance(space, p, q):
-    """Exact distances of the points p and q of a model or a metric graph,
-    validated, broadcasting over leading axes; a float for two single points."""
+    """Exact distances of the points p and q of a space, validated,
+    broadcasting over leading axes; a float for two single points."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     space.validate_point(p)
     space.validate_point(q)
@@ -297,10 +304,12 @@ def sample(model: SpaceModel, rng: np.random.Generator, count: int) -> np.ndarra
 
 
 def distance_matrix(space, points) -> DistanceMatrix:
-    """Validated distance matrix of a point list of a model or a metric graph:
-    its i < j pairs, mirrored."""
+    """Validated distance matrix of a (count, D) point list of a space: its
+    i < j pairs, mirrored."""
     pts = np.asarray(points, dtype=float)
     space.validate_point(pts)
+    if pts.ndim != 2:
+        raise InvalidPoint(f"a point list is a (count, D) array, got shape {pts.shape}")
     i, j = np.triu_indices(len(pts), 1)
     return validate(squareform(_pair_distance(space, pts[i], pts[j]), len(pts)))
 

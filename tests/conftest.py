@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from persets import engine, spaces
 from persets.metric import DistanceMatrix, validate
 
 # every property test draws the same examples on every run, and keeps no example database
@@ -49,6 +50,11 @@ def circle_angles_matrix(angles, lam=math.pi):
     d = np.minimum(diff, 2.0 * math.pi - diff) * (lam / math.pi)
     np.fill_diagonal(d, 0.0)
     return validate(d)
+
+
+def tuple_matrix(dm, rows):
+    """Distance matrix of the index tuple ``rows`` of ``dm``: repeats allowed, by the one point route."""
+    return spaces.distance_matrix(engine.FiniteSpace(dm), np.asarray(rows)[:, None])
 
 
 @pytest.fixture

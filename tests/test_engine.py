@@ -113,7 +113,7 @@ def test_finite_space_kept_tuples_are_row_indices():
     assert s.space == "finite:6"
     assert kept.shape == (len(s.points), 4, 1)
     for tup, point in zip(kept[:50], s.points):
-        dgm = principal.principal_diagram(metric.restrict(dm, tup[:, 0]), 1)
+        dgm = principal.principal_diagram(spaces.distance_matrix(engine.FiniteSpace(dm), tup), 1)
         assert dgm.points == (tuple(point),)
 
 
@@ -441,11 +441,16 @@ def test_svg_bytes(tmp_path, circle_sample):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
-@pytest.mark.parametrize("descriptor", ["s1", "sphere:m=2", "torus", "glued:3.5,4.5:alpha=0.5"],
-                         ids=["s1", "sphere", "torus", "glued"])
-def test_distance_matrix_of_a_kept_tuple_gives_its_point(descriptor):
+def cloud_space(size=30):
+    v = np.random.default_rng(5).standard_normal((size, 3))
+    return engine.FiniteSpace(metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
+
+
+@pytest.mark.parametrize("space", ["s1", "sphere:m=2", "torus", "glued:3.5,4.5:alpha=0.5", cloud_space()],
+                         ids=["s1", "sphere", "torus", "glued", "finite"])
+def test_distance_matrix_of_a_kept_tuple_gives_its_point(space):
     # the matrix of a kept tuple, by the one raw-point route, gives the tuple's point bit for bit
-    space = engine.space_of(descriptor)
+    space = engine.space_of(space)
     s = engine.sample_persistence_set(space, 4, 1, 50_000, seed=9)
     kept = engine.kept_tuples(space, s)
     assert len(kept) == len(s.points) > 1000
@@ -462,11 +467,12 @@ def test_finite_kept_tuples_align_with_points(block, monkeypatch):
     v = np.random.default_rng(8).standard_normal((20, 3))
     v = (v / np.linalg.norm(v, axis=1)[:, None])[[*range(20), 2, 5, 5]]
     dm = metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1))
-    s = engine.sample_persistence_set(engine.FiniteSpace(dm), 4, 1, 20_000, seed=6)
-    kept = engine.kept_tuples(engine.FiniteSpace(dm), s)
+    space = engine.FiniteSpace(dm)
+    s = engine.sample_persistence_set(space, 4, 1, 20_000, seed=6)
+    kept = engine.kept_tuples(space, s)
     assert kept.shape == (len(s.points), 4, 1) and len(s.points) > 500
-    for t, point in zip(kept[..., 0], s.points):
-        tb, td = principal.principal_of_pairs(metric.condensed(dm.entries[np.ix_(t, t)]), 4)
+    for tup, point in zip(kept, s.points):
+        tb, td = principal.principal_of_pairs(metric.condensed(spaces.distance_matrix(space, tup).entries), 4)
         assert np.array([tb, td]).tobytes() == point.tobytes()
 
 
@@ -497,11 +503,6 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     assert np.array_equal(runs[0].points, runs[1].points)
     assert np.array_equal(*(engine.kept_tuples("s1", r) for r in runs))
     assert started == [2]  # two chunks of at most 1024 tuples
-
-
-def cloud_space(size=30):
-    v = np.random.default_rng(5).standard_normal((size, 3))
-    return engine.FiniteSpace(metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
 
 
 @pytest.mark.parametrize("space, n, k, tuples", [(cloud_space(), 4, 1, 140_000),

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persets import metric
-from persets.errors import AxiomViolation, IndexOutOfRange, MalformedFile, NonFinite, NotSquare
+from persets.errors import AxiomViolation, InvalidPoint, MalformedFile, NonFinite, NotSquare
 
-from conftest import cloud_matrix_r3
+from conftest import cloud_matrix_r3, tuple_matrix
 
 
 def test_validate_two_point_space():
@@ -53,27 +53,27 @@ def test_validate_accepts_near_boundary_triangle():
 
 def test_restrict_two_point_block_matrix():
     dm = metric.validate([[0, 1], [1, 0]])
-    sub = metric.restrict(dm, (0, 0, 1))
+    sub = tuple_matrix(dm, (0, 0, 1))
     expected = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
     assert np.array_equal(sub.entries, expected)
 
 
 def test_restrict_constant_tuple_is_zero_matrix():
     dm = metric.validate([[0, 1], [1, 0]])
-    sub = metric.restrict(dm, (0, 0, 0))
+    sub = tuple_matrix(dm, (0, 0, 0))
     assert np.array_equal(sub.entries, np.zeros((3, 3)))
 
 
 def test_restrict_identity():
     dm = cloud_matrix_r3(np.random.default_rng(1), 5)
-    sub = metric.restrict(dm, range(5))
+    sub = tuple_matrix(dm, range(5))
     assert np.array_equal(sub.entries, dm.entries)
 
 
 def test_restrict_out_of_range():
     dm = metric.validate([[0, 1], [1, 0]])
-    with pytest.raises(IndexOutOfRange):
-        metric.restrict(dm, (0, 2))
+    with pytest.raises(InvalidPoint):
+        tuple_matrix(dm, (0, 2))
 
 
 @given(
@@ -84,11 +84,11 @@ def test_restrict_out_of_range():
 def test_restrict_composes(idx1, idx2_seed):
     rng = np.random.default_rng(42)
     dm = cloud_matrix_r3(rng, 6)
-    inner = metric.restrict(dm, idx1)
+    inner = tuple_matrix(dm, idx1)
     rng2 = np.random.default_rng(idx2_seed)
     idx2 = rng2.integers(0, len(idx1), size=4)
-    left = metric.restrict(inner, idx2)
-    right = metric.restrict(dm, [idx1[j] for j in idx2])
+    left = tuple_matrix(inner, idx2)
+    right = tuple_matrix(dm, [idx1[j] for j in idx2])
     assert np.array_equal(left.entries, right.entries)
 
 
@@ -97,7 +97,7 @@ def test_restrict_stays_valid(rng):
     for _ in range(50):
         dm = cloud_matrix_r3(rng, 6)
         idx = rng.integers(0, 6, size=5)
-        metric.validate(metric.restrict(dm, idx).entries)
+        metric.validate(tuple_matrix(dm, idx).entries)
 
 
 def test_stats_two_points():
@@ -329,7 +329,7 @@ def test_validate_finds_a_deficit_broken_only_in_the_mirrored_order():
 
 def test_validate_pseudo_metric_zeros(rng):
     dm = cloud_matrix_r3(rng, 6)
-    assert check_against_reference(metric.restrict(dm, [0, 0, 1, 2, 2, 5]).entries) == 0
+    assert check_against_reference(tuple_matrix(dm, [0, 0, 1, 2, 2, 5]).entries) == 0
     # points 0 and 1 coincide but see point 2 at different distances
     assert check_against_reference([[0, 0, 2], [0, 0, 1], [2, 1, 0]]) == 2
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from persets import metric, oracle, principal
 from persets.errors import SizeMismatch, TooFewPoints
 
-from conftest import circle_angles_matrix, circle_matrix, cloud_matrix_r3
+from conftest import circle_angles_matrix, circle_matrix, cloud_matrix_r3, tuple_matrix
 
 
 def four_gon():
@@ -56,7 +56,7 @@ def test_point_extremes_needs_two_points():
 def test_point_extremes_pseudo_metric_repeats():
     # repeated points contribute zero off-diagonal entries, which count
     # among the candidate distances
-    dm = metric.restrict(metric.validate([[0, 1], [1, 0]]), (0, 0, 1))
+    dm = tuple_matrix(metric.validate([[0, 1], [1, 0]]), (0, 0, 1))
     ext = principal.point_extremes(dm)
     assert ext.per_point[0] == (0.0, 1.0, 2)
     assert ext.per_point[1] == (0.0, 1.0, 2)

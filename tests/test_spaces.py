@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from persets import engine, metric, spaces
-from persets.errors import InvalidDescriptor, PointNotOnModel
+from persets import engine, graphs, metric, spaces
+from persets.errors import InvalidDescriptor, InvalidPoint
 
 ALL_MODELS = [
     spaces.CircleGeodesic(),
@@ -47,10 +47,10 @@ def test_model_surface_witness_family():
 
 def test_point_validation():
     s = spaces.SphereGeodesic(m=2)
-    with pytest.raises(PointNotOnModel):
+    with pytest.raises(InvalidPoint):
         spaces.distance(s, [1, 0, 0], [0.5, 0, 0])
     h = spaces.ModelSurface(kappa=-1.0)
-    with pytest.raises(PointNotOnModel):
+    with pytest.raises(InvalidPoint):
         spaces.distance(h, [1, 0, 0], [-1, 0, 0])  # lower sheet
 
 
@@ -65,10 +65,65 @@ def test_point_validation():
 def test_a_nan_point_is_not_on_the_model(model, point):
     # every comparison with NaN is false, so each check must fail on it
     other = model.sample_points(np.random.default_rng(0), 1)[0]
-    with pytest.raises(PointNotOnModel):
+    with pytest.raises(InvalidPoint):
         spaces.distance(model, point, other)
-    with pytest.raises(PointNotOnModel):
+    with pytest.raises(InvalidPoint):
         spaces.distance_matrix(model, [other, point])
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.descriptor)
+def test_a_scalar_is_not_a_point(model):
+    # a 0-d array has no last axis to hold coordinates
+    with pytest.raises(InvalidPoint, match=re.escape("got shape ()")):
+        spaces.distance(model, 0.5, 0.25)
+    with pytest.raises(InvalidPoint, match=re.escape("got shape ()")):
+        model.validate_point(0.5)
+
+
+def five_point_space():
+    v = np.random.default_rng(3).standard_normal((5, 3))
+    return engine.FiniteSpace(metric.validate(np.linalg.norm(v[:, None] - v[None], axis=-1)))
+
+
+@pytest.mark.parametrize("space", ALL_MODELS + [graphs.parse_family("wedge:3,4"), five_point_space()],
+                         ids=lambda space: space.descriptor)
+def test_zero_points_give_an_empty_matrix(space):
+    width = space.sample_points(np.random.default_rng(0), 1).shape[1]
+    assert spaces.distance_matrix(space, np.empty((0, width))).entries.shape == (0, 0)
+
+
+@pytest.mark.parametrize("space", ALL_MODELS + [graphs.parse_family("wedge:3,4"), five_point_space()],
+                         ids=lambda space: space.descriptor)
+def test_distance_matrix_takes_a_point_list(space):
+    # one point alone, or a stack of point lists, is not a point list
+    points = space.sample_points(np.random.default_rng(0), 2)
+    for bad in (points[0], points[None]):
+        with pytest.raises(InvalidPoint, match=re.escape(f"(count, D) array, got shape {bad.shape}")):
+            spaces.distance_matrix(space, bad)
+
+
+@pytest.mark.parametrize("row", [5, -1, 1.5, math.nan], ids=["past-end", "negative", "fractional", "nan"])
+def test_finite_points_off_the_rows_raise_invalid_point(row):
+    space = five_point_space()
+    message = f"row index {row:g} is not one of the 5 rows"
+    with pytest.raises(InvalidPoint, match=message):
+        spaces.distance(space, [row], [0])
+    with pytest.raises(InvalidPoint, match=message):
+        spaces.distance_matrix(space, [[0], [4], [row]])
+
+
+@pytest.mark.parametrize("rows", [[0, 1], [[0, 1], [2, 3]], 0], ids=["two-wide", "two-wide-rows", "scalar"])
+def test_finite_points_are_one_wide_rows(rows):
+    space = five_point_space()
+    with pytest.raises(InvalidPoint, match="finite points are row indices"):
+        spaces.distance(space, rows, rows)
+    with pytest.raises(InvalidPoint, match="finite points are row indices"):
+        spaces.distance_matrix(space, rows)
+
+
+def test_finite_distance_is_the_matrix_entry():
+    space = five_point_space()
+    assert spaces.distance(space, [1], [3]) == space.matrix[1, 3]
 
 
 def test_model_surface_disk_radius():

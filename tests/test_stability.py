@@ -14,6 +14,11 @@ even one that makes every diagram empty; so the clouds lie near a circle
 or a 2-sphere, where 4-tuples are often nontrivial, and the n = 4 samples
 must hold points.
 """
+import contextlib
+import io
+import json
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persets import diagram_metrics, engine, metric, oracle
+from persets import cli, diagram_metrics, engine, metric, oracle, spaces
 
 clouds = st.fixed_dictionaries({
     "size": st.integers(8, 40),
@@ -64,6 +69,25 @@ def test_oracle_diagrams_move_by_at_most_eps(cloud):
     sx, sy, eps = two_spaces(**cloud)
     kept = engine.kept_tuples(sx, engine.sample_persistence_set(sx, 5, 1, 1100, seed=cloud["seed"]))
     assert len(kept) > 0
-    for rows in kept[..., 0]:  # two chunks of X's nontrivial tuples
-        dgm_x, dgm_y = (oracle.vr_diagram(metric.restrict(s.matrix, rows), 1) for s in (sx, sy))
+    for tup in kept:  # two chunks of X's nontrivial tuples
+        dgm_x, dgm_y = (oracle.vr_diagram(spaces.distance_matrix(s, tup), 1) for s in (sx, sy))
         assert diagram_metrics.bottleneck_distance(dgm_x, dgm_y) <= eps
+
+
+@settings(max_examples=6, deadline=None)
+@given(cloud=clouds)
+def test_cli_compare_of_the_two_samples_is_at_most_eps(cloud):
+    # the matrices go through their CSV files, the samples through theirs, and compare reads both back
+    sx, sy, _ = two_spaces(**cloud)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        x, y, a, b = (os.path.join(tmp, name) for name in ("X.csv", "Y.csv", "a.csv", "b.csv"))
+        metric.write_matrix_csv(sx.matrix, x)
+        metric.write_matrix_csv(sy.matrix, y)
+        for space, sample in ((x, a), (y, b)):
+            assert cli.main(["sample", "--space", space, "--tuples", str(1 << 14), "--seed", str(cloud["seed"]),
+                             "--out", sample]) == 0
+        assert cli.main(["compare", "--a", a, "--b", b]) == 0
+        eps = float(np.abs(metric.read_matrix_csv(x).entries - metric.read_matrix_csv(y).entries).max())
+    sampled_x, _, compared = (json.loads(line) for line in out.getvalue().splitlines())
+    assert sampled_x["nontrivial"] > 0
+    assert compared["hausdorff_bottleneck"] <= eps
