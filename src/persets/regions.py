@@ -27,13 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDescriptor
+from .errors import InvalidDescriptor, TooLarge
 from .spaces import no_unused_options, parse_options
 
 SQRT2 = math.sqrt(2.0)
+# points in one boundary piece or interior grid of a region, counted before
+# any is made; s1 vs s2-geodesic at step 2.5e-4 (interior 1e-3) makes 1e7
+MAX_GRID_POINTS = 10**8
+
+
+def _check_count(count, step):
+    """TooLarge when a region grid at ``step`` holds ``count`` > MAX_GRID_POINTS points."""
+    if count > MAX_GRID_POINTS:
+        raise TooLarge(f"step {step:g} makes a region grid of {count:.3g} points, "
+                       f"more than {MAX_GRID_POINTS:.0e}")
 
 
 def _count(step, length):
+    _check_count(length / step + 1.0, step)  # a float: inf for a step too small to divide by
     return max(2, int(math.ceil(length / step)) + 1)
 
 
@@ -189,8 +200,9 @@ def interior_grid(region, step: float, t_d_cap: float | None = None) -> np.ndarr
     bpts = boundary_points(region, max(step, 1e-3), t_d_cap=t_d_cap)
     lo = bpts.min(axis=0)
     hi = bpts.max(axis=0)
-    tb, td = np.meshgrid(np.linspace(lo[0], hi[0], _count(step, hi[0] - lo[0])),
-                         np.linspace(lo[1], hi[1], _count(step, hi[1] - lo[1])))
+    counts = _count(step, hi[0] - lo[0]), _count(step, hi[1] - lo[1])
+    _check_count(counts[0] * counts[1], step)
+    tb, td = np.meshgrid(np.linspace(lo[0], hi[0], counts[0]), np.linspace(lo[1], hi[1], counts[1]))
     mask = contains(region, tb.ravel(), td.ravel(), tol=0.0)
     return np.column_stack([tb.ravel()[mask], td.ravel()[mask]])
 

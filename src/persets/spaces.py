@@ -288,10 +288,15 @@ def _pair_distance(space, p, q):
 
 def distance(space, p, q):
     """Exact distances of the points p and q of a space, validated,
-    broadcasting over leading axes; a float for two single points."""
+    broadcasting over leading axes (InvalidPoint if they do not); a float
+    for two single points."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     space.validate_point(p)
     space.validate_point(q)
+    try:
+        np.broadcast_shapes(p.shape, q.shape)
+    except ValueError:
+        raise InvalidPoint(f"point arrays of shapes {p.shape} and {q.shape} do not broadcast") from None
     d = _pair_distance(space, p, q)
     return float(d) if d.ndim == 0 else d
 

@@ -184,6 +184,13 @@ def test_compare_samples_stdout_is_pinned(tmp_path, capsys):
                                        '"gh_lower_bound": 0.18251188792029682, "resolution": 0.0}\n')
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-9"])
+def test_compare_refuses_a_region_grid_past_the_cap(step, capsys):
+    assert run(["compare", "--region-a", "s1", "--region-b", "s2-geodesic", "--step", step]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: step {float(step):g} makes a region grid of ")
+
+
 @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-inf,1.0", "2.0,1.0", "1.0,1.0"])
 def test_compare_refuses_non_finite_or_inverted_points(row, tmp_path, capsys):
     good = tmp_path / "good.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -265,6 +266,33 @@ def test_grid_search_matches_all_pairs_on_small_integer_sets(seed, na, nb, scale
     with mock.patch.object(dmx, "_BLOCK", block), mock.patch.object(dmx, "_ROUND", round_pairs), \
             mock.patch.object(dmx, "_CELL_POINTS", cell_points):
         assert_matches_all_pairs(a, b)
+
+
+@pytest.mark.parametrize("block", [None, 1 << 8])
+def test_grid_search_on_points_along_a_line(block):
+    # a line fills about g of the g x g cells, so each holds about sqrt(N)
+    # points; runs of _BLOCK // _CELL_POINTS points then cut through cells
+    rng = np.random.default_rng(10)
+    a = rng.uniform(0, 1, (3000, 1)) + [0.0, 0.5]
+    b = rng.uniform(0, 1, (2000, 1)) + [0.0, 0.5]
+    with mock.patch.object(dmx, "_BLOCK", block or dmx._BLOCK):
+        for pb in (b, a, a + 1e-3):
+            assert_matches_all_pairs(a, pb)
+
+
+def test_grid_search_memory_per_point():
+    # the cell-sorted coordinates (16 bytes a point), int32 cell tables
+    # and O(_BLOCK) scratch; the full-length temporaries of a whole-array
+    # search took about 80 bytes a point here
+    rng = np.random.default_rng(11)
+    a, b = rng.random((1 << 17, 2)), rng.random((1 << 16, 2))
+    tracemalloc.start()
+    try:
+        dmx.hausdorff_bottleneck_points(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * (len(a) + len(b))
 
 
 def test_grid_search_on_clusters_far_apart():

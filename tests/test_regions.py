@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from persets import regions as reg
-from persets.errors import InvalidDescriptor
+from persets.errors import InvalidDescriptor, TooLarge
 
 PI = math.pi
 
@@ -69,6 +70,27 @@ def test_boundary_step_halving_doubles_count():
 def test_boundary_positive_step_required():
     with pytest.raises(InvalidDescriptor):
         reg.boundary_points(reg.CircleOddK(1, PI), step=0.0)
+
+
+@pytest.mark.parametrize("make, step", [
+    (reg.boundary_points, 1e-300),  # the count alone is out of the float range
+    (reg.boundary_points, PI * 1e-8),  # one side just past the cap of 1e8
+    (reg.interior_grid, PI / 2e4),  # 2e4 points a side, 4e8 in all
+], ids=["boundary-1e-300", "boundary-past-cap", "interior-past-cap"])
+def test_an_oversized_region_grid_is_refused_before_it_is_made(make, step):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="more than 1e[+]08"):
+            make(reg.ModelSurfaceRegion(kappa=1.0), step)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_finest_documented_grids_are_well_within_the_cap():
+    # s1 vs s2-geodesic at step 2.5e-4 (interior 1e-3): both regions lie in [0, pi]^2
+    assert 10 * reg._count(2.5e-4, PI) < reg.MAX_GRID_POINTS
+    assert 10 * reg._count(1e-3, PI) ** 2 < reg.MAX_GRID_POINTS
 
 
 def test_circle_density_values():

@@ -121,6 +121,17 @@ def test_finite_points_are_one_wide_rows(rows):
         spaces.distance_matrix(space, rows)
 
 
+@pytest.mark.parametrize("space, p, q", [
+    (spaces.TorusL2(), [[0, 1], [1, 2], [2, 3]], [[0, 1], [1, 2]]),
+    (graphs.parse_family("wedge:3,4"), [[0, 0.5], [1, 0.5]], [[0, 0.1], [1, 0.2], [0, 0.3]]),
+    (five_point_space(), [[0], [1], [2]], [[3], [4]]),
+], ids=["model", "graph", "finite"])
+def test_point_arrays_that_do_not_broadcast_raise_invalid_point(space, p, q):
+    shapes = f"shapes {np.shape(p)} and {np.shape(q)} do not broadcast"
+    with pytest.raises(InvalidPoint, match=re.escape(shapes)):
+        spaces.distance(space, p, q)
+
+
 def test_finite_distance_is_the_matrix_entry():
     space = five_point_space()
     assert spaces.distance(space, [1], [3]) == space.matrix[1, 3]
