@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import engine, metric, spaces
-from .errors import PersetsError, UnsupportedCombination
+from .errors import MalformedFile, PersetsError, UnsupportedCombination
 
 
 def _print_json(doc) -> None:
@@ -31,17 +31,18 @@ def _print_json(doc) -> None:
     print(json.dumps(finite(doc), allow_nan=False))
 
 
-def _bounded(kind, low, above=False, name=None):
+def _bounded(kind, low, above=False, name=None, high=math.inf):
     """An argparse type: a finite ``kind`` (int or float) >= low, or > low if
-    ``above``; anything else is a usage error (exit 2) naming ``name``."""
+    ``above``, and <= high; anything else is a usage error (exit 2) naming ``name``."""
     want = f"{'an integer' if kind is int else 'a finite number'} {'>' if above else '>='} {low}"
+    want += f" and <= {high}" if high < math.inf else ""
 
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not low <= value < math.inf or (above and value == low):
+        if value is None or not low <= value <= high or value == math.inf or (above and value == low):
             raise argparse.ArgumentTypeError(f"{name + ' ' if name else ''}must be {want}, got {text!r}")
         return value
     return parse
@@ -143,9 +144,8 @@ def cmd_density_check(args) -> int:
 def cmd_validate(args) -> int:
     try:
         if args.matrix.endswith(".json"):
-            dm = metric.read_matrix_json(args.matrix)
-        else:
-            dm = metric.read_matrix_csv(args.matrix)
+            raise MalformedFile(f"{args.matrix}: a distance matrix is a CSV file, n rows of n numbers")
+        dm = metric.read_matrix_csv(args.matrix)
     except PersetsError as exc:
         listed = getattr(exc, "violations", [])
         _print_json({"valid": False, "error": str(exc),
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="sample.csv", help="CSV of nontrivial (t_b, t_d) points + <out>.json")
     p.add_argument("--svg", default=None, help="scatter plot output")
     p.add_argument("--heatmap", default=None, help="heatmap plot output")
-    p.add_argument("--bins", type=_bounded(int, 1), default=100)
+    p.add_argument("--bins", type=_bounded(int, 1, high=engine.MAX_BINS), default=100)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("oracle-check", help="test sample points against an analytic region")
@@ -209,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", type=_bounded(int, 1), default=1_000_000)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_workers_arg(p)
-    p.add_argument("--bins", type=_bounded(int, 1), default=50)
+    p.add_argument("--bins", type=_bounded(int, 1, high=engine.MAX_BINS), default=50)
     p.add_argument("--threshold", type=_bounded(float, 0.0), default=0.05)
     p.set_defaults(fn=cmd_density_check)
 
     p = sub.add_parser("validate", help="check a distance matrix file against the metric axioms")
-    p.add_argument("matrix", help="CSV (rows of decimals) or JSON {n, d} file")
+    p.add_argument("matrix", help="CSV file: n rows of n decimals")
     p.set_defaults(fn=cmd_validate)
 
     return ap

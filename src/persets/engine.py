@@ -8,6 +8,11 @@ kernel when n = 2k+2, else the oracle), and aggregates the nontrivial
 (t_b, t_d) points plus a scalar count of trivial (empty) diagrams.  The
 empty diagram is never encoded as a (0, 0) point.
 
+A chunk draws all its points in one ``sample_points`` call; the pair
+list, the distance guard and the kernel (or the oracle) then run on one
+BLOCK of tuples at a time, so a worker holds its draw plus O(BLOCK n^2)
+scratch.
+
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
 concatenates chunk results in chunk order, so the output is bit-identical
@@ -29,6 +34,7 @@ from .errors import (
     EmptySample,
     MalformedFile,
     RegionMismatch,
+    TooLarge,
     UnsupportedCombination,
 )
 from .metric import (DistanceMatrix, read_csv, read_json, read_matrix_csv, squareform, whole, write_csv,
@@ -38,6 +44,7 @@ from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
 BLOCK = 1 << 13  # tuples per prepare call, per pair_distance call and per kernel call
+MAX_BINS = 1 << 10  # histogram bins per axis: its counts stay at 8 MiB, 16 MiB while numpy bins them
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,27 +122,28 @@ def space_of(space):
     return spaces_mod.parse_space(space)
 
 
-def sample_tuples(space, rng, count: int, n: int):
-    """``count`` n-tuples, (count, n, D), and their pair list, (n(n-1)/2, count).
+def draw_tuples(space, rng, count: int, n: int):
+    """``count`` n-tuples, (count, n, D), from one ``sample_points`` call: all a chunk draws."""
+    return space.sample_points(rng, count * n).reshape(count, n, -1)
 
-    The tuples are drawn in one call, then walked in blocks of BLOCK:
-    ``prepare`` gets each block once, as an (n, B, D) view, and every
-    ``pair_distance`` call gets two of the n positions it returns, so
-    temporaries stay at B values per coordinate.  UnsupportedCombination
-    if a distance is negative, infinite or NaN.
-    """
-    pts = space.sample_points(rng, count * n).reshape(count, n, -1)
-    pairs = np.empty((n * (n - 1) // 2, count))
+
+def pair_blocks(space, tuples):
+    """(start, pair list) of each BLOCK of the (count, n, D) ``tuples``: one (n(n-1)/2, B) buffer
+    that each block overwrites.  ``prepare`` gets each block once, as an (n, B, D) view.
+    UnsupportedCombination if a distance of the block is negative, infinite or NaN."""
+    count, n = tuples.shape[:2]
+    buffer = np.empty((n * (n - 1) // 2, min(count, BLOCK)))
     ij = list(zip(*np.triu_indices(n, 1)))
     for b in range(0, count, BLOCK):
-        at = space.prepare(pts[b:b + BLOCK].swapaxes(0, 1))
+        pairs = buffer[:, :min(BLOCK, count - b)]
+        at = space.prepare(tuples[b:b + BLOCK].swapaxes(0, 1))
         for p, (i, j) in enumerate(ij):
-            pairs[p, b:b + BLOCK] = space.pair_distance(at[i], at[j])
+            pairs[p] = space.pair_distance(at[i], at[j])
         del at  # the next block's prepare reuses this memory instead of faulting in new pages
-    if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
-        raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
-                                     f"to {pairs.max()}; a campaign needs them in [0, inf)")
-    return pts, pairs
+        if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
+            raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
+                                         f"to {pairs.max()}; a campaign needs them in [0, inf)")
+        yield b, pairs
 
 
 def _tasks(space, n, k, tuples, seed):
@@ -148,16 +156,19 @@ def _chunk(space, n, k, seed, chunk_index, count):
     """The tuples of one chunk, their nontrivial points and each tuple's point
     count; the O(n^2) kernel when n = 2k+2, else the oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    pts, dists = sample_tuples(space, rng, count, n)
+    pts = draw_tuples(space, rng, count, n)
     if n == 2 * k + 2:
         tb, td = np.empty(count), np.empty(count)
-        for b in range(0, count, BLOCK):
-            principal_of_pairs(dists[:, b:b + BLOCK], n, out=(tb[b:b + BLOCK], td[b:b + BLOCK]))
+        for b, block in pair_blocks(space, pts):
+            principal_of_pairs(block, n, out=(tb[b:b + BLOCK], td[b:b + BLOCK]))
         per_tuple = tb < td
         pairs = np.column_stack([tb[per_tuple], td[per_tuple]])
+    elif n < 2 * k + 2:  # see sample_persistence_set
+        per_tuple, pairs = np.zeros(count, np.intp), np.empty((0, 2))
     else:
         # sampled matrices are metric by construction; skip re-validation
-        dgms = [vr_diagram(DistanceMatrix(m), k).points for m in squareform(dists, n)]
+        dgms = [vr_diagram(DistanceMatrix(m), k).points
+                for _, block in pair_blocks(space, pts) for m in squareform(block, n)]
         per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
         pairs = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
     return pts, pairs, per_tuple
@@ -191,10 +202,12 @@ def sample_persistence_set(
 
     ``space`` is a space object or any string ``space_of`` resolves.
     n = 2k+2 is the principal path (the O(n^2) kernel, chunks of CHUNK
-    tuples); any other k+2 <= n <= oracle.MAX_POINTS runs every tuple
-    through the brute-force oracle, in chunks of 1024, flattening all
-    diagram points.  The pool holds at most ``workers``, the chunk
-    count and the machine's CPU count processes.
+    tuples); n = 2k+3 .. oracle.MAX_POINTS runs every tuple through the
+    brute-force oracle, in chunks of 1024, flattening all diagram points.
+    Below 2k+2 (k >= 1) every diagram is empty: nothing is drawn.  Each
+    chunk holds its draw and one BLOCK of pair list.  The pool holds at
+    most ``workers``, the chunk count and the machine's CPU count
+    processes.
     """
     space = space_of(space)
     if workers < 1:
@@ -204,7 +217,9 @@ def sample_persistence_set(
     tasks = _tasks(space, n, k, m_max, seed)
     # under fork the pool starts all its workers at the first submit
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
-    if pool_size > 1:
+    if n < 2 * k + 2:  # every diagram is empty: no flag complex on under 2k+2 points has reduced H_k, k >= 1
+        results = [(np.empty((0, 2)), m_max)]
+    elif pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
@@ -265,6 +280,8 @@ def histogram(
     """
     if bins_b < 1 or bins_d < 1:
         raise RegionMismatch("bins must be >= 1")
+    if max(bins_b, bins_d) > MAX_BINS:
+        raise TooLarge(f"bins must be <= {MAX_BINS} per axis, got {bins_b} x {bins_d}")
     pts = sample.points
     if range_b is None:
         range_b = (float(pts[:, 0].min()), float(pts[:, 0].max())) if len(pts) else (0.0, 1.0)
@@ -291,7 +308,8 @@ def density_l1_error(hist: Histogram2D, density: Callable[[np.ndarray, np.ndarra
     to the nontrivial fraction, and ``density`` must integrate to the same
     fraction (the trivial mass is excluded from both sides rather than
     renormalized to 1; renormalizing would just multiply the error by the
-    reciprocal fraction).  Analytic bin averages use a 32 x 32 subsample grid.
+    reciprocal fraction).  Analytic bin averages use a 32 x 32 subsample grid,
+    evaluated one bin row at a time.
     """
     counts = hist.counts
     if counts.sum() == 0:
@@ -304,11 +322,9 @@ def density_l1_error(hist: Histogram2D, density: Callable[[np.ndarray, np.ndarra
     off = (np.arange(s) + 0.5) / s
     tb = b0 + (np.arange(nb)[:, None] + off[None, :]) * wb  # (nb, s)
     td = d0 + (np.arange(nd)[:, None] + off[None, :]) * wd  # (nd, s)
-    vals = density(
-        tb[:, None, :, None].repeat(nd, axis=1),
-        td[None, :, None, :].repeat(nb, axis=0),
-    )
-    analytic = vals.reshape(nb, nd, s * s).mean(axis=2)
+    analytic = np.empty((nb, nd))
+    for i in range(nb):  # density of (nd, s, 1) and (nd, 1, s) grids
+        analytic[i] = density(tb[i, None, :, None].repeat(nd, axis=0), td[:, None, :]).reshape(nd, s * s).mean(axis=1)
     if float(analytic.sum() * wb * wd) <= 0.0:
         raise RegionMismatch("analytic density vanishes on the histogram box")
 

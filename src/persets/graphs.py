@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint
 from .metric import number, read_json, whole, write_json
-from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of
+from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,12 +165,15 @@ def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
     if count < 0:
         raise InvalidDescriptor("count must be >= 0")
     lens = graph.edge_len
-    probs = lens / lens.sum()
-    e = rng.choice(len(lens), size=count, p=probs)
-    o = rng.uniform(0.0, 1.0, size=count) * lens[e]
+    cdf = (lens / lens.sum()).cumsum()
+    cdf /= cdf[-1]
     out = np.empty((count, 2))
-    out[:, 0] = e
-    out[:, 1] = o
+    draws = rng.random(count)  # rng.choice(len(lens), size=count, p=lens / lens.sum()), a row block at a time
+    for block, u in row_blocks(out, draws):
+        block[:, 0] = cdf.searchsorted(u, side="right")
+    rng.random(out=draws)  # the bits of rng.uniform(0.0, 1.0, size=count)
+    for block, o in row_blocks(out, draws):
+        block[:, 1] = o * lens[block[:, 0].astype(np.intp)]
     return out
 
 

@@ -186,7 +186,7 @@ def stats(matrix: DistanceMatrix) -> MetricStats:
 # ---------------------------------------------------------------------------
 # File formats: CSV rows of comma-separated shortest round-trip decimals
 # (repr) under an optional header, or one JSON object.  Distance matrices:
-# CSV (n rows, no header) or JSON {"n": int, "d": flat row-major array}.
+# CSV (n rows, no header).
 # ---------------------------------------------------------------------------
 
 _CSV_ROWS = 1 << 14  # rows formatted at a time; bounds the Python lists of a write
@@ -275,15 +275,3 @@ def read_matrix_csv(path) -> DistanceMatrix:
 
 def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
     write_csv(path, matrix.entries)
-
-
-def read_matrix_json(path) -> DistanceMatrix:
-    doc = read_json(path, {"n": whole, "d": lambda d: np.array([number(x) for x in d], dtype=float)})
-    n, flat = doc["n"], doc["d"]
-    if n < 0 or flat.size != n * n:
-        raise NotSquare(f"flat array of length {flat.size} does not fill {n}x{n}")
-    return validate(flat.reshape(n, n))
-
-
-def write_matrix_json(matrix: DistanceMatrix, path) -> None:
-    write_json(path, {"n": matrix.n, "d": matrix.entries.ravel().tolist()})

@@ -35,6 +35,7 @@ from .metric import DistanceMatrix, squareform, validate
 
 TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
+_ROWS = 1 << 13  # drawn rows per step of a sampler's arithmetic, after its RNG calls
 
 
 def _dot(p, q):
@@ -68,10 +69,16 @@ def check_indices(index, count, name):
         raise InvalidPoint(f"{name} index {index[bad][0]:g} is not one of the {count} {name}s")
 
 
+def row_blocks(*arrays):
+    """Aligned views of ``_ROWS`` rows of equally long arrays, block by block."""
+    return zip(*([a[r:r + _ROWS] for r in range(0, len(a), _ROWS)] for a in arrays))
+
+
 def _unit_vectors(rng, count, dim):
     """``count`` uniform points of the unit sphere in R^dim, normalized in place."""
     v = rng.standard_normal(size=(count, dim))
-    v /= np.sqrt(_dot(v, v))[:, None]
+    for (block,) in row_blocks(v):
+        block /= np.sqrt(_dot(block, block))[:, None]
     return v
 
 
@@ -208,21 +215,23 @@ class ModelSurface(RawPoints):
         if self.kappa > 0:
             r = 1.0 / math.sqrt(self.kappa)
             v = rng.standard_normal(size=(count, 3))
-            norm = np.sqrt(_dot(v, v))[:, None]
-            v *= r
-            v /= norm
+            for (block,) in row_blocks(v):
+                norm = np.sqrt(_dot(block, block))[:, None]
+                block *= r
+                block /= norm
             return v
         s = math.sqrt(-self.kappa)
         a = 1.0 / s
         # geodesic polar area element ~ sinh(s r): invert its CDF
         u = rng.uniform(0.0, 1.0, size=count)
         smax = math.cosh(s * self.disk_radius) - 1.0
-        sr = np.arccosh(1.0 + u * smax)
         theta = rng.uniform(0.0, TWO_PI, size=count)
         pts = np.empty((count, 3))
-        pts[:, 0] = a * np.cosh(sr)
-        pts[:, 1] = a * np.sinh(sr) * np.cos(theta)
-        pts[:, 2] = a * np.sinh(sr) * np.sin(theta)
+        for block, u, theta in row_blocks(pts, u, theta):
+            sr = np.arccosh(1.0 + u * smax)
+            block[:, 0] = a * np.cosh(sr)
+            block[:, 1] = a * np.sinh(sr) * np.cos(theta)
+            block[:, 2] = a * np.sinh(sr) * np.sin(theta)
         return pts
 
     def pair_distance(self, p, q):
@@ -261,7 +270,8 @@ class EuclideanDisk(RawPoints):
 
     def sample_points(self, rng, count):
         v = _unit_vectors(rng, count, self.m)
-        v *= self.radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / self.m)
+        for block, u in row_blocks(v, rng.uniform(0.0, 1.0, size=(count, 1))):
+            block *= self.radius * u ** (1.0 / self.m)
         return v
 
     def pair_distance(self, p, q):

@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from persets import engine, graphs, metric, oracle, principal, regions, spaces
-from persets.errors import EmptySample, MalformedFile, RegionMismatch, UnsupportedCombination
+from persets.errors import EmptySample, MalformedFile, RegionMismatch, TooLarge, UnsupportedCombination
 
 from conftest import circle_angles_matrix
 
@@ -72,7 +73,7 @@ def test_oracle_limits_are_checked_before_drawing(n, k, monkeypatch):
     def draw(*args):
         raise AssertionError("a chunk was drawn")
 
-    monkeypatch.setattr(engine, "sample_tuples", draw)
+    monkeypatch.setattr(engine, "draw_tuples", draw)
     with pytest.raises(UnsupportedCombination, match=f"n={n}, k={k}: need") as exc:
         engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0)
     assert f"<= {oracle.MAX_POINTS}" in str(exc.value)
@@ -91,7 +92,7 @@ def test_oracle_fallback_matches_principal_on_principal_case():
     space = spaces.CircleGeodesic()
     s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))  # chunk 0's stream
-    _, pairs = engine.sample_tuples(space, rng, 500, 4)
+    [(_, pairs)] = engine.pair_blocks(space, engine.draw_tuples(space, rng, 500, 4))  # one block
     dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
     assert s.trivial_count == sum(not d for d in dgms)
@@ -161,6 +162,40 @@ def test_campaign_refuses_a_distance_outside_zero_to_inf(space, n, k):
     # a NaN made every diagram trivial and a negative distance gave negative t_b and t_d, both silently
     with pytest.raises(UnsupportedCombination, match="space 'segment' gave pair distances"):
         engine.sample_persistence_set(space, n, k, 5000, seed=2)
+
+
+@pytest.mark.parametrize("space, n, bound", [("sphere:m=2", 6, 48), ("sphere:m=9", 8, 80)])
+def test_chunk_holds_its_draw_and_one_block(space, n, bound):
+    # beyond its draw a chunk keeps t_b/t_d and BLOCK-sized scratch (34 and 56 B a
+    # tuple); a whole-chunk pair list and norm temporaries took 139 and 704
+    space = engine.space_of(space)
+    draw = engine.CHUNK * n * space.sample_points(np.random.default_rng(0), 1).nbytes
+    tracemalloc.start()
+    try:
+        engine._run_chunk(space, n, n // 2 - 1, 1, 0, engine.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - draw) / engine.CHUNK < bound
+
+
+@pytest.mark.parametrize("space, n, k", [("s1", 3, 1), ("sphere:m=2", 5, 2), ("wedge:3.5,4.5", 7, 3), ("finite", 4, 2)])
+def test_campaign_that_can_only_give_empty_diagrams_draws_nothing(space, n, k, monkeypatch, tmp_path):
+    # below 2k+2 points every degree-k diagram is empty (tests/test_oracle.py)
+    space = engine.FiniteSpace(circle_angles_matrix([0.0, 1.0, 2.5])) if space == "finite" else space
+    with monkeypatch.context() as m:
+        m.setattr(engine, "draw_tuples", lambda *args: pytest.fail("a chunk was drawn"))
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: pytest.fail("a pool started"))
+        s = engine.sample_persistence_set(space, n, k, 2500, seed=4, workers=2)
+    assert (s.points.shape, s.points.dtype, s.trivial_count, s.tuples_drawn) == ((0, 2), np.float64, 2500, 2500)
+    engine.write_sample(s, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_text() == "t_b,t_d\n"
+    sidecar = json.loads((tmp_path / "s.csv.json").read_text())
+    assert sidecar == {"tuples": 2500, "trivial": 2500, "seed": 4, "space": s.space, "n": n, "k": k}
+    # the redraw gives no tuple, as (0, n, D) rows of the draw's dtype
+    one = engine.space_of(space).sample_points(np.random.default_rng(0), 1)
+    kept = engine.kept_tuples(space, s)
+    assert (kept.shape, kept.dtype) == ((0, n, one.shape[1]), one.dtype)
 
 
 def test_prepare_runs_once_per_block(monkeypatch):
@@ -287,6 +322,30 @@ def test_density_l1_error_detects_wrong_density(circle_sample):
     err = engine.density_l1_error(h, shifted)
     assert err == pytest.approx(1.0 / 6.0, abs=0.02)
     assert err > 0.12
+
+
+def test_histogram_bins_are_capped():
+    s = engine.PersistenceSetSample("x", 4, 1, 10, np.array([[2.0, 2.5]]), 9, 0)
+    assert engine.histogram(s, engine.MAX_BINS, 1).counts.shape == (engine.MAX_BINS, 1)
+    with pytest.raises(TooLarge, match=f"<= {engine.MAX_BINS}"):
+        engine.histogram(s, 1, engine.MAX_BINS + 1)
+    with pytest.raises(TooLarge):
+        engine.histogram(s, 10**8, 10**8)
+
+
+@pytest.mark.parametrize("bins", [(1, 1), (7, 5), (40, 40)])
+def test_density_l1_error_rows_give_the_whole_grid_bits(circle_sample, bins):
+    # the analytic bin means of the whole (nb, nd, 32, 32) grid at once, as before the row loop
+    h = engine.histogram(circle_sample, *bins, range_b=(PI / 2, PI), range_d=(2 * PI / 3, PI))
+    (nb, nd), (b0, b1), (d0, d1) = h.counts.shape, h.range_b, h.range_d
+    wb, wd = (b1 - b0) / nb, (d1 - d0) / nd
+    off = (np.arange(32) + 0.5) / 32
+    tb = b0 + (np.arange(nb)[:, None] + off[None, :]) * wb
+    td = d0 + (np.arange(nd)[:, None] + off[None, :]) * wd
+    vals = regions.circle_density(tb[:, None, :, None].repeat(nd, axis=1), td[None, :, None, :].repeat(nb, axis=0))
+    analytic = vals.reshape(nb, nd, 32 * 32).mean(axis=2)
+    whole = float(np.abs(h.counts / (h.total * wb * wd) - analytic).sum() * wb * wd)
+    assert engine.density_l1_error(h, regions.circle_density) == whole
 
 
 def test_density_region_mismatch():

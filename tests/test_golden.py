@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from persets import cli, engine, metric
+from persets import cli, engine, metric, spaces
 
 SEED = 17
 CHUNK = 1024
@@ -120,6 +120,14 @@ def test_golden_digest(descriptor, n, workers, monkeypatch):
 def test_golden_digest_across_block_edges(descriptor, n, monkeypatch):
     # 300 neither divides CHUNK nor equals it: blocks end inside both chunks
     monkeypatch.setattr(engine, "BLOCK", 300)
+    assert digest(campaign(descriptor, n, 1, monkeypatch)) == GOLDEN[descriptor, n]
+
+
+@pytest.mark.parametrize("descriptor,n", sorted(GOLDEN))
+def test_golden_digest_across_sampler_row_blocks(descriptor, n, monkeypatch):
+    # 1000 divides neither a chunk's draw (1024 n or 476 n points) nor BLOCK:
+    # the samplers' row blocks end inside every draw
+    monkeypatch.setattr(spaces, "_ROWS", 1000)
     assert digest(campaign(descriptor, n, 1, monkeypatch)) == GOLDEN[descriptor, n]
 
 

@@ -109,6 +109,20 @@ def test_sample_count_zero():
     assert len(graphs.sample_graph(g, np.random.default_rng(0), 0)) == 0
 
 
+@pytest.mark.parametrize("graph", ["wedge:3.5,4.5", "glued:3.5,4.5:alpha=0.5", "flares:c=6.2832,k=4,L=1",
+                                   "flares-fig", "treecycles:8,10,12.8:edge=0.35", 0, 1, 2])
+def test_sample_graph_draws_what_rng_choice_draws(graph, monkeypatch):
+    # the same draws and edges, row block by row block, and the generator ends in the same state
+    g = graphs.random_tree(np.random.default_rng(graph), 40) if isinstance(graph, int) else graphs.parse_family(graph)
+    monkeypatch.setattr(spaces, "_ROWS", 1000)
+    for seed in range(5):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        e = theirs.choice(len(g.edge_len), size=2500, p=g.edge_len / g.edge_len.sum())
+        o = theirs.uniform(0.0, 1.0, size=2500) * g.edge_len[e]
+        assert graphs.sample_graph(g, ours, 2500).tobytes() == np.column_stack([e, o]).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_wedge_family_shape():
     g = graphs.wedge_of_circles([3.5, 4.5])
     assert g.total_length == pytest.approx(8.0)
@@ -275,7 +289,8 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
     monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: draw)
     monkeypatch.setattr(engine, "BLOCK", 64)
-    tuples, pairs = engine.sample_tuples(g, rng, count, n)
+    tuples = engine.draw_tuples(g, rng, count, n)
+    pairs = np.concatenate([block.copy() for _, block in engine.pair_blocks(g, tuples)], axis=1)  # one buffer
     ij = list(zip(*np.triu_indices(n, 1)))
     points = [[spaces.distance(g, t[i], t[j]) for t in tuples] for i, j in ij]
     routes = [[_endpoint_routes(g, t[i], t[j]) for t in tuples] for i, j in ij]

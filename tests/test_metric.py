@@ -395,20 +395,3 @@ def test_whole_accepts_whole_numbers(value, expected):
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError):
         metric.whole(value)
-
-
-@pytest.mark.parametrize("doc", ['{"n": 2, "d": [0, true, "1", 0]}', '{"n": 2, "d": [0, null, 1, 0]}',
-                                 '{"n": 2, "d": [0, 1%s, 1, 0]}' % ("0" * 400), '{"n": 2, "d": [[0, 1], [1, 0]]}'])
-def test_read_matrix_json_rejects_entries_that_are_not_numbers(doc, tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text(doc)
-    with pytest.raises(MalformedFile, match="expected a number"):
-        metric.read_matrix_json(path)
-
-
-def test_json_roundtrip(tmp_path, rng):
-    dm = cloud_matrix_r3(rng, 4)
-    path = tmp_path / "m.json"
-    metric.write_matrix_json(dm, path)
-    back = metric.read_matrix_json(path)
-    assert np.array_equal(back.entries, dm.entries)

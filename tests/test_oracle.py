@@ -147,3 +147,23 @@ def test_octahedron_degrees():
     assert dgms[1].is_empty
     assert len(dgms[2].points) == 1
     assert dgms[2].points[0] == pytest.approx((math.pi / 2, math.pi))
+
+
+def test_no_degree_k_diagram_below_2k_plus_2_points():
+    # the smallest flag k-sphere, the boundary of the (k+1)-dimensional cross-polytope,
+    # has 2k+2 vertices; a campaign at k+2 <= n < 2k+2 therefore draws nothing
+    rng = np.random.default_rng(26)
+    checked = 0
+    for k in range(1, oracle.MAX_POINTS - 1):
+        for n in range(k + 2, min(2 * k + 2, oracle.MAX_POINTS + 1)):
+            x = rng.standard_normal((n, k + 1))
+            sphere = x / np.linalg.norm(x, axis=1)[:, None]
+            square = rng.uniform(size=(n, n))
+            tied = rng.integers(1, 3, size=(n, n)).astype(float)
+            for d in (np.linalg.norm(sphere[:, None] - sphere[None], axis=-1), square + square.T, tied + tied.T,
+                      circle_angles_matrix(2 * math.pi * np.arange(n) / n).entries):
+                d = np.array(d)
+                np.fill_diagonal(d, 0.0)
+                assert oracle.vr_diagram(metric.DistanceMatrix(d), k).is_empty, (n, k)
+                checked += 1
+    assert checked == 4 * 30

@@ -256,7 +256,8 @@ def test_hyperbolic_sampler_stays_in_disk():
 def test_sampler_batch_matches_pointwise():
     model = spaces.TorusL2()
     rng = np.random.default_rng(6)
-    pts, pairs = engine.sample_tuples(model, rng, 64, 4)
+    pts = engine.draw_tuples(model, rng, 64, 4)
+    [(_, pairs)] = engine.pair_blocks(model, pts)  # one block
     assert pts.shape == (64, 4, 2) and pairs.shape == (6, 64)
     mats = metric.squareform(pairs, 4)
     for t in range(0, 64, 7):
