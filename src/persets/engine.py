@@ -68,14 +68,7 @@ class Histogram2D:
     counts: np.ndarray  # (bins_b, bins_d) integer counts
     range_b: tuple[float, float]
     range_d: tuple[float, float]
-    empty_mass: int
     total: int  # trivial mass + binned points (clipped draws drop out)
-
-    @property
-    def bin_area(self) -> float:
-        (b0, b1), (d0, d1) = self.range_b, self.range_d
-        nb, nd = self.counts.shape
-        return ((b1 - b0) / nb) * ((d1 - d0) / nd)
 
 
 @dataclass(frozen=True)
@@ -268,10 +261,10 @@ def histogram(
     range_b: Optional[tuple[float, float]] = None,
     range_d: Optional[tuple[float, float]] = None,
 ) -> Histogram2D:
-    """2-D counts of the nontrivial points; trivial mass stays scalar.
+    """2-D counts of the nontrivial points; ``total`` adds the trivial count.
 
-    The default range is the data's bounding box, so counts + empty mass
-    equal the tuples drawn when n = 2k+2; with a caller-supplied range,
+    The default range is the data's bounding box, so ``total`` equals
+    the tuples drawn when n = 2k+2; with a caller-supplied range,
     points outside it are excluded from counts and total alike.  The
     recorded ranges are the outer bin edges numpy used, which widens a
     zero-width range by 0.5 on each side.  A sample with n != 2k+2 is
@@ -295,7 +288,6 @@ def histogram(
         counts=counts,
         range_b=(float(edges_b[0]), float(edges_b[-1])),
         range_d=(float(edges_d[0]), float(edges_d[-1])),
-        empty_mass=sample.trivial_count,
         total=sample.trivial_count + int(counts.sum()),
     )
 
@@ -426,7 +418,7 @@ def sample_two_point_empty_fraction(alpha: float, n: int, m_max: int, seed: int)
 
 
 # ---------------------------------------------------------------------------
-# Sample and histogram files: a CSV plus its required JSON sidecar <csv>.json
+# Sample files: a CSV plus its required JSON sidecar <csv>.json
 # ---------------------------------------------------------------------------
 
 SAMPLE_HEADER = "t_b,t_d"
@@ -459,17 +451,6 @@ def read_sample(csv_path) -> PersistenceSetSample:
         raise MalformedFile(f"{sidecar}: {rows} point(s) and trivial={trivial} do not fit tuples={tuples} "
                             f"at n={meta['n']}, k={meta['k']}")
     return PersistenceSetSample(points=points, **{f: meta[key] for key, (f, _) in _SIDECAR.items()})
-
-
-def write_histogram(hist: Histogram2D, csv_path) -> None:
-    write_csv(csv_path, hist.counts)
-    write_json(str(csv_path) + ".json", {
-        "range_b": list(hist.range_b),
-        "range_d": list(hist.range_d),
-        "empty_mass": hist.empty_mass,
-        "total": hist.total,
-        "bins": list(hist.counts.shape),
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ class SplitDecomposition:
 class Corner:
     lam: float
     support: int
-    spread: float
     caveat: bool = False
 
 
@@ -193,12 +192,11 @@ def detect_corners(sample, rel_tol: float = 0.08, min_support: int = 10) -> Corn
         support = int(strip.sum())
         apex_ok = bool(td[strip].max() >= lam * (1.0 - 2.0 * rel_tol))
         if support >= min_support and apex_ok:
-            spread = float(rho[strip].max() - lam)
             alive &= td > lam
             # survivors hugging this corner from above suggest a nearby,
             # possibly merged, second cycle
             tail = alive & ~strip & (rho <= lam * (1.0 + 3.0 * rel_tol))
-            corners.append(Corner(lam=lam, support=support, spread=spread, caveat=bool(tail.any())))
+            corners.append(Corner(lam=lam, support=support, caveat=bool(tail.any())))
         else:
             rejected_mass += support
             if rejected_mass >= min_support:

@@ -257,19 +257,16 @@ def euclidean_image(t_b, t_d):
     return 2.0 * np.sin(tb / 2.0), 2.0 * np.sin(td / 2.0)
 
 
-def circle_region_for(k: int, lam: float = math.pi) -> CircleOddK | CircleEvenK:
-    return CircleOddK(k, lam) if k % 2 == 1 else CircleEvenK(k, lam)
-
-
 def parse_region(text: str):
     """Compact CLI names: "s1", "s1:k=3:lambda=2", "s2-geodesic",
-    "mk:kappa=-1", "r2", "s1-e", "s2-e", "sphere-e:m=3", "ptolemaic:cap=2"."""
+    "mk:kappa=-1", "r2", "s1-e", "sphere-e:m=3", "ptolemaic:cap=2"."""
     parts = text.strip().split(":")
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
     if name == "s1":
-        region = circle_region_for(kv.pop("k", 1), kv.pop("lambda", math.pi))
-    elif name in ("s2-geodesic", "s2"):
+        k, lam = kv.pop("k", 1), kv.pop("lambda", math.pi)
+        region = CircleOddK(k, lam) if k % 2 == 1 else CircleEvenK(k, lam)
+    elif name == "s2-geodesic":
         region = ModelSurfaceRegion(kappa=1.0)
     elif name == "mk":
         region = ModelSurfaceRegion(kappa=kv.pop("kappa", 0.0))
@@ -277,7 +274,7 @@ def parse_region(text: str):
         region = ModelSurfaceRegion(kappa=0.0)
     elif name == "s1-e":
         region = EuclideanCircle()
-    elif name in ("s2-e", "sphere-e"):
+    elif name == "sphere-e":
         region = EuclideanSphereM(m=kv.pop("m", 2))
     elif name == "ptolemaic":
         region = PtolemaicEnvelope(diameter_cap=kv.pop("cap", math.inf))

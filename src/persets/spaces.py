@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -36,6 +35,12 @@ from .metric import DistanceMatrix, squareform, validate
 TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
 _ROWS = 1 << 13  # drawn rows per step of a sampler's arithmetic, after its RNG calls
+# m and k of any descriptor: a sphere:m=32 chunk at n = 12 draws 65,536 x 12 x 33
+# doubles (208 MB), and flares:k=32 has 64 vertices
+MAX_WHOLE = 32
+# sqrt(-kappa) R of a hyperbolic disk: cosh(355)^2 = 1.5e308 still fits a double, so at
+# kappa = -1 the products of two hyperboloid coordinates stay finite (cosh overflows past 710.5)
+MAX_HYPERBOLIC_RADIUS = 355.0
 
 
 def _dot(p, q):
@@ -204,6 +209,9 @@ class ModelSurface(RawPoints):
             raise InvalidDescriptor("R is the disk radius of kappa < 0 only")
         elif not 0.0 < self.disk_radius < math.inf:
             raise InvalidDescriptor(f"disk radius must be finite and > 0, not {self.disk_radius!r}")
+        elif not math.sqrt(-self.kappa) * self.disk_radius <= MAX_HYPERBOLIC_RADIUS:
+            raise InvalidDescriptor(f"disk radius must be <= {MAX_HYPERBOLIC_RADIUS:g} / sqrt(-kappa) = "
+                                    f"{MAX_HYPERBOLIC_RADIUS / math.sqrt(-self.kappa):g}, not {self.disk_radius:g}")
 
     @property
     def descriptor(self):
@@ -223,15 +231,18 @@ class ModelSurface(RawPoints):
         s = math.sqrt(-self.kappa)
         a = 1.0 / s
         # geodesic polar area element ~ sinh(s r): invert its CDF
-        u = rng.uniform(0.0, 1.0, size=count)
         smax = math.cosh(s * self.disk_radius) - 1.0
-        theta = rng.uniform(0.0, TWO_PI, size=count)
         pts = np.empty((count, 3))
-        for block, u, theta in row_blocks(pts, u, theta):
+        draws = rng.random(count)  # the bits of rng.uniform(0.0, 1.0, size=count)
+        for block, u in row_blocks(pts, draws):
             sr = np.arccosh(1.0 + u * smax)
             block[:, 0] = a * np.cosh(sr)
-            block[:, 1] = a * np.sinh(sr) * np.cos(theta)
-            block[:, 2] = a * np.sinh(sr) * np.sin(theta)
+            block[:, 1] = a * np.sinh(sr)
+        rng.random(out=draws)  # TWO_PI * x: the bits of rng.uniform(0.0, TWO_PI, size=count)
+        for block, x in row_blocks(pts, draws):
+            theta = TWO_PI * x
+            block[:, 2] = block[:, 1] * np.sin(theta)
+            block[:, 1] *= np.cos(theta)
         return pts
 
     def pair_distance(self, p, q):
@@ -284,11 +295,6 @@ class EuclideanDisk(RawPoints):
             raise InvalidPoint("point is outside the disk")
 
 
-SpaceModel = Union[
-    CircleGeodesic, SphereGeodesic, SphereEuclidean, TorusL2, ModelSurface, EuclideanDisk
-]
-
-
 def _pair_distance(space, p, q):
     """``pair_distance`` of valid raw points p and q, broadcast, through ``prepare``."""
     p, q = np.broadcast_arrays(p, q)
@@ -309,13 +315,6 @@ def distance(space, p, q):
         raise InvalidPoint(f"point arrays of shapes {p.shape} and {q.shape} do not broadcast") from None
     d = _pair_distance(space, p, q)
     return float(d) if d.ndim == 0 else d
-
-
-def sample(model: SpaceModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` i.i.d. uniform draws; deterministic given the generator state."""
-    if count < 0:
-        raise InvalidDescriptor("count must be >= 0")
-    return model.sample_points(rng, count)
 
 
 def distance_matrix(space, points) -> DistanceMatrix:
@@ -347,7 +346,7 @@ def parse_number(value: str, text: str) -> float:
 
 def parse_options(items, text: str) -> dict:
     """{key: number} of the "key=value" items of the descriptor ``text``; m and k
-    are ints >= 1, and lambda, r and cap (diameters, radii, caps) are > 0."""
+    are ints from 1 to MAX_WHOLE, and lambda, r and cap (diameters, radii, caps) are > 0."""
     kv = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -355,8 +354,8 @@ def parse_options(items, text: str) -> dict:
             raise InvalidDescriptor(f"malformed option {item!r} in {text!r}")
         key, number = key.strip().lower(), parse_number(value, text)
         if key in ("m", "k"):  # dimensions, degrees and flare counts
-            if not (number >= 1 and number.is_integer()):
-                raise InvalidDescriptor(f"{key} must be a whole number >= 1 in {text!r}")
+            if not (1 <= number <= MAX_WHOLE and number.is_integer()):
+                raise InvalidDescriptor(f"{key} must be a whole number from 1 to {MAX_WHOLE} in {text!r}")
             number = int(number)
         elif key in ("lambda", "r", "cap") and not number > 0:
             raise InvalidDescriptor(f"{key} must be > 0 in {text!r}")
@@ -370,7 +369,7 @@ def no_unused_options(kv: dict, text: str) -> None:
         raise InvalidDescriptor(f"unknown option {next(iter(kv))!r} in {text!r}")
 
 
-def parse_space(text: str) -> SpaceModel:
+def parse_space(text: str):
     parts = text.strip().split(":")
     name = parts[0].lower()
     kv = parse_options(parts[1:], text)
@@ -381,7 +380,7 @@ def parse_space(text: str) -> SpaceModel:
             model = SphereEuclidean(m=1)
         elif name == "sphere":
             model = SphereGeodesic(m=kv.pop("m", 2))
-        elif name in ("sphere-e", "s2-e"):
+        elif name == "sphere-e":
             model = SphereEuclidean(m=kv.pop("m", 2))
         elif name == "torus":
             model = TorusL2()

@@ -398,6 +398,11 @@ def test_bad_descriptor_is_validation_error(argv, tmp_path, monkeypatch, capsys)
     ("--region", "ptolemaic:cap=nan"),
     ("--region", "mk:kappa=nan"),
     ("--region", "s1:lambda=inf"),
+    ("--space", "mk:kappa=-1:R=1000"),  # OverflowError in math.cosh
+    ("--space", "flares:c=6.2832,k=1e308,L=1"),  # built a list of 1e308 angles
+    ("--space", "flares:c=1,k=1000000,L=1"),  # a 2e6 x 2e6 vertex table
+    ("--space", "sphere:m=1e308"),  # numpy's "Maximum allowed dimension exceeded"
+    ("--region", "s1:k=1e308:lambda=2"),  # a NaN grid count
 ])
 def test_descriptor_number_out_of_range_is_validation_error(flag, text, tmp_path, monkeypatch, capsys):
     # each of these exited 0, rewriting, dropping or keeping the number
@@ -463,13 +468,14 @@ def test_validate_ragged_matrix_is_invalid(tmp_path, capsys):
                                  '{"vertices": 1, "edges": []}',
                                  '{"vertices": 2, "edges": [[0, 1, true], [0, 1, "2.5"]]}',
                                  '{"vertices": 2, "edges": [[0, 1, "2.5"]]}',
-                                 '{"vertices": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 400)])
+                                 '{"vertices": 2, "edges": [[0, 1, 1%s]]}' % ("0" * 400),
+                                 '{"vertices": 3000000, "edges": [[0, 1, 1.0]]}'])
 def test_malformed_graph_json_is_validation_error(doc, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(doc)
     assert run(["sample", "--space", str(path), "--tuples", "10", "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
 
 
 def test_oracle_check_non_numeric_sample(tmp_path, capsys):

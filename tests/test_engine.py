@@ -164,10 +164,11 @@ def test_campaign_refuses_a_distance_outside_zero_to_inf(space, n, k):
         engine.sample_persistence_set(space, n, k, 5000, seed=2)
 
 
-@pytest.mark.parametrize("space, n, bound", [("sphere:m=2", 6, 48), ("sphere:m=9", 8, 80)])
+@pytest.mark.parametrize("space, n, bound", [("sphere:m=2", 6, 48), ("sphere:m=9", 8, 80), ("mk:kappa=-1", 4, 48)])
 def test_chunk_holds_its_draw_and_one_block(space, n, bound):
-    # beyond its draw a chunk keeps t_b/t_d and BLOCK-sized scratch (34 and 56 B a
-    # tuple); a whole-chunk pair list and norm temporaries took 139 and 704
+    # beyond its draw a chunk keeps t_b/t_d and BLOCK-sized scratch (34, 56 and 36 B a
+    # tuple); a whole-chunk pair list and norm temporaries took 139 and 704, and the
+    # hyperbolic sampler's two whole-draw uniform arrays 68
     space = engine.space_of(space)
     draw = engine.CHUNK * n * space.sample_points(np.random.default_rng(0), 1).nbytes
     tracemalloc.start()
@@ -261,23 +262,20 @@ def test_seed_must_not_be_negative(monkeypatch):
 def test_histogram_empty_sample():
     s = engine.PersistenceSetSample("x", 4, 1, 10, np.empty((0, 2)), 10, 0)
     h = engine.histogram(s, 5, 5)
-    assert h.counts.sum() == 0 and h.empty_mass == 10
+    assert h.counts.sum() == 0 and h.total - h.counts.sum() == 10
 
 
-def test_histogram_of_one_point_records_the_bins_numpy_used(tmp_path):
+def test_histogram_of_one_point_records_the_bins_numpy_used():
     s = engine.PersistenceSetSample("x", 4, 1, 10, np.array([[2.0, 2.5]]), 9, 0)
     h = engine.histogram(s, 5, 5)
     assert (h.range_b, h.range_d) == ((1.5, 2.5), (2.0, 3.0))
-    assert h.bin_area == pytest.approx(0.04) and h.counts[2, 2] == h.counts.sum() == 1
-    engine.write_histogram(h, tmp_path / "h.csv")
-    with open(tmp_path / "h.csv.json", encoding="utf-8") as fh:
-        assert json.load(fh)["range_b"] == [1.5, 2.5]
+    assert h.counts.shape == (5, 5) and h.counts[2, 2] == h.counts.sum() == 1
     assert engine.density_l1_error(h, regions.circle_density) > 0
 
 
 def test_histogram_mass_bookkeeping(circle_sample):
     h = engine.histogram(circle_sample, 50, 50, range_b=(PI / 2, PI), range_d=(2 * PI / 3, PI))
-    assert h.counts.sum() + h.empty_mass == h.total
+    assert h.counts.sum() + circle_sample.trivial_count == h.total
     assert h.counts.sum() == len(circle_sample.points)
 
 
@@ -470,14 +468,6 @@ def test_read_sample_and_a_campaign_share_their_limits(n, k, tuples, seed, tmp_p
     with pytest.raises(MalformedFile) as read:
         engine.read_sample(tmp_path / "s.csv")
     assert str(read.value) == f"{tmp_path / 's.csv'}.json: {refused.value}"
-
-
-def test_histogram_io(tmp_path, circle_sample):
-    h = engine.histogram(circle_sample, 10, 10)
-    engine.write_histogram(h, tmp_path / "h.csv")
-    grid = np.loadtxt(tmp_path / "h.csv", delimiter=",")
-    assert grid.shape == (10, 10)
-    assert os.path.exists(tmp_path / "h.csv.json")
 
 
 def test_svg_outputs(tmp_path, circle_sample):

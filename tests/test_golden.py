@@ -148,8 +148,6 @@ FILE_DIGESTS = {
     "s.csv.json": "2505281a09183dc91c5cfd3bc5cd05b67d587cc2c1ed8a91b28139a132a44d93",
     "flags.csv": "d17737f65382449e9665be87345c975be9ad09a2fc4b1f8220868f6cb111af38",
     "m.csv": "e88152675383643f528b51711c8e01aa47e139a2cefd661e529e0e1139544699",
-    "h.csv": "8c60c1c169b1527105dc909d0d51d6116c3204e416b206ec22da7967401c6233",
-    "h.csv.json": "fbc06f24062ff4b659850102b7ba663c814c1c0f3c457d454422cbe158e8d344",
     "empty.csv": "86696c979c03c2b4193fe9135ad884d4cebbb96565a1db1a59521fea6a69588c",
     "empty_flags.csv": "305fb471d5aa014cc516b8cb021687834692c7e623649e2333bb4409b9656f43",
 }
@@ -168,7 +166,6 @@ def write_files(tmp_path, capsys):
                                     points=np.concatenate([s.points, special]),
                                     trivial_count=s.trivial_count, seed=5)
     engine.write_sample(s, tmp_path / "s.csv")
-    engine.write_histogram(engine.histogram(s, 7, 5), tmp_path / "h.csv")
     pts = np.random.default_rng(3).standard_normal((6, 3))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     metric.write_matrix_csv(metric.validate(d), tmp_path / "m.csv")

@@ -148,15 +148,13 @@ def test_model_surface_disk_radius():
 
 def test_sample_count_zero():
     rng = np.random.default_rng(0)
-    assert len(spaces.sample(spaces.CircleGeodesic(), rng, 0)) == 0
-    with pytest.raises(InvalidDescriptor):
-        spaces.sample(spaces.CircleGeodesic(), rng, -1)
+    assert len(spaces.CircleGeodesic().sample_points(rng, 0)) == 0
 
 
 def test_circle_mean_distance():
     # E d = lam/2 for uniform pairs on the circle of diameter lam = pi
     rng = np.random.default_rng(11)
-    pts = spaces.sample(spaces.CircleGeodesic(), rng, 1_000_000)
+    pts = spaces.CircleGeodesic().sample_points(rng, 1_000_000)
     c = spaces.CircleGeodesic()
     d = c.pair_distance(pts[0::2], pts[1::2])
     assert d.mean() == pytest.approx(math.pi / 2, abs=0.01)
@@ -166,7 +164,7 @@ def test_sphere_mean_distance():
     # antipodal symmetry of the uniform measure forces mean pi/2
     rng = np.random.default_rng(12)
     s = spaces.SphereGeodesic(m=1)
-    pts = spaces.sample(s, rng, 1_000_000)
+    pts = s.sample_points(rng, 1_000_000)
     d = s.pair_distance(pts[0::2], pts[1::2])
     assert d.mean() == pytest.approx(math.pi / 2, abs=0.01)
 
@@ -293,10 +291,20 @@ def test_parse_space_bad_option_names_the_descriptor(text):
     ("mk:kappa=nan", "'nan' is not a finite number"),
     ("mk:kappa=-inf", "'-inf' is not a finite number"),
     ("disk:m=2:R=inf", "'inf' is not a finite number"),
+    ("sphere:m=33", "m must be a whole number from 1 to 32"),
+    ("mk:kappa=-4:R=177.6", "disk radius must be <= 355 / sqrt(-kappa) = 177.5, not 177.6"),
 ])
 def test_parse_space_refuses_numbers_out_of_range(text, message):
     with pytest.raises(InvalidDescriptor, match=f"{re.escape(message)}.* in {re.escape(repr(text))}"):
         spaces.parse_space(text)
+
+
+def test_descriptor_bounds_accept_their_limits():
+    assert spaces.parse_space(f"sphere:m={spaces.MAX_WHOLE}").m == spaces.MAX_WHOLE
+    # the widest hyperbolic disk still gives finite distances
+    model = spaces.parse_space(f"mk:kappa=-1:R={spaces.MAX_HYPERBOLIC_RADIUS:g}")
+    p = model.sample_points(np.random.default_rng(1), 256)
+    assert np.isfinite(model.pair_distance(p[:128], p[128:])).all()
 
 
 @pytest.mark.parametrize("dim", list(range(1, 21)) + [128, 129, 200])
