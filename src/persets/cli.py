@@ -76,7 +76,7 @@ def cmd_sample(args) -> int:
 def cmd_oracle_check(args) -> int:
     from . import regions
     region = regions.parse_region(args.region)
-    points = metric.read_csv(args.check, engine.SAMPLE_HEADER)
+    points = engine.read_points(args.check)
     ok = regions.contains(region, points[:, 0], points[:, 1], tol=args.tol)
     if args.out:
         metric.write_csv(args.out, points, ok[:, None].astype(np.int64), header="t_b,t_d,inside")

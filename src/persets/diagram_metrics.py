@@ -288,7 +288,8 @@ def _exact_max(q, t, t_min_half, reach, floor, side):
 def region_points(region, step: float, interior_step: float):
     """A region as one side of hausdorff_bottleneck_points: its boundary
     polyline at ``step`` plus its interior grid at ``interior_step``, and
-    ``(region, boundary)``."""
+    ``(region, boundary)``.  TooLarge, before either is made, if either would pass the cap."""
+    reg.check_grids(region, step, interior_step)
     boundary = reg.boundary_points(region, step)
     return np.concatenate((boundary, reg.interior_grid(region, interior_step))), (region, boundary)
 

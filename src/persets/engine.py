@@ -418,22 +418,53 @@ def sample_two_point_empty_fraction(alpha: float, n: int, m_max: int, seed: int)
 
 
 # ---------------------------------------------------------------------------
-# Sample files: a CSV plus its required JSON sidecar <csv>.json
+# Sample files: a CSV plus its required JSON sidecar <csv>.json and its float64 companion <csv>.f64
 # ---------------------------------------------------------------------------
 
 SAMPLE_HEADER = "t_b,t_d"
 # sidecar key: (PersistenceSetSample field, converter); one table for writer and reader
 _SIDECAR = {"tuples": ("tuples_drawn", whole), "trivial": ("trivial_count", whole),
             "seed": ("seed", whole), "space": ("space", str), "n": ("n", whole), "k": ("k", whole)}
+_COMPANION_TAG = b"persets1"  # the first 8 bytes of a <csv>.f64 companion
+
+
+def _companion_header(csv_path, data) -> bytes:
+    """The 72 bytes before a companion's ``data``: the tag, the sha256 of the CSV's bytes (read 64 KiB
+    at a time) and the sha256 of ``data``."""
+    import hashlib
+    digest = hashlib.sha256()
+    with open(csv_path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return _COMPANION_TAG + digest.digest() + hashlib.sha256(data).digest()
 
 
 def write_sample(sample: PersistenceSetSample, csv_path) -> None:
+    """The CSV, its sidecar <csv>.json and its float64 companion <csv>.f64 (see read_points)."""
     write_csv(csv_path, sample.points, header=SAMPLE_HEADER)
     write_json(str(csv_path) + ".json", {key: getattr(sample, f) for key, (f, _) in _SIDECAR.items()})
+    data = np.ascontiguousarray(sample.points, dtype="<f8")
+    with open(str(csv_path) + ".f64", "wb") as fh:
+        fh.write(_companion_header(csv_path, data))
+        data.tofile(fh)
+
+
+def read_points(csv_path) -> np.ndarray:
+    """The (m, 2) points of a sample CSV.  They come from its companion <csv>.f64, little-endian float64
+    rows after a header, when that header is the one ``write_sample`` gives the CSV's bytes and those
+    rows; otherwise (no companion, any mismatch, an OSError) from ``read_csv``, with its errors."""
+    try:
+        with open(str(csv_path) + ".f64", "rb") as fh:
+            header, data = fh.read(72), np.fromfile(fh, "<f8")
+        if len(data) % 2 == 0 and header == _companion_header(csv_path, data):
+            return data.reshape(-1, 2)
+    except OSError:
+        pass
+    return read_csv(csv_path, SAMPLE_HEADER)
 
 
 def read_sample(csv_path) -> PersistenceSetSample:
-    points = read_csv(csv_path, SAMPLE_HEADER)
+    points = read_points(csv_path)
     bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & (points[:, 0] < points[:, 1])))
     if len(bad):
         raise MalformedFile(f"{csv_path}: point {bad[0] + 1} is {tuple(points[bad[0]].tolist())}, "

@@ -37,15 +37,32 @@ MAX_GRID_POINTS = 10**8
 
 
 def _check_count(count, step):
-    """TooLarge when a region grid at ``step`` holds ``count`` > MAX_GRID_POINTS points."""
-    if count > MAX_GRID_POINTS:
+    """TooLarge when a region grid at ``step`` holds ``count`` > MAX_GRID_POINTS points (or NaN)."""
+    if not count <= MAX_GRID_POINTS:
         raise TooLarge(f"step {step:g} makes a region grid of {count:.3g} points, "
                        f"more than {MAX_GRID_POINTS:.0e}")
 
 
 def _count(step, length):
+    """Points of a piece of parameter ``length`` at ``step``; an infinite step keeps its two ends."""
+    if step == math.inf:
+        return 2
     _check_count(length / step + 1.0, step)  # a float: inf for a step too small to divide by
     return max(2, int(math.ceil(length / step)) + 1)
+
+
+def check_grids(region, step=None, interior_step=None, t_d_cap=None) -> None:
+    """TooLarge if the boundary at ``step`` (its pieces together) or the interior grid at
+    ``interior_step`` would hold more than MAX_GRID_POINTS points.  Both are counted from the
+    two ends of each boundary piece, the boundary at an infinite step, before either is made."""
+    with np.errstate(all="ignore"):  # ends past the doubles give an inf or NaN count
+        ends = region.boundary(math.inf, t_d_cap)
+    if step is not None:
+        _check_count(sum(_count(step, np.abs(e[-1] - e[0]).max()) for e in ends), step)
+    if interior_step is not None:
+        corners = np.concatenate(ends)
+        width, height = corners.max(axis=0) - corners.min(axis=0)
+        _check_count(_count(interior_step, width) * _count(interior_step, height), interior_step)
 
 
 def _chain(step, *corners):
@@ -192,11 +209,13 @@ def boundary_points(region, step: float, t_d_cap: float | None = None) -> np.nda
     """
     if step <= 0:
         raise InvalidDescriptor("step must be positive")
+    check_grids(region, step, t_d_cap=t_d_cap)
     return np.concatenate(region.boundary(step, t_d_cap), axis=0)
 
 
 def interior_grid(region, step: float, t_d_cap: float | None = None) -> np.ndarray:
     """Regular grid of interior points (membership-tested) at spacing step."""
+    check_grids(region, interior_step=step, t_d_cap=t_d_cap)
     bpts = boundary_points(region, max(step, 1e-3), t_d_cap=t_d_cap)
     lo = bpts.min(axis=0)
     hi = bpts.max(axis=0)

@@ -184,6 +184,25 @@ def test_compare_samples_stdout_is_pinned(tmp_path, capsys):
                                        '"gh_lower_bound": 0.18251188792029682, "resolution": 0.0}\n')
 
 
+def test_oracle_check_and_compare_stdout_do_not_depend_on_the_companion(tmp_path, capsys, monkeypatch):
+    a, b = write_pinned_samples(tmp_path)
+    capsys.readouterr()
+    commands = [["oracle-check", "--region", "s1", "--check", a],
+                ["oracle-check", "--region", "s2-geodesic", "--check", b], ["compare", "--a", a, "--b", b]]
+
+    def outputs():
+        return [(run(argv), capsys.readouterr().out) for argv in commands]
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "read_csv", None)  # a parse would raise: the points come from the companions
+        read = outputs()
+    for path in (a, b):
+        os.remove(f"{path}.f64")
+    assert read == outputs()
+    assert read[2][1] == ('{"hausdorff_bottleneck": 0.36502377584059365, '
+                          '"gh_lower_bound": 0.18251188792029682, "resolution": 0.0}\n')
+
+
 @pytest.mark.parametrize("step", ["1e-300", "1e-9"])
 def test_compare_refuses_a_region_grid_past_the_cap(step, capsys):
     assert run(["compare", "--region-a", "s1", "--region-b", "s2-geodesic", "--step", step]) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from persets import diagram_metrics, engine, regions
-from persets.errors import PersetsError
+from persets.errors import InvalidDescriptor, PersetsError
 
 SPACES = ["s1", "s1:lambda=3.5", "sphere:m=2", "s1-e", "sphere-e:m=2", "torus", "mk:kappa=1",
           "mk:kappa=-1:R=3.14159", "disk:m=2:R=1", "wedge:3.5,4.5", "flares:c=6.2832,k=4,L=1",
@@ -59,3 +59,9 @@ def test_space_and_family_descriptor_grid_raises_only_persets_errors(text):
 @pytest.mark.parametrize("text", REGIONS)
 def test_region_descriptor_grid_raises_only_persets_errors(text):
     assert escapes(region, text) == []
+
+
+def test_a_flares_circumference_past_the_doubles_is_refused_naming_c():
+    with pytest.raises(InvalidDescriptor, match=re.escape("c=1e+308 puts a flare past the largest double "
+                                                          "in 'flares:c=1e308,k=4,L=1'")):
+        engine.space_of("flares:c=1e308,k=4,L=1")

@@ -459,6 +459,66 @@ def test_read_sample_checks_the_sidecar_counts(n, k, rows, trivial, tuples, read
             engine.read_sample(tmp_path / "s.csv")
 
 
+def _edit_csv(csv, other):
+    lines = csv.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:-2] + ("1" if lines[1][-2] != "1" else "2") + "\n"  # the last digit of a row
+    csv.write_text("".join(lines))
+
+
+def _truncate_csv(csv, other):
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-2]))
+
+
+def _flip_data_byte(csv, other):
+    data = bytearray(csv.with_name(csv.name + ".f64").read_bytes())
+    data[-3] ^= 1
+    csv.with_name(csv.name + ".f64").write_bytes(bytes(data))
+
+
+COMPANION_MISMATCHES = {
+    "csv-edited": _edit_csv,
+    "csv-truncated": _truncate_csv,
+    "companion-deleted": lambda csv, other: os.remove(f"{csv}.f64"),
+    "companion-header-only": lambda csv, other: os.truncate(f"{csv}.f64", 72),
+    "companion-cut-mid-header": lambda csv, other: os.truncate(f"{csv}.f64", 50),
+    "companion-cut-mid-row": lambda csv, other: os.truncate(f"{csv}.f64", os.path.getsize(f"{csv}.f64") - 4),
+    "companion-data-byte-flipped": _flip_data_byte,
+    "another-sample's-companion": lambda csv, other: os.replace(f"{other}.f64", f"{csv}.f64"),
+    "bare-csv": lambda csv, other: (os.remove(f"{csv}.f64"), csv.write_text("t_b,t_d\n2.0,2.5\n")),
+}
+
+
+@pytest.mark.parametrize("mismatch", COMPANION_MISMATCHES)
+def test_read_points_parses_the_csv_when_its_companion_does_not_match(mismatch, tmp_path, circle_sample,
+                                                                       monkeypatch):
+    csv, other = tmp_path / "s.csv", tmp_path / "other.csv"
+    engine.write_sample(dataclasses.replace(circle_sample, points=circle_sample.points[:50]), csv)
+    engine.write_sample(dataclasses.replace(circle_sample, points=circle_sample.points[50:90]), other)
+    COMPANION_MISMATCHES[mismatch](csv, other)
+    parses = []
+    monkeypatch.setattr(engine, "read_csv", lambda *args: parses.append(args) or metric.read_csv(*args))
+    want = metric.read_csv(csv, engine.SAMPLE_HEADER)
+    assert engine.read_points(csv).tobytes() == want.tobytes()
+    assert parses == [(csv, engine.SAMPLE_HEADER)]
+
+
+def test_read_points_keeps_the_errors_of_the_parse(tmp_path, circle_sample):
+    csv = tmp_path / "s.csv"
+    engine.write_sample(circle_sample, csv)
+    csv.write_text("t_b,t_d\n0.1,x\n")
+    with pytest.raises(MalformedFile) as parsed:
+        metric.read_csv(csv, engine.SAMPLE_HEADER)
+    with pytest.raises(MalformedFile) as read:
+        engine.read_points(csv)
+    assert str(read.value) == str(parsed.value)
+    os.remove(csv)  # the companion and the sidecar stay
+    with pytest.raises(FileNotFoundError) as parsed:
+        metric.read_csv(csv, engine.SAMPLE_HEADER)
+    with pytest.raises(FileNotFoundError) as read:
+        engine.read_sample(csv)
+    assert str(read.value) == str(parsed.value)
+
+
 @pytest.mark.parametrize("n, k, tuples, seed", [(4, -1, 5, 0), (13, 1, 5, 0), (4, 1, 0, 0), (4, 1, 5, -1)])
 def test_read_sample_and_a_campaign_share_their_limits(n, k, tuples, seed, tmp_path):
     with pytest.raises(UnsupportedCombination) as refused:

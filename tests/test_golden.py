@@ -150,6 +150,8 @@ FILE_DIGESTS = {
     "m.csv": "e88152675383643f528b51711c8e01aa47e139a2cefd661e529e0e1139544699",
     "empty.csv": "86696c979c03c2b4193fe9135ad884d4cebbb96565a1db1a59521fea6a69588c",
     "empty_flags.csv": "305fb471d5aa014cc516b8cb021687834692c7e623649e2333bb4409b9656f43",
+    "s.csv.f64": "14e586bb3d732c6980508ef97a5fc8570ea4c3ed31b0b4657eb91b2e344550f0",
+    "empty.csv.f64": "eff25eb776f6ab04c048cf6c68d01462669bcc708a2a2a22fc290f1d1101b2a5",
 }
 
 
@@ -182,6 +184,15 @@ def write_files(tmp_path, capsys):
 
 def test_file_bytes(tmp_path, capsys):
     write_files(tmp_path, capsys)
+
+
+def test_the_companion_gives_the_parsed_bytes(tmp_path, capsys, monkeypatch):
+    write_files(tmp_path, capsys)
+    parsed = {name: metric.read_csv(tmp_path / name, engine.SAMPLE_HEADER) for name in ("s.csv", "empty.csv")}
+    monkeypatch.setattr(engine, "read_csv", None)  # a parse would raise: the points come from the companion
+    for name, want in parsed.items():
+        got = engine.read_points(tmp_path / name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("rows", [1, 7])

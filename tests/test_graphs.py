@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persets import engine, graphs, spaces
-from persets.errors import InvalidDescriptor, InvalidPoint
+from persets.errors import InvalidDescriptor, InvalidPoint, TooLarge
 
 
 def test_same_edge_distance_in_tree():
@@ -200,6 +201,17 @@ def test_graph_json_roundtrip(tmp_path):
     back = graphs.read_graph_json(path)
     assert back.vertex_count == g.vertex_count
     assert back.edges == g.edges
+
+
+def test_a_graph_json_past_the_edge_cap_is_refused_before_any_shortest_path(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    edges = [[i, i + 1, 1.0] for i in range(graphs.MAX_VERTICES - 1)]
+    edges += [[0, i % graphs.MAX_VERTICES, 0.5] for i in range(graphs.MAX_EDGES + 1 - len(edges))]
+    path.write_text(json.dumps({"vertices": graphs.MAX_VERTICES, "edges": edges}))
+    monkeypatch.setattr(graphs, "heapq", None)  # a Dijkstra run would raise AttributeError
+    with pytest.raises(TooLarge, match=re.escape(f"{path}: graph has {graphs.MAX_EDGES + 1} edges, "
+                                                 f"more than {graphs.MAX_EDGES}")):
+        graphs.read_graph_json(path)
 
 
 def test_parse_family():

@@ -87,6 +87,24 @@ def test_an_oversized_region_grid_is_refused_before_it_is_made(make, step):
         tracemalloc.stop()
 
 
+def test_a_region_side_is_counted_whole_before_its_boundary_is_made():
+    # the boundary alone is 7e6 points (110 MB); the interior grid at 5e-3 would be 3.6e11
+    from persets import diagram_metrics
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="step 0.005 makes a region grid of 3.6e[+]11 points"):
+            diagram_metrics.region_points(reg.parse_region("ptolemaic:cap=3000"), 1e-3, 5e-3)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_boundary_is_counted_over_all_its_pieces():
+    # sides of 5e7, 1.5e7 and 5e7 points: each is under the cap, the boundary is not
+    with pytest.raises(TooLarge, match="makes a region grid of 1.15e[+]08 points"):
+        reg.boundary_points(reg.PtolemaicEnvelope(diameter_cap=5e4), 1e-3)
+
+
 def test_the_finest_documented_grids_are_well_within_the_cap():
     # s1 vs s2-geodesic at step 2.5e-4 (interior 1e-3): both regions lie in [0, pi]^2
     assert 10 * reg._count(2.5e-4, PI) < reg.MAX_GRID_POINTS
