@@ -227,6 +227,9 @@ def main(argv=None) -> int:
     except (PersetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

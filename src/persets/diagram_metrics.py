@@ -139,9 +139,10 @@ _ROUND = 64  # pairs per point per step of an exact search
 
 class _Bucket:
     """One point set on a grid of ``g`` x ``g`` square cells of side
-    ``side`` from corner ``lo``: its coordinates in cell order (row-major),
-    the CSR start of every cell and a summed-area table of cell counts, the
-    last two as ``itype`` integers.
+    ``side`` from corner ``lo``: the caller's (N, 2) array, ``order``, the
+    permutation that lists its rows in cell order (row-major), the CSR
+    start of every cell and a summed-area table of cell counts, all three
+    as ``itype`` integers.  A position in cell order is row ``order[pos]``.
 
     A computed cell index is off by less than a cell from the exact
     position, so two points whose cells are m >= 1 apart in a coordinate
@@ -150,20 +151,28 @@ class _Bucket:
     """
 
     def __init__(self, pts, lo, side, g, itype):
-        self.g = g
+        self.g, self.pts = g, pts
         cell = np.zeros(len(pts), dtype=itype)
-        for axis in (1, 0) if g > 1 else ():  # row-major: y g + x, one column at a time
-            cell *= g
-            cell += np.minimum(((pts[:, axis] - lo[axis]) / side).astype(np.intp), g - 1)
+        for s in range(0, len(pts) if g > 1 else 0, _BLOCK):  # no float temporary as long as the set
+            c = cell[s:s + _BLOCK]
+            for axis in (1, 0):  # row-major: y g + x, one column at a time
+                c *= g
+                c += np.minimum(((pts[s:s + _BLOCK, axis] - lo[axis]) / side).astype(np.intp), g - 1)
         counts = np.bincount(cell, minlength=g * g)
         self.start = np.zeros(g * g + 1, dtype=itype)
         np.cumsum(counts, out=self.start[1:])
         sat = np.zeros((g + 1, g + 1), dtype=itype)
-        sat[1:, 1:] = counts.reshape(g, g).cumsum(axis=0).cumsum(axis=1)
+        np.cumsum(counts.reshape(g, g), axis=0, out=sat[1:, 1:])
+        del counts
+        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
         self.sat = sat.ravel()
         order = np.argsort(cell)  # any order within a cell: a min over it is exact
-        del cell, counts
-        self.b, self.d = pts[order, 0], pts[order, 1]
+        del cell
+        self.order = order.astype(itype, copy=False)
+
+    def rows(self, pos):
+        """The (len(pos), 2) points at cell-order positions ``pos``."""
+        return self.pts.take(self.order[pos], axis=0)
 
     def _box(self, cells, reach):
         g = self.g
@@ -210,7 +219,7 @@ class _Bucket:
         shift = first - np.concatenate(([0], ends[:-1]))
         stop = ends[np.cumsum(rows) - 1]
         begin = np.concatenate(([0], stop[:-1]))
-        best = np.full(len(i), np.inf)
+        best, here = np.full(len(i), np.inf), q.rows(i)
         live, done = np.flatnonzero(stop > begin), 0
         while len(live):
             # the next pairs of each live point, laid end to end
@@ -219,9 +228,10 @@ class _Bucket:
             heads = np.cumsum(take) - take
             pos = np.arange(heads[-1] + take[-1]) + np.repeat(begin[live] + done - heads, take)
             pos += shift[np.searchsorted(ends, pos, side="right")]  # now the index into this set
-            who = np.repeat(i[live], take)
-            dist = np.abs(self.b[pos] - q.b[who])
-            np.maximum(dist, np.abs(self.d[pos] - q.d[who]), out=dist)
+            diff = self.rows(pos)
+            diff -= np.repeat(here[live], take, axis=0)
+            np.abs(diff, out=diff)
+            dist = np.maximum(diff[:, 0], diff[:, 1])
             best[live] = np.minimum(best[live], np.minimum.reduceat(dist, heads))
             done += width
             live = live[(best[live] > floor) & (begin[live] + done < stop[live])]
@@ -250,11 +260,12 @@ def _runs(q, reach, t_min_half):
     persistence or, if larger, t_min_half: the least one of the other set
     when that set lacks the empty diagram, else None."""
     step = max(1, _BLOCK // _CELL_POINTS)
-    for s in range(0, len(q.b), step):
-        e = min(s + step, len(q.b))
+    for s in range(0, len(q.pts), step):
+        e = min(s + step, len(q.pts))
         c0, c1 = np.searchsorted(q.start, np.array([s, e - 1], q.start.dtype), side="right") - 1
         cells = np.repeat(np.arange(c0, c1 + 1), np.diff(np.clip(q.start[c0 : c1 + 2], s, e)))
-        half = (q.d[s:e] - q.b[s:e]) / 2.0
+        p = q.rows(slice(s, e))
+        half = (p[:, 1] - p[:, 0]) / 2.0
         yield s, cells, reach[cells], half if t_min_half is None else np.maximum(half, t_min_half)
 
 
@@ -319,10 +330,11 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
     raise the floor (the early break of Taha & Hanbury, "An efficient
     algorithm for calculating the exact Hausdorff distance", TPAMI 2015);
     a finished one raises the floor.  Time O(N log N) plus the searches
-    near the maximum.  Memory: the points in cell order (16 bytes each),
-    int32 cell tables (about 6 bytes a point) and O(_BLOCK) scratch; the
-    traced peak is about 25 bytes per input point for 233k s1 points
-    against 132k sphere points, 35 for 2^17 against 2^16 uniform points.
+    near the maximum.  Memory: the caller's arrays, read through an int32
+    permutation into cell order (4 bytes a point), int32 cell tables
+    (about 6 bytes a point) and O(_BLOCK) scratch; the traced peak is
+    about 13 bytes per input point for 233k s1 points against 132k sphere
+    points, 24 for 2^17 against 2^16 uniform points.
     """
     pts_a = np.asarray(pts_a, dtype=float).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=float).reshape(-1, 2)
@@ -333,9 +345,9 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
     # differences of coordinates near +-1.8e308 overflow to inf, as in an
     # all-pairs search; such sets get one cell of side inf (ub / side may be inf / inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        # least and largest half-persistence of each set
-        (min_a, max_a), (min_b, max_b) = ((float(h.min(initial=math.inf)), float(h.max(initial=0.0)))
-                                          for h in ((p[:, 1] - p[:, 0]) / 2.0 for p in (pts_a, pts_b)))
+        # least and largest half-persistence of each set (halving is monotone: it commutes with min and max)
+        (min_a, max_a), (min_b, max_b) = ((float(h.min(initial=math.inf)) / 2.0, float(h.max(initial=0.0)) / 2.0)
+                                          for h in (p[:, 1] - p[:, 0] for p in (pts_a, pts_b)))
         floor = 0.0
         # the empty diagram matches itself at 0, else costs min half-pers of the other set
         if empty_a and not empty_b:

@@ -44,7 +44,7 @@ from .principal import principal_of_pairs
 
 CHUNK = 1 << 16
 BLOCK = 1 << 13  # tuples per prepare call, per pair_distance call and per kernel call
-MAX_BINS = 1 << 10  # histogram bins per axis: its counts stay at 8 MiB, 16 MiB while numpy bins them
+MAX_BINS = 1 << 10  # histogram bins per axis: its counts stay at 8 MiB, 27 MiB while numpy bins a CHUNK of points
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +280,13 @@ def histogram(
         range_b = (float(pts[:, 0].min()), float(pts[:, 0].max())) if len(pts) else (0.0, 1.0)
     if range_d is None:
         range_d = (float(pts[:, 1].min()), float(pts[:, 1].max())) if len(pts) else (0.0, 1.0)
-    counts, edges_b, edges_d = np.histogram2d(
-        pts[:, 0], pts[:, 1], bins=(bins_b, bins_d), range=(range_b, range_d)
-    )
+    counts = np.zeros((bins_b, bins_d))  # numpy's float counts, exact below 2**53
+    for s in range(0, max(len(pts), 1), CHUNK):  # numpy makes index arrays per point it bins
+        block, edges_b, edges_d = np.histogram2d(
+            pts[s:s + CHUNK, 0], pts[s:s + CHUNK, 1], bins=(bins_b, bins_d), range=(range_b, range_d)
+        )
+        counts += block
+        del block  # before numpy bins the next block
     counts = counts.astype(np.int64)
     return Histogram2D(
         counts=counts,
@@ -491,6 +495,7 @@ def read_sample(csv_path) -> PersistenceSetSample:
 _SVG_SIZE = 720
 _SVG_MARGIN = 60
 _SVG_MAX_POINTS = 20000  # a scatter of more points draws every ceil(len / this)-th one
+_SVG_ROWS = 1 << 12  # marks formatted by one ``%`` call and written at once
 
 
 def _axes(lo, hi, angular: bool) -> list[tuple[float, str]]:
@@ -534,11 +539,13 @@ def _svg_open(title: str, lo, hi, angular):
 
 
 def _svg_close(lines, path, template: str, *columns) -> None:
-    """Write the frame, one ``template`` line per row of the ``columns`` (one ``%`` call, no line if empty), the end."""
-    n = len(columns[0])
-    marks = ["\n".join([template] * n) % tuple(np.column_stack(columns).ravel().tolist())] if n else []
+    """Write the frame, one ``template`` line per row of the ``columns`` (_SVG_ROWS rows at a time), the end."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines + marks + ["</svg>"]) + "\n")
+        fh.write("\n".join(lines) + "\n")
+        for s in range(0, len(columns[0]), _SVG_ROWS):
+            rows = np.column_stack([c[s:s + _SVG_ROWS] for c in columns])
+            fh.write((template + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+        fh.write("</svg>\n")
 
 
 def svg_scatter(points: np.ndarray, path, angular: bool = True, title: str = "") -> None:

@@ -79,21 +79,31 @@ def validate(matrix) -> DistanceMatrix:
 def _entrywise(a: np.ndarray):
     """The first VIOLATIONS_LISTED negative, diagonal and asymmetric entries, and their count.
 
-    A function of its own so that its n x n masks are freed before the
-    triangle sweep: held across it, they slowed a later FiniteSpace
-    campaign on the same matrix by up to half.
+    Negative and asymmetric entries are found a block of about
+    _SWEEP_ENTRIES entries at a time and the diagonal as one vector, and an
+    amount is computed only for a listed entry, so no n x n temporary is made.
     """
-    with np.errstate(over="ignore"):  # |a - a.T| may overflow to inf
-        kinds = (("negative", a < 0, a),
-                 ("diagonal", np.diagflat(np.diagonal(a) != 0), a),
-                 ("asymmetry", np.triu(a != a.T, 1), np.abs(a - a.T)))
+    n = len(a)
+    step = max(1, _SWEEP_ENTRIES // max(n, 1))
     listed, count = [], 0
-    for kind, broken, amount in kinds:
-        i, j = np.nonzero(broken)
+
+    def add(kind, i, j):
+        nonlocal count
         count += len(i)
         room = max(VIOLATIONS_LISTED - len(listed), 0)
         i, j = i[:room], j[:room]
-        listed += zip([kind] * len(i), zip(i.tolist(), j.tolist()), amount[i, j].tolist())
+        amount = np.abs(a[i, j] - a[j, i]) if kind == "asymmetry" else a[i, j]
+        listed.extend(zip([kind] * len(i), zip(i.tolist(), j.tolist()), amount.tolist()))
+
+    with np.errstate(over="ignore"):  # |a[i, j] - a[j, i]| may overflow to inf
+        for r in range(0, n, step):
+            i, j = np.nonzero(a[r:r + step] < 0)
+            add("negative", i + r, j)
+        diagonal = np.flatnonzero(np.diagonal(a) != 0)
+        add("diagonal", diagonal, diagonal)
+        for r in range(0, n, step):  # the pairs i < j of rows [r, r + step)
+            i, j = np.nonzero(np.triu(a[r:r + step] != a[:, r:r + step].T, r + 1))
+            add("asymmetry", i + r, j)
     return listed, count
 
 

@@ -260,6 +260,23 @@ def test_compare_needs_each_side_as_a_sample_or_a_region(argv, tmp_path, monkeyp
     assert "--region-a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    # that region pair would build boundaries of about 9e7 points: gigabytes
+    ("persets.diagram_metrics", "region_points",
+     ["compare", "--region-a", "ptolemaic:cap=4e4", "--region-b", "s1", "--interior-step", "100"]),
+    ("persets.engine", "sample_persistence_set", ["sample", "--space", "s1", "--tuples", "64", "--out", "s.csv"]),
+])
+def test_memory_error_is_exit_one_naming_the_command(module, name, argv, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"{module}.{name}", out_of_memory)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} ran out of memory\n"
+
+
 def test_graph_betti(capsys):
     assert run(["graph-betti", "--graph", "glued:3.5,4.5:alpha=0.5",
                 "--tuples", "50000", "--seed", "5"]) == 0

@@ -295,6 +295,20 @@ def test_grid_search_memory_per_point():
     assert peak < 40 * (len(a) + len(b))
 
 
+def test_grid_search_memory_per_point_on_campaign_samples():
+    # a reference to each sample and an int32 permutation into cell order;
+    # cell-sorted copies of both (16 bytes a point) took 26 bytes per input point
+    a = engine.sample_persistence_set("s1", 4, 1, 1 << 19, seed=3).points
+    b = engine.sample_persistence_set("sphere:m=2", 4, 1, 1 << 18, seed=3).points
+    tracemalloc.start()
+    try:
+        dmx.hausdorff_bottleneck_points(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (len(a) + len(b))
+
+
 def test_grid_search_on_clusters_far_apart():
     rng = np.random.default_rng(9)
     u, v = rng.random((300, 2)), rng.random((200, 2))

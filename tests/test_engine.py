@@ -550,6 +550,27 @@ def test_svg_bytes(tmp_path, circle_sample):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_svg_scatter_holds_no_whole_plot_strings(tmp_path):
+    # whole-plot strings took 8.8 MB for the 20,000 marks drawn of 10^6 points
+    pts = np.random.default_rng(6).random((10**6, 2))
+    assert traced_peak(engine.svg_scatter, pts, tmp_path / "p.svg") < 3e6
+
+
+def test_histogram_holds_no_per_point_index_arrays():
+    # one np.histogram2d call over every point took about 41 bytes a point
+    pts = np.random.default_rng(6).random((10**6, 2))
+    assert traced_peak(engine.histogram, engine.PersistenceSetSample("x", 4, 1, len(pts), pts, 0, 0)) < 8 * len(pts)
+
+
 def cloud_space(size=30):
     v = np.random.default_rng(5).standard_normal((size, 3))
     return engine.FiniteSpace(metric.validate(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))

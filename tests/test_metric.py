@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,3 +396,18 @@ def test_whole_accepts_whole_numbers(value, expected):
 def test_whole_rejects_everything_else(value):
     with pytest.raises(ValueError):
         metric.whole(value)
+
+
+def test_validate_of_a_clean_matrix_holds_one_copy():
+    # beyond the input: the returned copy and O(_SWEEP_ENTRIES) scratch; the
+    # n x n masks and |a - a.T| of the entrywise checks took 2.4 copies
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((1000, 3))
+    a = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    tracemalloc.start()
+    try:
+        metric.validate(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes
