@@ -379,20 +379,3 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
         for search in searches:
             floor = _exact_max(*search, floor, side)
         return floor
-
-
-def circle_vs_sphere_crosspolytope_bound(k: int) -> float:
-    """Closed-form GH lower bound between the circle and the k-sphere.
-
-    The 2k+2 vertex cross-polytope inscribed in the k-sphere has diagram
-    (pi/2, pi), while every circle diagram in the principal degree-k set
-    has birth >= k pi/(k+1) and persistence <= pi/(k+1).  The bottleneck
-    distance from the cross-polytope diagram to the whole circle set is
-    then min(pi/4, (k-1) pi / (2k+2)), which equals pi/4 from k = 3 on,
-    giving the bound pi/8.
-    """
-    if k < 1:
-        raise EmptyInput("need k >= 1")
-    matched = (k - 1) * math.pi / (2.0 * (k + 1))
-    unmatched = math.pi / 4.0
-    return min(matched, unmatched) / 2.0

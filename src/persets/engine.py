@@ -16,8 +16,11 @@ scratch.
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
 concatenates chunk results in chunk order, so the output is bit-identical
-for any worker count.  Workers are separate processes (numpy releases
-little of the GIL here).
+for any worker count.  Workers are separate processes.  numpy releases the
+GIL in the kernel and the distance ufuncs, so a thread pool keeps pace,
+but its one process holds every worker's chunks: two workers on
+sphere:m=2, n = 6, 2^20 tuples peaked at 55-74 MB ``ru_maxrss`` as threads
+against 44-53 MB as processes.
 """
 from __future__ import annotations
 
@@ -386,39 +389,6 @@ def coordinate_cdf(sample: PersistenceSetSample, coordinate: str = "totalPersist
     uniq, counts = np.unique(vals, return_counts=True)
     cdf = np.cumsum(counts) / len(vals)
     return StepCDF(values=uniq, cdf=cdf)
-
-
-# ---------------------------------------------------------------------------
-# The two-point mm-space, exactly
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoPointMeasure:
-    empty_mass: float
-    point_mass: float
-    location: tuple[float, float]
-
-
-def two_point_measure(alpha: float, delta: float, n: int) -> TwoPointMeasure:
-    """Degree-0 persistence measure of the two-point mm-space, closed form.
-
-    An n-tuple sees only one of the two points with probability
-    alpha^n + (1-alpha)^n (the empty reduced diagram); otherwise the
-    diagram is the single point (0, delta).  The empty mass vanishes as n
-    grows: the measure concentrates.
-    """
-    if not (0.0 < alpha < 1.0) or delta <= 0 or n < 1:
-        raise UnsupportedCombination("need 0 < alpha < 1, delta > 0, n >= 1")
-    w = alpha**n + (1.0 - alpha) ** n
-    return TwoPointMeasure(empty_mass=w, point_mass=1.0 - w, location=(0.0, delta))
-
-
-def sample_two_point_empty_fraction(alpha: float, n: int, m_max: int, seed: int) -> float:
-    """Monte-Carlo estimate of the two-point empty mass (for validation)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.random((m_max, n)) < alpha
-    ones = draws.sum(axis=1)
-    return float(np.mean((ones == 0) | (ones == n)))
 
 
 # ---------------------------------------------------------------------------

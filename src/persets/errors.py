@@ -39,14 +39,6 @@ class MalformedFile(PersetsError):
     """An input file does not parse: bad header, ragged row, missing key, not a number."""
 
 
-class TooFewPoints(PersetsError):
-    pass
-
-
-class SizeMismatch(PersetsError):
-    pass
-
-
 class TooLarge(PersetsError):
     pass
 

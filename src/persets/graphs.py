@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint, TooLarge
-from .metric import number, read_json, whole, write_json
+from .metric import number, read_json, whole
 from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks
 
 TWO_PI = 2.0 * math.pi
@@ -67,10 +67,6 @@ class MetricGraph:
     edge_u: np.ndarray = field(compare=False)
     edge_v: np.ndarray = field(compare=False)
     edge_len: np.ndarray = field(compare=False)
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(e[2] for e in self.edges))
 
     @property
     def descriptor(self) -> str:
@@ -284,34 +280,6 @@ def tree_of_cycles(cycle_lengths, tree_edge: float = 0.5) -> MetricGraph:
     return build_graph(len(lens), edges)
 
 
-def non_isometric_cycle_figure() -> MetricGraph:
-    """Best-effort reconstruction of the reference picture of a graph whose
-    8-cycle is not isometric to a circle.
-
-    Unit edges along the closed walk 1,2,6,5,8,7,3,4 plus the chord [1,5],
-    which shortcuts the walk (d(1,5) = 1, not 3).  The walk is therefore
-    never isometric to a circle and contributes no corner at (2, 4); the
-    chord splits the graph into a 4-cycle and a 6-cycle glued over [1,5].
-    The picture fixes the edge set only up to reading accuracy, so this
-    fixture is labeled approximate.
-    """
-    walk = [1, 2, 6, 5, 8, 7, 3, 4]
-    edges = [(walk[i] - 1, walk[(i + 1) % 8] - 1, 1.0) for i in range(8)]
-    edges.append((0, 4, 1.0))  # the chord [1, 5]
-    return build_graph(8, edges)
-
-
-def random_tree(rng: np.random.Generator, vertices: int) -> MetricGraph:
-    """Random weighted tree: each vertex hangs off an earlier one."""
-    if vertices < 1:
-        raise InvalidDescriptor("need at least one vertex")
-    edges = []
-    for v in range(1, vertices):
-        parent = int(rng.integers(0, v))
-        edges.append((parent, v, float(rng.uniform(0.2, 2.0))))
-    return build_graph(vertices, edges)
-
-
 # ---------------------------------------------------------------------------
 # Files and descriptors
 # ---------------------------------------------------------------------------
@@ -325,10 +293,6 @@ def read_graph_json(path) -> MetricGraph:
         return build_graph(doc["vertices"], doc["edges"])
     except (InvalidDescriptor, TooLarge) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def write_graph_json(graph: MetricGraph, path) -> None:
-    write_json(path, {"vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]})
 
 
 FAMILIES = ("wedge", "flares", "flares-fig", "glued", "treecycles")

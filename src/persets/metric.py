@@ -281,7 +281,3 @@ def read_json(path, fields: dict) -> dict:
 
 def read_matrix_csv(path) -> DistanceMatrix:
     return validate(read_csv(path))
-
-
-def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
-    write_csv(path, matrix.entries)

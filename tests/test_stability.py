@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 
 from persets import cli, diagram_metrics, engine, metric, oracle, spaces
 
+from reference import write_matrix_csv
+
 clouds = st.fixed_dictionaries({
     "size": st.integers(8, 40),
     "dim": st.integers(2, 3),
@@ -81,8 +83,8 @@ def test_cli_compare_of_the_two_samples_is_at_most_eps(cloud):
     sx, sy, _ = two_spaces(**cloud)
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
         x, y, a, b = (os.path.join(tmp, name) for name in ("X.csv", "Y.csv", "a.csv", "b.csv"))
-        metric.write_matrix_csv(sx.matrix, x)
-        metric.write_matrix_csv(sy.matrix, y)
+        write_matrix_csv(sx.matrix, x)
+        write_matrix_csv(sy.matrix, y)
         for space, sample in ((x, a), (y, b)):
             assert cli.main(["sample", "--space", space, "--tuples", str(1 << 14), "--seed", str(cloud["seed"]),
                              "--out", sample]) == 0
