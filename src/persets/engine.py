@@ -8,10 +8,12 @@ kernel when n = 2k+2, else the oracle), and aggregates the nontrivial
 (t_b, t_d) points plus a scalar count of trivial (empty) diagrams.  The
 empty diagram is never encoded as a (0, 0) point.
 
-A chunk draws all its points in one ``sample_points`` call; the pair
-list, the distance guard and the kernel (or the oracle) then run on one
-BLOCK of tuples at a time, so a worker holds its draw plus O(BLOCK n^2)
-scratch.
+A chunk reads its points from one ``sample_points`` stream, one BLOCK of
+tuples at a time: the block's points, its pair list, the distance guard
+and the kernel (or the oracle) finish before the next block overwrites
+them.  So a worker holds one BLOCK of points plus O(BLOCK n^2) scratch,
+whatever the chunk size, besides what a two-pass sampler draws whole (see
+``persets.spaces``) and the chunk's nontrivial points.
 
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
@@ -85,7 +87,7 @@ class FiniteSpace:
         return f"finite:{self.matrix.n}"
 
     def sample_points(self, rng, count):
-        return rng.integers(0, self.matrix.n, size=(count, 1))
+        return (rng.integers(0, self.matrix.n, size=(rows, 1)) for rows in spaces_mod.row_counts(count))
 
     def prepare(self, points):
         """Each of the n positions of (n, B, 1) row indices as (row * N, row): its
@@ -118,28 +120,36 @@ def space_of(space):
     return spaces_mod.parse_space(space)
 
 
-def draw_tuples(space, rng, count: int, n: int):
-    """``count`` n-tuples, (count, n, D), from one ``sample_points`` call: all a chunk draws."""
-    return space.sample_points(rng, count * n).reshape(count, n, -1)
-
-
-def pair_blocks(space, tuples):
-    """(start, pair list) of each BLOCK of the (count, n, D) ``tuples``: one (n(n-1)/2, B) buffer
-    that each block overwrites.  ``prepare`` gets each block once, as an (n, B, D) view.
-    UnsupportedCombination if a distance of the block is negative, infinite or NaN."""
-    count, n = tuples.shape[:2]
+def pair_blocks(space, rng, count: int, n: int):
+    """(start, tuples, pair list) of each BLOCK of ``count`` n-tuples read from the stream
+    ``space.sample_points(rng, count * n)``: a (B, n, D) view of one point buffer, filled as the
+    stream's blocks come, and a (n(n-1)/2, B) view of one pair buffer; the next block overwrites
+    both.  ``prepare`` gets each block once, as an (n, B, D) view.  UnsupportedCombination if the
+    stream ends early or a distance of the block is negative, infinite or NaN."""
+    stream, rows, flat = iter(space.sample_points(rng, count * n)), (), None
     buffer = np.empty((n * (n - 1) // 2, min(count, BLOCK)))
     ij = list(zip(*np.triu_indices(n, 1)))
     for b in range(0, count, BLOCK):
-        pairs = buffer[:, :min(BLOCK, count - b)]
-        at = space.prepare(tuples[b:b + BLOCK].swapaxes(0, 1))
+        size, filled = min(BLOCK, count - b), 0
+        while filled < size * n:
+            while not len(rows):  # the stream's next block, from its first row not yet copied
+                rows = next(stream, None)
+                if rows is None:
+                    raise UnsupportedCombination(f"space {space.descriptor!r} drew fewer than {count * n} points")
+            if flat is None:
+                flat = np.empty((min(count, BLOCK) * n, rows.shape[1]), rows.dtype)
+            take = rows[:size * n - filled]
+            flat[filled:filled + len(take)] = take
+            filled, rows = filled + len(take), rows[len(take):]
+        tuples, pairs = flat[:size * n].reshape(size, n, -1), buffer[:, :size]
+        at = space.prepare(tuples.swapaxes(0, 1))
         for p, (i, j) in enumerate(ij):
             pairs[p] = space.pair_distance(at[i], at[j])
         del at  # the next block's prepare reuses this memory instead of faulting in new pages
         if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
             raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
                                          f"to {pairs.max()}; a campaign needs them in [0, inf)")
-        yield b, pairs
+        yield b, tuples, pairs
 
 
 def _tasks(space, n, k, tuples, seed):
@@ -149,30 +159,31 @@ def _tasks(space, n, k, tuples, seed):
 
 
 def _chunk(space, n, k, seed, chunk_index, count):
-    """The tuples of one chunk, their nontrivial points and each tuple's point
-    count; the O(n^2) kernel when n = 2k+2, else the oracle."""
+    """(tuples, nontrivial points, each tuple's point count) of each BLOCK of one chunk, the tuples
+    a view that the next block overwrites; the O(n^2) kernel when n = 2k+2, else the oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    pts = draw_tuples(space, rng, count, n)
-    if n == 2 * k + 2:
-        tb, td = np.empty(count), np.empty(count)
-        for b, block in pair_blocks(space, pts):
-            principal_of_pairs(block, n, out=(tb[b:b + BLOCK], td[b:b + BLOCK]))
-        per_tuple = tb < td
-        pairs = np.column_stack([tb[per_tuple], td[per_tuple]])
-    elif n < 2 * k + 2:  # see sample_persistence_set
-        per_tuple, pairs = np.zeros(count, np.intp), np.empty((0, 2))
-    else:
-        # sampled matrices are metric by construction; skip re-validation
-        dgms = [vr_diagram(DistanceMatrix(m), k).points
-                for _, block in pair_blocks(space, pts) for m in squareform(block, n)]
-        per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
-        pairs = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
-    return pts, pairs, per_tuple
+    for _, tuples, pairs in pair_blocks(space, rng, count, n):
+        if n == 2 * k + 2:
+            tb, td = principal_of_pairs(pairs, n)
+            per_tuple = tb < td
+            points = np.column_stack([tb[per_tuple], td[per_tuple]])
+        elif n < 2 * k + 2:  # see sample_persistence_set
+            per_tuple, points = np.zeros(len(tuples), np.intp), np.empty((0, 2))
+        else:
+            # sampled matrices are metric by construction; skip re-validation
+            dgms = [vr_diagram(DistanceMatrix(m), k).points for m in squareform(pairs, n)]
+            per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
+            points = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
+        yield tuples, points, per_tuple
 
 
 def _run_chunk(space, n, k, seed, chunk_index, count):
-    _, points, per_tuple = _chunk(space, n, k, seed, chunk_index, count)
-    return points, count - int(np.count_nonzero(per_tuple))
+    """The nontrivial points and the trivial count of one chunk."""
+    points, trivial = [], count
+    for _, block_points, per_tuple in _chunk(space, n, k, seed, chunk_index, count):
+        points.append(block_points)
+        trivial -= int(np.count_nonzero(per_tuple))
+    return np.concatenate(points), trivial
 
 
 def check_campaign(n: int, k: int, tuples: int, seed: int) -> None:
@@ -201,7 +212,7 @@ def sample_persistence_set(
     tuples); n = 2k+3 .. oracle.MAX_POINTS runs every tuple through the
     brute-force oracle, in chunks of 1024, flattening all diagram points.
     Below 2k+2 (k >= 1) every diagram is empty: nothing is drawn.  Each
-    chunk holds its draw and one BLOCK of pair list.  The pool holds at
+    chunk holds one BLOCK of points and pair list.  The pool holds at
     most ``workers``, the chunk count and the machine's CPU count
     processes.
     """
@@ -237,17 +248,17 @@ def sample_persistence_set(
 
 def kept_tuples(space, sample: PersistenceSetSample) -> np.ndarray:
     """(m, n, D): row i is the tuple that produced ``sample.points[i]``, once per diagram point.  Each chunk
-    is redrawn from the seed in turn, so a sample read from its file gets its tuples too."""
+    is redrawn from the seed in turn, a block at a time, so a sample read from its file gets its tuples too."""
     space = space_of(space)
     if space.descriptor != sample.space:
         raise UnsupportedCombination(f"the sample is of {sample.space!r}, not of {space.descriptor!r}")
     check_campaign(sample.n, sample.k, sample.tuples_drawn, sample.seed)
     kept, at, same = [], 0, True
     for task in _tasks(space, sample.n, sample.k, sample.tuples_drawn, sample.seed):
-        tuples, points, per_tuple = _chunk(*task)
-        same &= points.tobytes() == sample.points[at:at + len(points)].tobytes()
-        kept.append(np.repeat(tuples, per_tuple, axis=0))
-        at += len(points)
+        for tuples, points, per_tuple in _chunk(*task):
+            same &= points.tobytes() == sample.points[at:at + len(points)].tobytes()
+            kept.append(np.repeat(tuples, per_tuple, axis=0))
+            at += len(points)
     if not same or at != len(sample.points):
         raise UnsupportedCombination(f"{space.descriptor!r} with seed {sample.seed} redraws other points")
     return np.concatenate(kept)

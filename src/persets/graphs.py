@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint, TooLarge
 from .metric import number, read_json, whole
-from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks
+from .spaces import (check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks,
+                     rows_of)
 
 TWO_PI = 2.0 * math.pi
 # vertices of a graph: its vertex table is then 8 MB, and a cycle of 1,000 vertices
@@ -73,7 +74,8 @@ class MetricGraph:
         return f"graph:{self.vertex_count}v:{len(self.edges)}e"
 
     def sample_points(self, rng, count):
-        return sample_graph(self, rng, count)
+        """The ``sample_graph`` draw, made whole (two passes), as ``rows_of`` views."""
+        return rows_of(sample_graph(self, rng, count))
 
     def prepare(self, points):
         """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of C-contiguous (B,) arrays."""

@@ -199,7 +199,7 @@ def stats(matrix: DistanceMatrix) -> MetricStats:
 # CSV (n rows, no header).
 # ---------------------------------------------------------------------------
 
-_CSV_ROWS = 1 << 14  # rows formatted at a time; bounds the Python lists of a write
+_CSV_ROWS = 1 << 10  # rows formatted at a time: the Python lists and string of a write stay near 100 KB
 
 
 def write_csv(path, *blocks, header=None) -> None:

@@ -4,7 +4,14 @@ Every space the engine samples (these models, metric graphs, finite
 datasets) has the same four members:
 
 * ``sample_points(rng, count)`` -- i.i.d. draws from the uniform
-  (normalized Riemannian / Lebesgue) measure, as a (count, D) array;
+  (normalized Riemannian / Lebesgue) measure: a generator of (rows, D)
+  blocks whose concatenation is the (count, D) draw, whatever the block
+  sizes.  A sampler that makes one pass (circle, torus, spheres, mk with
+  kappa > 0, finite datasets) draws each block of ``row_counts`` when it
+  is asked for: successive numpy Generator calls continue one stream, so
+  the blocks change no bit.  One that makes two passes over the draw
+  (disk, mk with kappa < 0, metric graphs) draws it whole and yields its
+  ``rows_of`` views;
 * ``prepare(points)`` -- called with an (n, B, D) array of points
   (position first); returns n items, item i being the points of
   position i in the form ``pair_distance`` takes.  These models return
@@ -34,9 +41,8 @@ from .metric import DistanceMatrix, squareform, validate
 
 TWO_PI = 2.0 * math.pi
 _POINT_TOL = 1e-12
-_ROWS = 1 << 13  # drawn rows per step of a sampler's arithmetic, after its RNG calls
-# m and k of any descriptor: a sphere:m=32 chunk at n = 12 draws 65,536 x 12 x 33
-# doubles (208 MB), and flares:k=32 has 64 vertices
+_ROWS = 1 << 13  # drawn rows per block of a sampler's stream and per step of its arithmetic
+# m and k of any descriptor: flares:k=32 has 64 vertices
 MAX_WHOLE = 32
 # sqrt(-kappa) R of a hyperbolic disk: cosh(355)^2 = 1.5e308 still fits a double, so at
 # kappa = -1 the products of two hyperboloid coordinates stay finite (cosh overflows past 710.5)
@@ -79,11 +85,24 @@ def row_blocks(*arrays):
     return zip(*([a[r:r + _ROWS] for r in range(0, len(a), _ROWS)] for a in arrays))
 
 
-def _unit_vectors(rng, count, dim):
-    """``count`` uniform points of the unit sphere in R^dim, normalized in place."""
+def rows_of(points):
+    """The ``sample_points`` stream of a whole draw: its ``_ROWS``-row views."""
+    return (block for (block,) in row_blocks(points))
+
+
+def row_counts(count):
+    """The row counts of the ``_ROWS``-row blocks of ``count`` rows: the blocks of a one-pass sampler."""
+    return (min(_ROWS, count - r) for r in range(0, count, _ROWS))
+
+
+def _unit_vectors(rng, count, dim, radius=1.0):
+    """``count`` uniform points of the sphere of ``radius`` in R^dim, scaled and normalized in place."""
     v = rng.standard_normal(size=(count, dim))
     for (block,) in row_blocks(v):
-        block /= np.sqrt(_dot(block, block))[:, None]
+        norm = np.sqrt(_dot(block, block))[:, None]
+        if radius != 1.0:
+            block *= radius
+        block /= norm
     return v
 
 
@@ -111,7 +130,7 @@ class CircleGeodesic(RawPoints):
         return "s1" if self.diameter == math.pi else f"s1:lambda={self.diameter:g}"
 
     def sample_points(self, rng, count):
-        return rng.uniform(0.0, TWO_PI, size=(count, 1))
+        return (rng.uniform(0.0, TWO_PI, size=(rows, 1)) for rows in row_counts(count))
 
     def pair_distance(self, p, q):
         return _circle_arc(p[..., 0], q[..., 0]) * (self.diameter / math.pi)
@@ -132,7 +151,7 @@ class SphereGeodesic(RawPoints):
         return f"sphere:m={self.m}"
 
     def sample_points(self, rng, count):
-        return _unit_vectors(rng, count, self.m + 1)
+        return (_unit_vectors(rng, rows, self.m + 1) for rows in row_counts(count))
 
     def pair_distance(self, p, q):
         # unit-vector inner products overshoot [-1, 1] by ~1e-16: clamp
@@ -156,7 +175,7 @@ class SphereEuclidean(RawPoints):
         return "s1-e" if self.m == 1 else f"sphere-e:m={self.m}"
 
     def sample_points(self, rng, count):
-        return _unit_vectors(rng, count, self.m + 1)
+        return (_unit_vectors(rng, rows, self.m + 1) for rows in row_counts(count))
 
     def pair_distance(self, p, q):
         diff = p - q
@@ -173,7 +192,7 @@ class TorusL2(RawPoints):
     descriptor = "torus"
 
     def sample_points(self, rng, count):
-        return rng.uniform(0.0, TWO_PI, size=(count, 2))
+        return (rng.uniform(0.0, TWO_PI, size=(rows, 2)) for rows in row_counts(count))
 
     def pair_distance(self, p, q):
         d1 = _circle_arc(p[..., 0], q[..., 0])
@@ -222,12 +241,7 @@ class ModelSurface(RawPoints):
     def sample_points(self, rng, count):
         if self.kappa > 0:
             r = 1.0 / math.sqrt(self.kappa)
-            v = rng.standard_normal(size=(count, 3))
-            for (block,) in row_blocks(v):
-                norm = np.sqrt(_dot(block, block))[:, None]
-                block *= r
-                block /= norm
-            return v
+            return (_unit_vectors(rng, rows, 3, r) for rows in row_counts(count))
         s = math.sqrt(-self.kappa)
         a = 1.0 / s
         # geodesic polar area element ~ sinh(s r): invert its CDF
@@ -243,7 +257,7 @@ class ModelSurface(RawPoints):
             theta = TWO_PI * x
             block[:, 2] = block[:, 1] * np.sin(theta)
             block[:, 1] *= np.cos(theta)
-        return pts
+        return rows_of(pts)
 
     def pair_distance(self, p, q):
         if self.kappa > 0:
@@ -283,7 +297,7 @@ class EuclideanDisk(RawPoints):
         v = _unit_vectors(rng, count, self.m)
         for block, u in row_blocks(v, rng.uniform(0.0, 1.0, size=(count, 1))):
             block *= self.radius * u ** (1.0 / self.m)
-        return v
+        return rows_of(v)
 
     def pair_distance(self, p, q):
         diff = p - q

@@ -52,6 +52,11 @@ def circle_angles_matrix(angles, lam=math.pi):
     return validate(d)
 
 
+def draw(space, rng, count):
+    """The (count, D) points of the ``sample_points`` stream of ``space``, concatenated (count >= 1)."""
+    return np.concatenate(list(space.sample_points(rng, count)))
+
+
 def tuple_matrix(dm, rows):
     """Distance matrix of the index tuple ``rows`` of ``dm``: repeats allowed, by the one point route."""
     return spaces.distance_matrix(engine.FiniteSpace(dm), np.asarray(rows)[:, None])

@@ -74,7 +74,7 @@ def test_oracle_limits_are_checked_before_drawing(n, k, monkeypatch):
     def draw(*args):
         raise AssertionError("a chunk was drawn")
 
-    monkeypatch.setattr(engine, "draw_tuples", draw)
+    monkeypatch.setattr(engine, "pair_blocks", draw)
     with pytest.raises(UnsupportedCombination, match=f"n={n}, k={k}: need") as exc:
         engine.sample_persistence_set(spaces.CircleGeodesic(), n, k, 10, seed=0)
     assert f"<= {oracle.MAX_POINTS}" in str(exc.value)
@@ -93,7 +93,7 @@ def test_oracle_fallback_matches_principal_on_principal_case():
     space = spaces.CircleGeodesic()
     s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))  # chunk 0's stream
-    [(_, pairs)] = engine.pair_blocks(space, engine.draw_tuples(space, rng, 500, 4))  # one block
+    [(_, _, pairs)] = engine.pair_blocks(space, rng, 500, 4)  # one block
     dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
     assert s.trivial_count == sum(not d for d in dgms)
@@ -125,7 +125,7 @@ class Segment:
     descriptor = "segment"
 
     def sample_points(self, rng, count):
-        return rng.random((count, 1))
+        yield rng.random((count, 1))
 
     def prepare(self, points):
         return points
@@ -165,20 +165,31 @@ def test_campaign_refuses_a_distance_outside_zero_to_inf(space, n, k):
         engine.sample_persistence_set(space, n, k, 5000, seed=2)
 
 
-@pytest.mark.parametrize("space, n, bound", [("sphere:m=2", 6, 48), ("sphere:m=9", 8, 80), ("mk:kappa=-1", 4, 48)])
-def test_chunk_holds_its_draw_and_one_block(space, n, bound):
-    # beyond its draw a chunk keeps t_b/t_d and BLOCK-sized scratch (34, 56 and 36 B a
-    # tuple); a whole-chunk pair list and norm temporaries took 139 and 704, and the
-    # hyperbolic sampler's two whole-draw uniform arrays 68
-    space = engine.space_of(space)
-    draw = engine.CHUNK * n * space.sample_points(np.random.default_rng(0), 1).nbytes
+def chunk_peak(space, n, count):
+    """The tracemalloc peak of one chunk of ``count`` tuples, after a small chunk has made the one-time allocations."""
+    engine._run_chunk(space, n, n // 2 - 1, 1, 0, 1000)
     tracemalloc.start()
     try:
-        engine._run_chunk(space, n, n // 2 - 1, 1, 0, engine.CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
+        engine._run_chunk(space, n, n // 2 - 1, 1, 0, count)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - draw) / engine.CHUNK < bound
+
+
+@pytest.mark.parametrize("space, n, bound, whole", [("sphere:m=2", 6, 64, 0), ("sphere:m=9", 8, 160, 0),
+                                                    ("s1", 4, 40, 0), ("mk:kappa=-1", 4, 48, 96)],
+                         ids=["sphere:m=2", "sphere:m=9", "s1", "mk:kappa=-1"])
+def test_chunk_holds_one_block(space, n, bound, whole):
+    # a chunk streams its draw into one BLOCK of points and pair list: 44, 141 and 20 B a
+    # tuple, draw included; drawn whole, the draw alone was 144, 640 and 32 B a tuple, and
+    # the peak 178, 696 and 59.  So a second CHUNK adds only the nontrivial points, below
+    # t_b/t_d's 16 B a tuple.  The hyperbolic sampler draws ``whole`` B a tuple in one go (two
+    # uniform passes); beyond that a chunk peaks at 36, where two whole uniform arrays took 68
+    space = engine.space_of(space)
+    peak = chunk_peak(space, n, engine.CHUNK)
+    assert (peak / engine.CHUNK - whole) < bound
+    if not whole:
+        assert (chunk_peak(space, n, 2 * engine.CHUNK) - peak) / engine.CHUNK <= 16
 
 
 @pytest.mark.parametrize("space, n, k", [("s1", 3, 1), ("sphere:m=2", 5, 2), ("wedge:3.5,4.5", 7, 3), ("finite", 4, 2)])
@@ -186,7 +197,7 @@ def test_campaign_that_can_only_give_empty_diagrams_draws_nothing(space, n, k, m
     # below 2k+2 points every degree-k diagram is empty (tests/test_oracle.py)
     space = engine.FiniteSpace(circle_angles_matrix([0.0, 1.0, 2.5])) if space == "finite" else space
     with monkeypatch.context() as m:
-        m.setattr(engine, "draw_tuples", lambda *args: pytest.fail("a chunk was drawn"))
+        m.setattr(engine, "pair_blocks", lambda *args: pytest.fail("a chunk was drawn"))
         m.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: pytest.fail("a pool started"))
         s = engine.sample_persistence_set(space, n, k, 2500, seed=4, workers=2)
     assert (s.points.shape, s.points.dtype, s.trivial_count, s.tuples_drawn) == ((0, 2), np.float64, 2500, 2500)
@@ -195,7 +206,7 @@ def test_campaign_that_can_only_give_empty_diagrams_draws_nothing(space, n, k, m
     sidecar = json.loads((tmp_path / "s.csv.json").read_text())
     assert sidecar == {"tuples": 2500, "trivial": 2500, "seed": 4, "space": s.space, "n": n, "k": k}
     # the redraw gives no tuple, as (0, n, D) rows of the draw's dtype
-    one = engine.space_of(space).sample_points(np.random.default_rng(0), 1)
+    one = next(engine.space_of(space).sample_points(np.random.default_rng(0), 1))
     kept = engine.kept_tuples(space, s)
     assert (kept.shape, kept.dtype) == ((0, n, one.shape[1]), one.dtype)
 
@@ -244,6 +255,44 @@ def test_custom_space_gets_row_slices(m):
     ours = engine.sample_persistence_set(f"sphere:m={m}", 4, 1, 3000, seed=11)
     assert mine.trivial_count == ours.trivial_count
     assert mine.points.tobytes() == ours.points.tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class Arc:
+    """The unit geodesic circle defined outside the package, drawn ``rows`` points per RNG call."""
+
+    rows: int
+    descriptor = "arc"
+
+    def sample_points(self, rng, count):
+        for r in range(0, count, self.rows):
+            yield rng.uniform(0.0, 2 * PI, size=(min(self.rows, count - r), 1))
+
+    def prepare(self, points):
+        return points
+
+    def pair_distance(self, p, q):
+        d = np.abs(p[..., 0] - q[..., 0])
+        return np.minimum(d, 2 * PI - d)
+
+
+def test_campaign_does_not_depend_on_the_stream_blocks(monkeypatch):
+    # 1-row blocks end inside every tuple and every BLOCK; a single block holds the whole draw
+    monkeypatch.setattr(engine, "BLOCK", 300)
+    ours = engine.sample_persistence_set("s1", 4, 1, 3000, seed=5)
+    for rows in (1, 3000 * 4):
+        mine = engine.sample_persistence_set(Arc(rows), 4, 1, 3000, seed=5)
+        assert (mine.trivial_count, mine.points.tobytes()) == (ours.trivial_count, ours.points.tobytes())
+        assert engine.kept_tuples(Arc(rows), mine).tobytes() == engine.kept_tuples("s1", ours).tobytes()
+
+
+def test_a_stream_that_ends_early_is_refused():
+    class Short(Arc):
+        def sample_points(self, rng, count):
+            return super().sample_points(rng, count - 1)
+
+    with pytest.raises(UnsupportedCombination, match="space 'arc' drew fewer than 4000 points"):
+        engine.sample_persistence_set(Short(1), 4, 1, 1000, seed=5)
 
 
 def test_workers_must_be_positive():

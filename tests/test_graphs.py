@@ -264,7 +264,7 @@ def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count)
     edges = list(random_tree(rng, vertices).edges) if vertices > 1 else []  # an edgeless graph is refused
     edges += [(int(u), int(v), float(w)) for (u, v), w in zip(ends, lengths)]
     g = graphs.build_graph(vertices, edges)
-    pts = g.sample_points(rng, count)
+    pts = graphs.sample_graph(g, rng, count)
     pts[0, 1] = 0.0  # a vertex, and the far end of an edge
     pts[-1, 1] = g.edge_len[int(pts[-1, 0])]
     d = spaces.distance_matrix(g, pts).entries  # validated
@@ -295,7 +295,7 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     edges += [edges[0][:2] + (float(rng.uniform(0.1, 2.0)),)]
     g = graphs.build_graph(vertices, edges)
     n, count = 4, 150
-    draw = g.sample_points(rng, count * n)
+    draw = graphs.sample_graph(g, rng, count * n)
     shared = draw[0::3, 0][:len(draw[1::3])]  # a third of the points move to the previous point's edge
     draw[1::3, 0] = shared
     draw[1::3, 1] = rng.uniform(size=len(shared)) * g.edge_len[shared.astype(int)]
@@ -303,8 +303,10 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
     monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: draw)
     monkeypatch.setattr(engine, "BLOCK", 64)
-    tuples = engine.draw_tuples(g, rng, count, n)
-    pairs = np.concatenate([block.copy() for _, block in engine.pair_blocks(g, tuples)], axis=1)  # one buffer
+    blocks = [(t.copy(), p.copy()) for _, t, p in engine.pair_blocks(g, rng, count, n)]  # one buffer each
+    tuples = np.concatenate([t for t, _ in blocks])
+    pairs = np.concatenate([p for _, p in blocks], axis=1)
+    assert tuples.tobytes() == draw.tobytes()
     ij = list(zip(*np.triu_indices(n, 1)))
     points = [[spaces.distance(g, t[i], t[j]) for t in tuples] for i, j in ij]
     routes = [[_endpoint_routes(g, t[i], t[j]) for t in tuples] for i, j in ij]

@@ -179,6 +179,19 @@ def test_write_csv_refuses_blocks_of_different_row_counts(tmp_path):
     assert not path.exists()
 
 
+def test_write_csv_holds_a_small_block_of_rows(tmp_path):
+    # 1,024 rows a format: a 200k-row sample peaks near 150 KB, where 16,384 rows took 2.2 MB
+    points = np.random.default_rng(1).random((200_000, 2))
+    metric.write_csv(tmp_path / "warm.csv", points[:10], header="t_b,t_d")
+    tracemalloc.start()
+    try:
+        metric.write_csv(tmp_path / "s.csv", points, header="t_b,t_d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # tests/test_golden.py pins the bytes, whatever the block
+
+
 @pytest.mark.filterwarnings("error")
 def test_validate_overflowing_deficit_is_no_violation():
     # d(0,1) - d(0,2) - d(2,1) overflows to -inf: far from a violation

@@ -7,6 +7,8 @@ import pytest
 from persets import engine, graphs, metric, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint
 
+from conftest import draw
+
 ALL_MODELS = [
     spaces.CircleGeodesic(),
     spaces.CircleGeodesic(diameter=3.5),
@@ -64,7 +66,7 @@ def test_point_validation():
 ], ids=["sphere", "sphere-e", "disk", "mk+", "mk-x1", "mk-quadric"])
 def test_a_nan_point_is_not_on_the_model(model, point):
     # every comparison with NaN is false, so each check must fail on it
-    other = model.sample_points(np.random.default_rng(0), 1)[0]
+    other = draw(model, np.random.default_rng(0), 1)[0]
     with pytest.raises(InvalidPoint):
         spaces.distance(model, point, other)
     with pytest.raises(InvalidPoint):
@@ -88,7 +90,7 @@ def five_point_space():
 @pytest.mark.parametrize("space", ALL_MODELS + [graphs.parse_family("wedge:3,4"), five_point_space()],
                          ids=lambda space: space.descriptor)
 def test_zero_points_give_an_empty_matrix(space):
-    width = space.sample_points(np.random.default_rng(0), 1).shape[1]
+    width = draw(space, np.random.default_rng(0), 1).shape[1]
     assert spaces.distance_matrix(space, np.empty((0, width))).entries.shape == (0, 0)
 
 
@@ -96,10 +98,31 @@ def test_zero_points_give_an_empty_matrix(space):
                          ids=lambda space: space.descriptor)
 def test_distance_matrix_takes_a_point_list(space):
     # one point alone, or a stack of point lists, is not a point list
-    points = space.sample_points(np.random.default_rng(0), 2)
+    points = draw(space, np.random.default_rng(0), 2)
     for bad in (points[0], points[None]):
         with pytest.raises(InvalidPoint, match=re.escape(f"(count, D) array, got shape {bad.shape}")):
             spaces.distance_matrix(space, bad)
+
+
+FAMILIES = ["wedge:3.5,4.5", "flares:c=6.2832,k=4,L=1", "flares-fig", "glued:3.5,4.5:alpha=0.5",
+            "treecycles:6,8,10:edge=0.5"]
+
+
+@pytest.mark.parametrize("descriptor", [model.descriptor for model in ALL_MODELS] + FAMILIES + ["finite"])
+def test_sample_stream_does_not_depend_on_the_row_block(descriptor, monkeypatch):
+    # 2,500 rows: blocks of 1 and 1000 rows end inside the draw, the default block holds all of it;
+    # the stream's blocks, its points and the generator state after it are the same for each
+    space = five_point_space() if descriptor == "finite" else engine.space_of(descriptor)
+    seen = set()
+    for rows in (1, 1000, spaces._ROWS):
+        monkeypatch.setattr(spaces, "_ROWS", rows)
+        rng = np.random.default_rng(9)
+        blocks = list(space.sample_points(rng, 2500))
+        assert max(len(b) for b in blocks) == min(rows, 2500)
+        points = np.concatenate(blocks)
+        assert points.shape == (2500, blocks[0].shape[1])
+        seen.add((points.dtype.str, points.tobytes(), rng.random()))
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("row", [5, -1, 1.5, math.nan], ids=["past-end", "negative", "fractional", "nan"])
@@ -148,13 +171,13 @@ def test_model_surface_disk_radius():
 
 def test_sample_count_zero():
     rng = np.random.default_rng(0)
-    assert len(spaces.CircleGeodesic().sample_points(rng, 0)) == 0
+    assert list(spaces.CircleGeodesic().sample_points(rng, 0)) == []
 
 
 def test_circle_mean_distance():
     # E d = lam/2 for uniform pairs on the circle of diameter lam = pi
     rng = np.random.default_rng(11)
-    pts = spaces.CircleGeodesic().sample_points(rng, 1_000_000)
+    pts = draw(spaces.CircleGeodesic(), rng, 1_000_000)
     c = spaces.CircleGeodesic()
     d = c.pair_distance(pts[0::2], pts[1::2])
     assert d.mean() == pytest.approx(math.pi / 2, abs=0.01)
@@ -164,7 +187,7 @@ def test_sphere_mean_distance():
     # antipodal symmetry of the uniform measure forces mean pi/2
     rng = np.random.default_rng(12)
     s = spaces.SphereGeodesic(m=1)
-    pts = s.sample_points(rng, 1_000_000)
+    pts = draw(s, rng, 1_000_000)
     d = s.pair_distance(pts[0::2], pts[1::2])
     assert d.mean() == pytest.approx(math.pi / 2, abs=0.01)
 
@@ -205,9 +228,9 @@ def test_cross_polytope_matrix_on_sphere():
 def test_triangle_inequality_random_triples(model):
     rng = np.random.default_rng(7)
     n = 100_000
-    a = model.sample_points(rng, n)
-    b = model.sample_points(rng, n)
-    c = model.sample_points(rng, n)
+    a = draw(model, rng, n)
+    b = draw(model, rng, n)
+    c = draw(model, rng, n)
     dab = model.pair_distance(a, b)
     dbc = model.pair_distance(b, c)
     dac = model.pair_distance(a, c)
@@ -233,8 +256,8 @@ def test_chordal_equals_two_sin_half_geodesic():
     rng = np.random.default_rng(4)
     geo = spaces.SphereGeodesic(m=2)
     eu = spaces.SphereEuclidean(m=2)
-    p = geo.sample_points(rng, 50000)
-    q = geo.sample_points(rng, 50000)
+    p = draw(geo, rng, 50000)
+    q = draw(geo, rng, 50000)
     np.testing.assert_allclose(
         eu.pair_distance(p, q), 2.0 * np.sin(geo.pair_distance(p, q) / 2.0), atol=1e-12
     )
@@ -244,7 +267,7 @@ def test_hyperbolic_sampler_stays_in_disk():
     R = 2.0
     m = spaces.ModelSurface(kappa=-1.0, disk_radius=R)
     rng = np.random.default_rng(5)
-    pts = m.sample_points(rng, 20000)
+    pts = draw(m, rng, 20000)
     m.validate_point(pts)
     center = np.array([1.0, 0.0, 0.0])
     d = m.pair_distance(pts, center[None, :])
@@ -254,8 +277,7 @@ def test_hyperbolic_sampler_stays_in_disk():
 def test_sampler_batch_matches_pointwise():
     model = spaces.TorusL2()
     rng = np.random.default_rng(6)
-    pts = engine.draw_tuples(model, rng, 64, 4)
-    [(_, pairs)] = engine.pair_blocks(model, pts)  # one block
+    [(_, pts, pairs)] = engine.pair_blocks(model, rng, 64, 4)  # one block
     assert pts.shape == (64, 4, 2) and pairs.shape == (6, 64)
     mats = metric.squareform(pairs, 4)
     for t in range(0, 64, 7):
@@ -303,7 +325,7 @@ def test_descriptor_bounds_accept_their_limits():
     assert spaces.parse_space(f"sphere:m={spaces.MAX_WHOLE}").m == spaces.MAX_WHOLE
     # the widest hyperbolic disk still gives finite distances
     model = spaces.parse_space(f"mk:kappa=-1:R={spaces.MAX_HYPERBOLIC_RADIUS:g}")
-    p = model.sample_points(np.random.default_rng(1), 256)
+    p = draw(model, np.random.default_rng(1), 256)
     assert np.isfinite(model.pair_distance(p[:128], p[128:])).all()
 
 
