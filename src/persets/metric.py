@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -195,25 +196,139 @@ def stats(matrix: DistanceMatrix) -> MetricStats:
 
 # ---------------------------------------------------------------------------
 # File formats: CSV rows of comma-separated shortest round-trip decimals
-# (repr) under an optional header, or one JSON object.  Distance matrices:
-# CSV (n rows, no header).
+# (repr, or the same bytes from _fixed) under an optional header, or one
+# JSON object.  Distance matrices: CSV (n rows, no header).
 # ---------------------------------------------------------------------------
 
-_CSV_ROWS = 1 << 10  # rows formatted at a time: the Python lists and string of a write stay near 100 KB
+_CSV_ROWS = 1 << 10  # rows formatted at a time: the arrays, lists and strings of a write stay near 220 KB
+# repr writes [1e-4, 1e16) in fixed notation; _fixed takes the part with an integer part below 100
+_FIXED = (1e-4, 100.0)
+# with k of these at or below x, 10^(20 - k) x has 17 digits (each double is above its power of ten)
+_DECADES = np.array([1e-3, 1e-2, 1e-1, 1e0, 1e1])
 
 
 def write_csv(path, *blocks, header=None) -> None:
-    """2-D arrays side by side, one row per line, each value ``repr`` of its ``tolist()`` item:
-    ``_CSV_ROWS`` rows at a time, one ``%r`` template (``%r`` is ``repr``) over the interleaved columns."""
+    """2-D arrays side by side, one row per line ending in '\\n', each value ``repr`` of its ``tolist()``
+    item: ``_CSV_ROWS`` rows at a time, by ``_fixed`` when the block is float64 inside ``_FIXED``, else
+    by one ``%r`` template (``%r`` is ``repr``) over the interleaved columns."""
     if len({len(b) for b in blocks}) > 1:
         raise ValueError(f"blocks of {' and '.join(str(len(b)) for b in blocks)} rows cannot share lines")
-    row = ",".join(["%r"] * sum(b.shape[1] for b in blocks)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    columns = sum(b.shape[1] for b in blocks)
+    row = ",".join(["%r"] * columns) + "\n"
+    floats = all(b.dtype == np.float64 for b in blocks)
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(header + "\n")
+            fh.write(header.encode() + b"\n")
         for i in range(0, len(blocks[0]), _CSV_ROWS):
-            columns = [c for b in blocks for c in b[i:i + _CSV_ROWS].T.tolist()]
-            fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
+            part = [b[i:i + _CSV_ROWS] for b in blocks]
+            values = np.concatenate(part, axis=1).ravel() if floats else None
+            if floats and _FIXED[0] <= values.min() and values.max() < _FIXED[1]:
+                fh.write(_fixed(values, columns)[1:] + b"\n")  # rows start with '\n', not end with it
+            else:
+                flat = chain.from_iterable(zip(*(c for b in part for c in b.T.tolist())))
+                fh.write((row * len(part[0]) % tuple(flat)).encode())
+
+
+@lru_cache(maxsize=None)
+def _tables():
+    """The byte tables of _fixed as uint32 words made from bytes, so no output depends on byte order:
+    the 200 heads ``,II.`` or ``,<NUL>I.`` ('\\n' for ',' in the first 100), the 10,000 4-digit
+    groups, and for each f <= 20 the masks that keep the last f of 20 digits (as (5, 21)); then by
+    the _DECADES count k, the scale s = 20 - k and 5^s as uint64."""
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    groups = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(10_000, 4)
+    heads = np.empty((2, 100, 4), np.uint8)
+    heads[..., 0] = np.frombuffer(b"\n,", np.uint8)[:, None]
+    heads[..., 1:3] = groups[:100, 2:]
+    heads[:, :10, 1] = 0
+    heads[..., 3] = ord(".")
+    masks = np.frombuffer(bytes(20) + b"\xff" * 20, np.uint8).take(np.arange(21)[:, None] + np.arange(20))
+    scales = np.arange(20, 14, -1, dtype=np.uint64)
+    fives = np.cumprod(np.array([1] + [5] * 20, np.uint64))[scales.view(np.int64)]
+    return heads.view(np.uint32).ravel(), groups.view(np.uint32).ravel(), masks.view(np.uint32).T.copy(), fives, scales
+
+
+def _fixed(x, columns) -> bytes:
+    """The rows of ``repr`` values of x, row-major float64 in [1e-4, 100), each row led by '\\n'.
+
+    A value is a head word with the integer part floor(x) (an integer below 100 is a double, so no
+    other double's interval reaches it), then five words of 4 digits of d, right-aligned in 20, with
+    all but its last f, the fraction, masked to NUL; ``translate`` then deletes the NULs.
+    """
+    heads, groups, masks, _, _ = _tables()
+    d, f = _shortest(x)
+    digits = np.empty((5, len(x)), np.uint64)
+    for row in digits[::-1]:
+        rest = d // 10_000
+        np.subtract(d, rest * 10_000, out=row)
+        d = rest
+    del d, rest
+    whole = x.astype(np.uint64).reshape(-1, columns)
+    whole[:, 1:] += 100  # ',' in place of '\n'
+    canvas = np.empty((6, len(x)), np.uint32)  # value-major once transposed
+    heads.take(whole.view(np.int64), out=canvas[0].reshape(whole.shape), mode="clip")
+    groups.take(digits.view(np.int64), out=canvas[1:], mode="clip")
+    del digits, whole
+    canvas[1:] &= masks.take(f.view(np.int64), axis=1)
+    text = canvas.T.tobytes()
+    del canvas
+    return text.translate(None, b"\0")
+
+
+def _shortest(x):
+    """(d, f), uint64, with d / 10^f, 1 <= f <= 20, the decimal ``repr`` gives each x in [1e-4, 100).
+
+    Shortest-interval digits (Ryu: Adams, PLDI 2018), which are the dtoa mode-0 digits of repr.  At
+    a scale 10^s that gives 10^s x 17 digits, x = m 2^e gives 10^s x = 4m 5^s / 2^(r + 2) exactly,
+    in two limbs, and the reals that round to x lie within 2 5^s / 2^(r + 2) of it.  (Below a power
+    of two only half as far, but a power of two in range is a decimal of 10 digits at most, so its
+    repr is itself.)  These ends are never integers (4m +- 2 has one factor 2), so a digit dropped
+    is a division by 10, and the candidate nearest x is inside whenever one is.  The fewest digits
+    win, nearest x, half to even; past two dropped, one candidate is left, and the last fraction
+    digit is never dropped.  Every operand is uint64: an int64 one would make float64.
+    """
+    _, _, _, fives, scales = _tables()
+    k = np.searchsorted(_DECADES, x, side="right")
+    f, p = scales.take(k), fives.take(k)  # s and 5^s
+    bits = x.view(np.uint64)
+    r = 1075 - (bits >> 52) - f  # 10^s x = m 5^s / 2^r, 31 <= r <= 46
+    m = bits & ((1 << 52) - 1) | (1 << 52)
+    ml, mh, pl, ph = m & 0xFFFFFFFF, m >> 32, p & 0xFFFFFFFF, p >> 32
+    mid = mh * pl + ml * ph
+    ml *= pl
+    mh *= ph
+    mh += mid >> 32
+    mid <<= 32
+    mid += ml
+    mh += mid < ml  # the carry: m 5^s = mh 2^64 + mid
+    del m, ml, pl, ph
+    q = (mh << (64 - r)) | (mid >> r)  # floor(10^s x)
+    rest = (mid << (64 - r)) >> (62 - r)  # (10^s x - q) 2^(r + 2)
+    del mh, mid
+    r += 2
+    p <<= 1  # the half-gap
+    top = q + ((rest + p) >> r)  # the largest integer inside
+    bottom = q + (((16 << r) + rest - p) >> r) - 15  # the least integer inside
+    d = q + (rest + (q & 1) > (1 << (r - 1)))  # no digit dropped: the nearest integer
+    del p, r
+    low, high = (bottom + 9) // 10, top // 10  # the candidates with one digit dropped
+    del bottom, top
+    more = low <= high
+    np.copyto(d, (q + 4 + ((rest | (q // 10 & 1)) != 0)) // 10, where=more)  # half to even: x > q if rest
+    del q, rest
+    f -= more
+    low, high = (low + 9) // 10, high // 10
+    more = low <= high
+    np.copyto(d, low, where=more)
+    f -= more
+    more = np.flatnonzero(more)
+    low, high, fraction = low[more], high[more], f[more]
+    while more.size:  # short decimals: drop while a candidate is left, and a fraction digit
+        low, high = (low + 9) // 10, high // 10
+        keep = np.flatnonzero((low <= high) & (fraction > 1))
+        more, low, high, fraction = more[keep], low[keep], high[keep], fraction[keep] - 1
+        d[more], f[more] = low, fraction
+    return d, f
 
 
 # suffixes by which numpy, given a path, picks a decompressor

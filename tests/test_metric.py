@@ -179,7 +179,7 @@ def test_write_csv_refuses_blocks_of_different_row_counts(tmp_path):
     assert not path.exists()
 
 
-def test_write_csv_holds_a_small_block_of_rows(tmp_path):
+def test_write_csv_holds_a_small_block_of_rows(tmp_path, monkeypatch):
     # 1,024 rows a format: a 200k-row sample peaks near 150 KB, where 16,384 rows took 2.2 MB
     points = np.random.default_rng(1).random((200_000, 2))
     metric.write_csv(tmp_path / "warm.csv", points[:10], header="t_b,t_d")
@@ -190,6 +190,89 @@ def test_write_csv_holds_a_small_block_of_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024  # tests/test_golden.py pins the bytes, whatever the block
+    # in [1, 2) every block is formatted by _fixed, whose arrays peak near 220 KB
+    points += 1
+    calls = _count_fixed(monkeypatch)
+    tracemalloc.start()
+    try:
+        metric.write_csv(tmp_path / "s.csv", points, header="t_b,t_d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == -(-len(points) // metric._CSV_ROWS)
+    assert peak < 256 * 1024
+
+
+def _count_fixed(monkeypatch):
+    """The list to which each metric._fixed call from now on appends its value count."""
+    calls, fixed = [], metric._fixed
+
+    def counted(x, columns):
+        calls.append(len(x))
+        return fixed(x, columns)
+
+    monkeypatch.setattr(metric, "_fixed", counted)
+    return calls
+
+
+def _repr_lines(*blocks):
+    """The CSV lines of ``repr`` of each ``tolist()`` item, one row per line."""
+    rows = zip(*(c for b in blocks for c in b.T.tolist()))
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows).encode()
+
+
+_LOW, _HIGH = np.array(metric._FIXED).view(np.int64).tolist()  # the bit patterns of the fast range's ends
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(_LOW, _HIGH - 1), st.integers(_LOW, _LOW + 64),
+                          st.integers(_HIGH - 64, _HIGH - 1)), min_size=3, max_size=64),
+       st.integers(1, 3))
+def test_fixed_gives_the_repr_of_bit_patterns_across_its_range(bits, columns):
+    x = np.array(bits[:len(bits) // columns * columns], np.int64).view(np.float64)
+    assert metric._fixed(x, columns) == b"\n" + _repr_lines(x.reshape(-1, columns))[:-1]
+
+
+def test_write_csv_gives_repr_bytes_on_a_sweep_of_the_fast_range(tmp_path, monkeypatch):
+    powers = np.concatenate([2.0 ** np.arange(-13, 7), 10.0 ** np.arange(-3, 2), metric._FIXED[:1]])
+    rng = np.random.default_rng(36)
+    decimals = np.concatenate([np.arange(1, 1000) / 10.0 ** d for d in range(1, 8)]
+                              + [rng.integers(1, 10 ** 9, 20_000) / 10.0 ** rng.integers(1, 8, 20_000)])
+    ties = [3276799 / 32768, 1 + 2 ** -17]  # halfway between two shortest candidates: to even
+    top = np.nextafter(metric._FIXED[1], 0) - np.arange(8) * 2.0 ** -46
+    uniform = rng.integers(_LOW, _HIGH, 60_000).view(np.float64)
+    x = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, 1e3), decimals, ties, top,
+                        np.arange(1.0, 100.0), uniform])
+    x = x[(x >= metric._FIXED[0]) & (x < metric._FIXED[1])]
+    calls = _count_fixed(monkeypatch)
+    for columns in (1, 2):
+        block = x[:len(x) // columns * columns].reshape(-1, columns)
+        metric.write_csv(tmp_path / "t.csv", block)
+        assert (tmp_path / "t.csv").read_bytes() == _repr_lines(block)
+    assert sum(calls) == len(x) + len(x) // 2 * 2
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, 9.9e-5, np.nextafter(1e-4, 0), 1e-5, 1e16, metric._FIXED[1], -1.5,
+                                   math.inf, math.nan])
+def test_write_csv_falls_back_outside_the_fast_range(value, tmp_path, monkeypatch):
+    # alone, and in a block of 3 rows that is otherwise fast, between two fast blocks
+    calls = _count_fixed(monkeypatch)
+    monkeypatch.setattr(metric, "_CSV_ROWS", 3)
+    fast = np.full((9, 2), 0.1) + np.arange(18).reshape(9, 2)
+    for block in (np.array([[value]]), np.where(np.arange(18).reshape(9, 2) == 7, value, fast)):
+        metric.write_csv(tmp_path / "t.csv", block, header="a")
+        assert (tmp_path / "t.csv").read_bytes() == b"a\n" + _repr_lines(block)
+    assert calls == [6, 6]
+
+
+def test_write_csv_falls_back_on_an_integer_column(tmp_path, monkeypatch):
+    calls = _count_fixed(monkeypatch)
+    points = np.linspace(0.5, 3.0, 10).reshape(5, 2)
+    inside = np.array([[1], [0], [1], [1], [0]], np.int64)
+    for blocks in ((points, inside), (inside,)):
+        metric.write_csv(tmp_path / "t.csv", *blocks, header="t_b,t_d,inside")
+        assert (tmp_path / "t.csv").read_bytes() == b"t_b,t_d,inside\n" + _repr_lines(*blocks)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error")
