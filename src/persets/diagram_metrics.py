@@ -1,21 +1,13 @@
-"""Bottleneck distance, Hausdorff distance between diagram sets, and the
-resulting Gromov-Hausdorff lower bound.
+"""Hausdorff distance between sets of diagrams, and the resulting
+Gromov-Hausdorff lower bound.
 
-The bottleneck distance is exact, for any two diagrams: binary search
-over the finite candidate set (pairwise l-infinity costs and
-half-persistences) with a bipartite feasibility check per candidate.
-Diagrams here are tiny (principal diagrams have at most one point), so
-no geometric acceleration is needed and the combined size is capped at
-64.
-
-Sets of diagrams are small lists of general Diagrams (exact all-pairs
-Hausdorff) or large sets of at-most-one-point diagrams (a closed form
-per pair, maximized exactly by a numpy grid search that bounds every
-point's l-infinity nearest neighbor from box counts and searches only
-the points that can reach the maximum).  Either side of that search is
-a sample or an analytic region, which enters as its deterministic
-boundary + interior grids; a comparison with a region is accurate to
-about the grid step.
+The sets are large sets of at-most-one-point diagrams: a closed form per
+pair, maximized exactly by a numpy grid search that bounds every point's
+l-infinity nearest neighbor from box counts and searches only the points
+that can reach the maximum.  Either side of that search is a sample or
+an analytic region, which enters as its deterministic boundary +
+interior grids; a comparison with a region is accurate to about the grid
+step.
 """
 from __future__ import annotations
 
@@ -24,113 +16,7 @@ import math
 import numpy as np
 
 from . import regions as reg
-from .errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
-
-MAX_MATCH_POINTS = 64
-
-
-def _feasible(cost_a, cost_b, cross, t) -> bool:
-    """Perfect matching in the diagonal-augmented bipartite graph at level t.
-
-    Left side: points of A plus one diagonal proxy per point of B; right
-    side: points of B plus one diagonal proxy per point of A.  Edges:
-    A_i - B_j when the cross cost is <= t, each point to its own diagonal
-    proxy when its half persistence is <= t, proxies to proxies always.
-    A perfect matching exists iff J(phi) <= t for some partial matching.
-    """
-    na, nb = len(cost_a), len(cost_b)
-    n_right = nb + na  # B points, then proxies of A
-
-    def neighbors(left):
-        if left < na:
-            i = left
-            for j in range(nb):
-                if cross[i][j] <= t:
-                    yield j
-            if cost_a[i] <= t:
-                yield nb + i
-        else:
-            j = left - na
-            if cost_b[j] <= t:
-                yield j
-            yield from range(nb, n_right)
-
-    match_right = [-1] * n_right
-
-    def augment(left, seen):
-        for r in neighbors(left):
-            if not seen[r]:
-                seen[r] = True
-                if match_right[r] == -1 or augment(match_right[r], seen):
-                    match_right[r] = left
-                    return True
-        return False
-
-    # left: A points, then proxies of B
-    return all(augment(left, [False] * n_right) for left in range(na + nb))
-
-
-def bottleneck_distance(d1, d2) -> float:
-    """Exact bottleneck distance between two finite Diagrams.
-
-    Binary search over the candidate costs (pairwise l-infinity costs,
-    half persistences and 0) with a feasibility check each.  J of a
-    partial matching is a max of such terms, so the optimum is a
-    candidate; the largest is always feasible, as every point can go to
-    the diagonal.
-    """
-    pa, pb = d1.points, d2.points
-    for b, d in pa + pb:
-        if math.isinf(d):
-            raise InfiniteDeath("bottleneck needs finite deaths")
-    if len(pa) + len(pb) > MAX_MATCH_POINTS:
-        raise TooLarge(f"combined diagram size {len(pa) + len(pb)} > {MAX_MATCH_POINTS}")
-
-    cost_a = [(d - b) / 2.0 for b, d in pa]
-    cost_b = [(d - b) / 2.0 for b, d in pb]
-    cross = [[max(abs(ba - bb), abs(da - db)) for bb, db in pb] for ba, da in pa]
-    candidates = sorted(set(cost_a) | set(cost_b) | {c for row in cross for c in row} | {0.0})
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(cost_a, cost_b, cross, candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
-
-
-def hausdorff_bottleneck(set_a, set_b) -> float:
-    """max over one set of the min bottleneck to the other, symmetrized.
-
-    The empty diagram is a legal element of either list.
-    """
-    if not set_a or not set_b:
-        raise EmptyInput("hausdorff needs nonempty diagram lists")
-
-    def directed(xs, ys):
-        worst = 0.0
-        for x in xs:
-            best = min(bottleneck_distance(x, y) for y in ys)
-            worst = max(worst, best)
-        return worst
-
-    return max(directed(set_a, set_b), directed(set_b, set_a))
-
-
-def gh_lower_bound(set_a, set_b) -> float:
-    """Certified-at-sampling-resolution lower bound for d_GH of the sources.
-
-    The degree-k diagram map is 2-Lipschitz from (spaces, GH) to
-    (diagrams, bottleneck), so half the diagram-set Hausdorff distance
-    lower-bounds the Gromov-Hausdorff distance.
-    """
-    return hausdorff_bottleneck(set_a, set_b) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Vectorized path for big collections of at-most-one-point diagrams
-# ---------------------------------------------------------------------------
+from .errors import EmptyInput, NonFinite
 
 _CELL_POINTS = 4  # mean points per grid cell
 _BLOCK = 1 << 15  # point pairs per numpy step, or _CELL_POINTS times the cells or points
@@ -311,8 +197,9 @@ def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: boo
 
     ``pts_*`` are (N, 2) arrays of finite (birth, death), else NonFinite;
     ``empty_*`` say whether the empty diagram belongs to the set (any
-    campaign with a trivial tuple has it).  Equal, bit for bit, to
-    hausdorff_bottleneck on the expanded lists: a point P of A is
+    campaign with a trivial tuple has it).  Equal, bit for bit, to the
+    all-pairs Hausdorff distance of exact bottleneck distances on the
+    expanded lists: a point P of A is
     min(nn(P), max(pers P, min pers of B) / 2) from the points of B, nn
     the l-infinity distance to the nearest one, and pers P / 2 from the
     empty diagram.  A side that discretizes a region (``region_*`` is

@@ -43,10 +43,6 @@ class TooLarge(PersetsError):
     pass
 
 
-class NonMonotoneFiltration(PersetsError):
-    pass
-
-
 class InvalidPoint(PersetsError):
     pass
 
@@ -64,10 +60,6 @@ class EmptySample(PersetsError):
 
 
 class RegionMismatch(PersetsError):
-    pass
-
-
-class InfiniteDeath(PersetsError):
     pass
 
 

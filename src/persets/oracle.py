@@ -1,19 +1,22 @@
 """Brute-force Vietoris-Rips persistent homology over GF(2).
 
-The slow trusted referee: enumerate every simplex up to a dimension cap,
-sort by (filtration value, dimension, lexicographic vertices), reduce the
-boundary matrix by standard column reduction, and read reduced-homology
-diagrams off the pivot pairs.  Hard-capped at 12 points; it exists to
-validate the geometric algorithm, not to be fast.
+The slow trusted referee.  Every n-point space has the same complex, all
+simplices on n vertices up to a top dimension, so it is listed once; a
+space only orders it by (value, dimension, lexicographic vertices).  The
+boundary matrix is reduced by standard column reduction and the reduced-
+homology diagrams are read off the pivot pairs.  Hard-capped at 12
+points; it exists to validate the geometric algorithm, not to be fast.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
-from .errors import NonMonotoneFiltration, TooLarge
-from .metric import DistanceMatrix
+import numpy as np
+
+from .errors import TooLarge
+from .metric import DistanceMatrix, condensed
 
 MAX_POINTS = 12
 
@@ -30,108 +33,67 @@ class Diagram:
         return not self.points
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """Simplices as (sorted vertex tuple, value), sorted filtration order."""
-
-    simplices: tuple[tuple[tuple[int, ...], float], ...]
-    max_dim: int
-
-
-def build_vr_filtration(matrix: DistanceMatrix, max_dim: int) -> Filtration:
-    """All simplices of dimension <= max_dim with value = diameter."""
-    n = matrix.n
+@lru_cache(maxsize=None)
+def _complex(n: int, top: int):
+    """The simplices of dimensions 1 .. top on n vertices, by dimension, then lexicographically:
+    their dimensions, their edges' rows in a pair list (a row per simplex, padded with its
+    first edge) and their faces' positions (vertex v at v, the i-th simplex listed at n + i)."""
     if n > MAX_POINTS:
         raise TooLarge(f"oracle is capped at {MAX_POINTS} points, got {n}")
-    if max_dim > n - 1:
-        raise TooLarge(f"max_dim {max_dim} exceeds n-1 = {n - 1}")
-    a = matrix.entries
-    simplices = []
-    for size in range(1, max_dim + 2):
-        for verts in combinations(range(n), size):
-            if size == 1:
-                value = 0.0
-            else:
-                value = max(a[i, j] for i, j in combinations(verts, 2))
-            simplices.append((verts, float(value)))
-    simplices.sort(key=lambda s: (s[1], len(s[0]), s[0]))
-    return Filtration(tuple(simplices), max_dim)
+    if top > n - 1:
+        raise TooLarge(f"top dimension {top} exceeds n-1 = {n - 1}")
+    row = {edge: r for r, edge in enumerate(combinations(range(n), 2))}
+    simplices = [s for size in range(2, top + 2) for s in combinations(range(n), size)]
+    position = {s: n + i for i, s in enumerate(simplices)} | {(v,): v for v in range(n)}
+    width = top * (top + 1) // 2
+    edges = [[row[e] for e in combinations(s, 2)] for s in simplices]
+    return (np.array([len(s) - 1 for s in simplices]),
+            np.array([e + e[:1] * (width - len(e)) for e in edges]),
+            tuple(tuple(position[f] for f in combinations(s, len(s) - 1)) for s in simplices))
 
 
-def reduce(filtration: Filtration) -> list[Diagram]:
-    """Reduced-homology diagrams for degrees 0 .. max_dim - 1.
+def diagrams_of_pairs(pairs, n: int, top: int) -> list[list[Diagram]]:
+    """The reduced diagrams of degrees 0 .. top - 1 of each n-point space of a (n(n-1)/2, B) pair list.
 
-    Columns are GF(2) bitmasks over row indices; a pair (i, j) with
-    dim(i) = d yields the degree-d point (value_i, value_j).  Zero
-    persistence pairs are dropped.  Degree 0 uses reduced homology: the
-    single essential component is discarded.
+    Vertices enter at 0.0, every other simplex at its first largest edge (as ``max`` picks it),
+    and a stable argsort keeps the listing's (dimension, vertices) order among equal values.
+    Columns are GF(2) bitmasks over filtration positions, each reduced by the reduced columns
+    whose pivots it meets; a pivot pair (i, j) with dim(i) = d is the degree-d point
+    (value_i, value_j) when value_i < value_j.  Below ``top`` the complex is a simplex's
+    skeleton, so its one component is the only essential class: reduced homology drops it.
     """
-    simplices = filtration.simplices
-    index = {}
-    for pos, (verts, value) in enumerate(simplices):
-        index[verts] = pos
-        for face in combinations(verts, len(verts) - 1):
-            if not face:
-                continue
-            fpos = index.get(face)
-            if fpos is None:
-                raise NonMonotoneFiltration(f"face {face} of {verts} missing or late")
-            if simplices[fpos][1] > value:
-                raise NonMonotoneFiltration(f"face {face} enters after {verts}")
-
-    columns = []
-    for verts, _ in simplices:
-        mask = 0
-        if len(verts) > 1:
-            for face in combinations(verts, len(verts) - 1):
-                mask |= 1 << index[face]
-        columns.append(mask)
-
-    pivot_of_row = {}
-    pairs = []  # (birth_index, death_index)
-    unpaired_creators = set()
-    for j, col in enumerate(columns):
-        while col:
-            low = col.bit_length() - 1
-            other = pivot_of_row.get(low)
-            if other is None:
-                pivot_of_row[low] = j
-                pairs.append((low, j))
-                unpaired_creators.discard(low)
-                break
-            col ^= columns[other]
-        else:
-            unpaired_creators.add(j)
-
-    by_degree = {d: [] for d in range(filtration.max_dim)}
-    for i, j in pairs:
-        dim = len(simplices[i][0]) - 1
-        birth, death = simplices[i][1], simplices[j][1]
-        if birth < death and dim in by_degree:
-            by_degree[dim].append((birth, death))
-
-    # Reduced homology: one essential vertex is the dropped [0, inf)
-    # component.  Other essentials (impossible for VR below max_dim, but
-    # legal for arbitrary filtrations) become infinite-death points.
-    essential_dims = sorted(
-        (len(simplices[i][0]) - 1, simplices[i][1]) for i in unpaired_creators
-    )
-    if not essential_dims or essential_dims[0][0] != 0:
-        raise NonMonotoneFiltration("expected an essential component in degree 0")
-    for d, birth in essential_dims[1:]:
-        if d in by_degree:
-            by_degree[d].append((birth, math.inf))
-
-    return [
-        Diagram(degree=d, points=tuple(sorted(by_degree[d])))
-        for d in range(filtration.max_dim)
-    ]
+    dims, edges, faces = _complex(n, top)
+    size = n + len(faces)
+    bits = [1 << p for p in range(size)]
+    rank, above, rows = np.arange(size), np.arange(n, size), np.arange(len(faces))
+    out = []
+    for column in np.asarray(pairs, dtype=float).T:
+        lengths = column[edges]
+        values = lengths[rows, lengths.argmax(axis=1)]
+        order = values.argsort(kind="stable")
+        rank[n + order] = above
+        at, value, dim = rank.tolist(), [0.0] * n + values[order].tolist(), [0] * n + dims[order].tolist()
+        pivots, points = [0] * size, [[] for _ in range(top)]
+        for j, s in enumerate(order.tolist(), n):
+            col = 0
+            for f in faces[s]:
+                col |= bits[at[f]]
+            while col:
+                low = col.bit_length() - 1
+                other = pivots[low]
+                if not other:
+                    pivots[low] = col
+                    if value[low] < value[j]:
+                        points[dim[low]].append((value[low], value[j]))
+                    break
+                col ^= other
+        out.append([Diagram(d, tuple(sorted(p))) for d, p in enumerate(points)])
+    return out
 
 
 def vr_diagrams(matrix: DistanceMatrix, max_degree: int) -> list[Diagram]:
-    """Convenience wrapper: diagrams for degrees 0 .. max_degree."""
-    filtration = build_vr_filtration(matrix, max_dim=max_degree + 1)
-    return reduce(filtration)
+    """Diagrams for degrees 0 .. max_degree of one matrix: a batch of one."""
+    return diagrams_of_pairs(condensed(matrix.entries)[:, None], matrix.n, max_degree + 1)[0]
 
 
 def vr_diagram(matrix: DistanceMatrix, degree: int) -> Diagram:

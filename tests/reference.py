@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from persets.errors import EmptyInput, InvalidDescriptor, PersetsError, UnsupportedCombination
+from persets.errors import EmptyInput, InvalidDescriptor, PersetsError, TooLarge, UnsupportedCombination
 from persets.graphs import MetricGraph, build_graph
 from persets.metric import DistanceMatrix, condensed, squareform, write_csv, write_json
 from persets.oracle import Diagram
@@ -36,6 +37,10 @@ class TooFewPoints(PersetsError):
 
 
 class SizeMismatch(PersetsError):
+    pass
+
+
+class InfiniteDeath(PersetsError):
     pass
 
 
@@ -83,6 +88,25 @@ def principal_diagram(matrix: DistanceMatrix, k: int) -> Diagram:
     return Diagram(k, ((float(tb), float(td)),) if tb < td else ())
 
 
+def single_linkage(matrix: DistanceMatrix) -> list[float]:
+    """The sorted nonzero edge weights of a minimum spanning tree, by Kruskal's algorithm: the
+    deaths of the degree-0 diagram (Carlsson and Memoli, "Characterization, stability and
+    convergence of hierarchical clustering methods", JMLR 2010)."""
+    a, root = matrix.entries, list(range(matrix.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    weights = []
+    for w, i, j in sorted((float(a[i, j]), i, j) for i, j in combinations(range(matrix.n), 2)):
+        if find(i) != find(j):
+            root[find(i)] = find(j)
+            weights.append(w)
+    return [w for w in weights if w > 0]
+
+
 def euclidean_image(t_b, t_d):
     """The chord map d -> 2 sin(d/2), coordinatewise: geodesic circle diagrams onto Euclidean ones."""
     tb, td = np.asarray(t_b, dtype=float), np.asarray(t_d, dtype=float)
@@ -102,6 +126,108 @@ def circle_vs_sphere_crosspolytope_bound(k: int) -> float:
     if k < 1:
         raise EmptyInput("need k >= 1")
     return min((k - 1) * math.pi / (2.0 * (k + 1)), math.pi / 4.0) / 2.0
+
+
+MAX_MATCH_POINTS = 64
+
+
+def _feasible(cost_a, cost_b, cross, t) -> bool:
+    """Perfect matching in the diagonal-augmented bipartite graph at level t.
+
+    Left side: points of A plus one diagonal proxy per point of B; right
+    side: points of B plus one diagonal proxy per point of A.  Edges:
+    A_i - B_j when the cross cost is <= t, each point to its own diagonal
+    proxy when its half persistence is <= t, proxies to proxies always.
+    A perfect matching exists iff J(phi) <= t for some partial matching.
+    """
+    na, nb = len(cost_a), len(cost_b)
+    n_right = nb + na  # B points, then proxies of A
+
+    def neighbors(left):
+        if left < na:
+            i = left
+            for j in range(nb):
+                if cross[i][j] <= t:
+                    yield j
+            if cost_a[i] <= t:
+                yield nb + i
+        else:
+            j = left - na
+            if cost_b[j] <= t:
+                yield j
+            yield from range(nb, n_right)
+
+    match_right = [-1] * n_right
+
+    def augment(left, seen):
+        for r in neighbors(left):
+            if not seen[r]:
+                seen[r] = True
+                if match_right[r] == -1 or augment(match_right[r], seen):
+                    match_right[r] = left
+                    return True
+        return False
+
+    # left: A points, then proxies of B
+    return all(augment(left, [False] * n_right) for left in range(na + nb))
+
+
+def bottleneck_distance(d1, d2) -> float:
+    """Exact bottleneck distance between two finite Diagrams.
+
+    Binary search over the candidate costs (pairwise l-infinity costs,
+    half persistences and 0) with a feasibility check each.  J of a
+    partial matching is a max of such terms, so the optimum is a
+    candidate; the largest is always feasible, as every point can go to
+    the diagonal.
+    """
+    pa, pb = d1.points, d2.points
+    for b, d in pa + pb:
+        if math.isinf(d):
+            raise InfiniteDeath("bottleneck needs finite deaths")
+    if len(pa) + len(pb) > MAX_MATCH_POINTS:
+        raise TooLarge(f"combined diagram size {len(pa) + len(pb)} > {MAX_MATCH_POINTS}")
+
+    cost_a = [(d - b) / 2.0 for b, d in pa]
+    cost_b = [(d - b) / 2.0 for b, d in pb]
+    cross = [[max(abs(ba - bb), abs(da - db)) for bb, db in pb] for ba, da in pa]
+    candidates = sorted(set(cost_a) | set(cost_b) | {c for row in cross for c in row} | {0.0})
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(cost_a, cost_b, cross, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def hausdorff_bottleneck(set_a, set_b) -> float:
+    """max over one set of the min bottleneck to the other, symmetrized.
+
+    The empty diagram is a legal element of either list.
+    """
+    if not set_a or not set_b:
+        raise EmptyInput("hausdorff needs nonempty diagram lists")
+
+    def directed(xs, ys):
+        worst = 0.0
+        for x in xs:
+            best = min(bottleneck_distance(x, y) for y in ys)
+            worst = max(worst, best)
+        return worst
+
+    return max(directed(set_a, set_b), directed(set_b, set_a))
+
+
+def gh_lower_bound(set_a, set_b) -> float:
+    """Certified-at-sampling-resolution lower bound for d_GH of the sources.
+
+    The degree-k diagram map is 2-Lipschitz from (spaces, GH) to
+    (diagrams, bottleneck), so half the diagram-set Hausdorff distance
+    lower-bounds the Gromov-Hausdorff distance.
+    """
+    return hausdorff_bottleneck(set_a, set_b) / 2.0
 
 
 @dataclass(frozen=True)

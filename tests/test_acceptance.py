@@ -23,8 +23,9 @@ from persets import (
 )
 
 from conftest import circle_matrix, cloud_matrix_r3
-from reference import (circle_vs_sphere_crosspolytope_bound, euclidean_image, principal_diagram, reconstruct,
-                       sample_two_point_empty_fraction, split_decompose, tight_span_persistence, two_point_measure)
+from reference import (bottleneck_distance, circle_vs_sphere_crosspolytope_bound, euclidean_image, principal_diagram,
+                       reconstruct, sample_two_point_empty_fraction, split_decompose, tight_span_persistence,
+                       two_point_measure)
 
 PI = math.pi
 
@@ -235,7 +236,7 @@ def test_criterion_11_stability_under_perturbation():
         assert np.abs(d1 - d2).max() <= 2 * eta + 1e-12
         g1 = principal_diagram(metric.DistanceMatrix(d1), 1)
         g2 = principal_diagram(metric.DistanceMatrix(d2), 1)
-        worst = max(worst, dmx.bottleneck_distance(g1, g2))
+        worst = max(worst, bottleneck_distance(g1, g2))
     report(11, worst <= 2 * eta + 1e-12, f"max bottleneck {worst:.4f} <= 0.1 over 1000 perturbations")
 
 

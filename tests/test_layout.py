@@ -14,17 +14,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "persets"
 _CDF = "the persistence CDF that ROADMAP item 15 gives a command"
 _POINT_CHECK = "README's point-check API; ROADMAP item 8 drives it"
-_ALL_PAIRS = "the all-pairs reference that the grid search is tested == against (README)"
 ALLOWED = {
     "engine.kept_tuples": "redraws the tuples behind a sample (README); ROADMAP items 1 and 12 label them",
     "engine.StepCDF": _CDF,
     "engine.coordinate_cdf": _CDF,
     "spaces.distance": _POINT_CHECK,
     "spaces.distance_matrix": _POINT_CHECK,
-    "diagram_metrics.bottleneck_distance": _ALL_PAIRS,
-    "diagram_metrics.hausdorff_bottleneck": _ALL_PAIRS,
-    "diagram_metrics.gh_lower_bound": _ALL_PAIRS,
-    "metric.condensed": "the inverse of squareform",
+    "oracle.vr_diagram": "the oracle on one matrix (README)",
 }
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 TOP = {}  # module.name: node of each top-level function, class and assigned name

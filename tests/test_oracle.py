@@ -1,50 +1,74 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from persets import metric, oracle
-from persets.errors import NonMonotoneFiltration, TooLarge
+from persets.errors import TooLarge
 
 from conftest import circle_angles_matrix, cloud_matrix_r3, tree_matrix, tuple_matrix
-from reference import principal_diagram
+from reference import principal_diagram, single_linkage
 
 
 def four_gon():
     return circle_angles_matrix([0.0, math.pi / 2, math.pi, 1.5 * math.pi])
 
 
-def test_filtration_two_points():
-    dm = metric.validate([[0, 1], [1, 0]])
-    filt = oracle.build_vr_filtration(dm, max_dim=1)
-    assert filt.simplices == (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
-
-
-def test_filtration_equilateral_triangle():
-    dm = metric.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    filt = oracle.build_vr_filtration(dm, max_dim=2)
-    values = {v: value for v, value in filt.simplices}
-    assert values[(0, 1, 2)] == 1.0
-    assert all(values[e] == 1.0 for e in [(0, 1), (0, 2), (1, 2)])
-    # the triangle enters together with its last edge, after it in order
-    assert filt.simplices[-1][0] == (0, 1, 2)
-
-
-def test_filtration_four_gon_census():
-    filt = oracle.build_vr_filtration(four_gon(), max_dim=2)
-    edges = [(s, v) for s, v in filt.simplices if len(s) == 2]
-    tris = [(s, v) for s, v in filt.simplices if len(s) == 3]
-    half = [v for _, v in edges if abs(v - math.pi / 2) < 1e-12]
-    full = [v for _, v in edges if abs(v - math.pi) < 1e-12]
-    assert len(half) == 4 and len(full) == 2
-    assert len(tris) == 4 and all(abs(v - math.pi) < 1e-12 for _, v in tris)
+def test_complex_census():
+    # C(n, d+1) simplices of dimension d, by dimension and then lexicographically, every face
+    # listed before its simplex, and each simplex's edges as rows of a triu_indices pair list
+    for n in range(2, oracle.MAX_POINTS + 1):
+        iu = np.triu_indices(n, 1)
+        for top in range(1, n):
+            dims, edges, faces = oracle._complex(n, top)
+            vertices = [(v,) for v in range(n)]
+            for at, listed in enumerate(faces, n):
+                assert max(listed) < at
+                vertices.append(tuple(sorted(set().union(*(vertices[f] for f in listed)))))
+                assert [vertices[f] for f in listed] == list(combinations(vertices[at], len(vertices[at]) - 1))
+            assert vertices[n:] == [s for size in range(2, top + 2) for s in combinations(range(n), size)]
+            assert dims.tolist() == [len(s) - 1 for s in vertices[n:]]
+            for s, rows in zip(vertices[n:], edges.tolist()):
+                pairs = list(combinations(s, 2))  # then the first again, up to the row's width
+                got = list(zip(iu[0][rows].tolist(), iu[1][rows].tolist()))
+                assert got == pairs + pairs[:1] * (len(rows) - len(pairs))
+            for d in range(1, top + 1):
+                assert dims.tolist().count(d) == math.comb(n, d + 1)
 
 
 def test_filtration_caps():
     with pytest.raises(TooLarge):
-        oracle.build_vr_filtration(metric.DistanceMatrix(np.zeros((13, 13))), 1)
+        oracle.vr_diagrams(metric.DistanceMatrix(np.zeros((13, 13))), 0)
     with pytest.raises(TooLarge):
-        oracle.build_vr_filtration(metric.validate([[0, 1], [1, 0]]), 2)
+        oracle.vr_diagrams(metric.validate([[0, 1], [1, 0]]), 1)
+
+
+def test_degree_zero_is_single_linkage():
+    # Gaussian clouds, integer-tied L1 metrics and pseudo-metrics with repeated points
+    rng = np.random.default_rng(37)
+    for n in range(2, oracle.MAX_POINTS + 1):
+        for _ in range(10):
+            cloud = rng.standard_normal((n, 3))
+            grid = rng.integers(0, 3, size=(n, 2)).astype(float)
+            repeated = cloud[rng.integers(0, max(1, n // 2), size=n)]
+            for d in (np.linalg.norm(cloud[:, None] - cloud[None], axis=-1),
+                      np.abs(grid[:, None] - grid[None]).sum(-1),
+                      np.linalg.norm(repeated[:, None] - repeated[None], axis=-1)):
+                dm = metric.validate(d)
+                points = oracle.vr_diagram(dm, 0).points
+                assert all(birth == 0.0 for birth, _ in points)
+                assert [death for _, death in points] == single_linkage(dm)
+
+
+def test_a_batch_gives_the_diagrams_of_its_spaces_one_by_one(rng):
+    for n, top in ((4, 2), (6, 2), (6, 3), (8, 2), (9, 4)):
+        tied = rng.integers(1, 4, size=(n * (n - 1) // 2, 8)).astype(float)
+        pairs = np.concatenate([np.stack([metric.condensed(cloud_matrix_r3(rng, n).entries) for _ in range(8)], 1),
+                                tied], axis=1)
+        batch = oracle.diagrams_of_pairs(pairs, n, top)
+        assert len(batch) == 16 and all(len(dgms) == top for dgms in batch)
+        assert batch == [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, top)[0] for b in range(16)]
 
 
 def test_reduce_two_points():
@@ -63,14 +87,6 @@ def test_reduce_five_points_degree_two_empty(rng):
     for _ in range(25):
         dm = cloud_matrix_r3(rng, 5)
         assert oracle.vr_diagram(dm, 2).is_empty
-
-
-def test_reduce_rejects_non_monotone():
-    bad = oracle.Filtration(
-        simplices=(((0,), 0.0), ((1,), 0.0), ((0, 1), -1.0)), max_dim=1
-    )
-    with pytest.raises(NonMonotoneFiltration):
-        oracle.reduce(bad)
 
 
 def test_emptiness_above_principal_degree(rng):

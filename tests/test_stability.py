@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from persets import cli, diagram_metrics, engine, metric, oracle, spaces
 
-from reference import write_matrix_csv
+from reference import bottleneck_distance, write_matrix_csv
 
 clouds = st.fixed_dictionaries({
     "size": st.integers(8, 40),
@@ -73,7 +73,7 @@ def test_oracle_diagrams_move_by_at_most_eps(cloud):
     assert len(kept) > 0
     for tup in kept:  # two chunks of X's nontrivial tuples
         dgm_x, dgm_y = (oracle.vr_diagram(spaces.distance_matrix(s, tup), 1) for s in (sx, sy))
-        assert diagram_metrics.bottleneck_distance(dgm_x, dgm_y) <= eps
+        assert bottleneck_distance(dgm_x, dgm_y) <= eps
 
 
 @settings(max_examples=6, deadline=None)
