@@ -52,27 +52,36 @@ def _complex(n: int, top: int):
             tuple(tuple(position[f] for f in combinations(s, len(s) - 1)) for s in simplices))
 
 
+def filtration(pairs, n: int, top: int):
+    """Each n-point space's order of the simplices above its vertices, from a (n(n-1)/2, B) pair list.
+
+    Every simplex enters at its first largest edge (as ``max`` picks it), and a stable argsort
+    keeps the listing's (dimension, vertices) order among equal values.  Returns, a column per
+    space, the listing indices in filtration order and their values in that order.
+    """
+    lengths = np.asarray(pairs, dtype=float)[_complex(n, top)[1]]
+    values = np.take_along_axis(lengths, lengths.argmax(axis=1)[:, None], axis=1)[:, 0]
+    order = values.argsort(axis=0, kind="stable")
+    return order, np.take_along_axis(values, order, axis=0)
+
+
 def diagrams_of_pairs(pairs, n: int, top: int) -> list[list[Diagram]]:
     """The reduced diagrams of degrees 0 .. top - 1 of each n-point space of a (n(n-1)/2, B) pair list.
 
-    Vertices enter at 0.0, every other simplex at its first largest edge (as ``max`` picks it),
-    and a stable argsort keeps the listing's (dimension, vertices) order among equal values.
-    Columns are GF(2) bitmasks over filtration positions, each reduced by the reduced columns
-    whose pivots it meets; a pivot pair (i, j) with dim(i) = d is the degree-d point
+    Vertices enter at 0.0, every other simplex as ``filtration`` orders it.  Columns are GF(2)
+    bitmasks over filtration positions, each reduced by the reduced columns whose pivots it meets; a pivot pair (i, j) with dim(i) = d is the degree-d point
     (value_i, value_j) when value_i < value_j.  Below ``top`` the complex is a simplex's
     skeleton, so its one component is the only essential class: reduced homology drops it.
     """
-    dims, edges, faces = _complex(n, top)
+    dims, _, faces = _complex(n, top)
     size = n + len(faces)
     bits = [1 << p for p in range(size)]
-    rank, above, rows = np.arange(size), np.arange(n, size), np.arange(len(faces))
+    rank, above = np.arange(size), np.arange(n, size)
     out = []
-    for column in np.asarray(pairs, dtype=float).T:
-        lengths = column[edges]
-        values = lengths[rows, lengths.argmax(axis=1)]
-        order = values.argsort(kind="stable")
+    orders, values = filtration(pairs, n, top)
+    for order, sorted_values in zip(orders.T, values.T):
         rank[n + order] = above
-        at, value, dim = rank.tolist(), [0.0] * n + values[order].tolist(), [0] * n + dims[order].tolist()
+        at, value, dim = rank.tolist(), [0.0] * n + sorted_values.tolist(), [0] * n + dims[order].tolist()
         pivots, points = [0] * size, [[] for _ in range(top)]
         for j, s in enumerate(order.tolist(), n):
             col = 0

@@ -37,6 +37,39 @@ def test_complex_census():
                 assert dims.tolist().count(d) == math.comb(n, d + 1)
 
 
+def simplices(dm, top):
+    # (vertices, value) in filtration order, vertices first at 0.0
+    listed = [s for size in range(2, top + 2) for s in combinations(range(dm.n), size)]
+    order, values = oracle.filtration(metric.condensed(dm.entries)[:, None], dm.n, top)
+    return [((v,), 0.0) for v in range(dm.n)] + [(listed[i], value) for i, value in zip(order[:, 0].tolist(), values[:, 0].tolist())]
+
+
+def test_filtration_two_points():
+    dm = metric.validate([[0, 1], [1, 0]])
+    assert simplices(dm, 1) == [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
+
+
+def test_filtration_equilateral_triangle():
+    dm = metric.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    filt = simplices(dm, 2)
+    values = dict(filt)
+    assert values[(0, 1, 2)] == 1.0
+    assert all(values[e] == 1.0 for e in [(0, 1), (0, 2), (1, 2)])
+    # the triangle enters together with its last edge, after it in order
+    assert filt[-1][0] == (0, 1, 2)
+
+
+def test_filtration_four_gon_census():
+    filt = simplices(four_gon(), 2)
+    edges = [(s, v) for s, v in filt if len(s) == 2]
+    tris = [(s, v) for s, v in filt if len(s) == 3]
+    half = [v for _, v in edges if abs(v - math.pi / 2) < 1e-12]
+    full = [v for _, v in edges if abs(v - math.pi) < 1e-12]
+    assert len(half) == 4 and len(full) == 2
+    assert len(tris) == 4 and all(abs(v - math.pi) < 1e-12 for _, v in tris)
+    assert [v for _, v in filt] == sorted(v for _, v in filt)
+
+
 def test_filtration_caps():
     with pytest.raises(TooLarge):
         oracle.vr_diagrams(metric.DistanceMatrix(np.zeros((13, 13))), 0)
