@@ -1,11 +1,9 @@
 """Brute-force Vietoris-Rips persistent homology over GF(2).
 
-The slow trusted referee.  Every n-point space has the same complex, all
-simplices on n vertices up to a top dimension, so it is listed once; a
-space only orders it by (value, dimension, lexicographic vertices).  The
-boundary matrix is reduced by standard column reduction and the reduced-
-homology diagrams are read off the pivot pairs.  Hard-capped at 12
-points; it exists to validate the geometric algorithm, not to be fast.
+The slow trusted referee.  Every n-point space has the same complex, listed
+once; a space only orders it by (value, dimension, lexicographic vertices),
+and standard column reduction reads its reduced-homology diagrams off the
+pivot pairs.  Hard-capped at 12 points; it validates the geometric algorithm.
 """
 from __future__ import annotations
 
@@ -45,48 +43,40 @@ def _complex(n: int, top: int):
     row = {edge: r for r, edge in enumerate(combinations(range(n), 2))}
     simplices = [s for size in range(2, top + 2) for s in combinations(range(n), size)]
     position = {s: n + i for i, s in enumerate(simplices)} | {(v,): v for v in range(n)}
-    width = top * (top + 1) // 2
     edges = [[row[e] for e in combinations(s, 2)] for s in simplices]
     return (np.array([len(s) - 1 for s in simplices]),
-            np.array([e + e[:1] * (width - len(e)) for e in edges]),
+            np.array([e + e[:1] * (top * (top + 1) // 2 - len(e)) for e in edges]),
             tuple(tuple(position[f] for f in combinations(s, len(s) - 1)) for s in simplices))
 
 
-def filtration(pairs, n: int, top: int):
-    """Each n-point space's order of the simplices above its vertices, from a (n(n-1)/2, B) pair list.
-
-    Every simplex enters at its first largest edge (as ``max`` picks it), and a stable argsort
-    keeps the listing's (dimension, vertices) order among equal values.  Returns, a column per
-    space, the listing indices in filtration order and their values in that order.
-    """
-    lengths = np.asarray(pairs, dtype=float)[_complex(n, top)[1]]
+def filtration(column, n: int, top: int):
+    """One space's simplices above its vertices, as listing indices in filtration order, and
+    their values in that order, from its pair list.  Each enters at its first largest edge (as
+    ``max`` picks it); a stable argsort keeps the listing's order among equal values."""
+    lengths = column[_complex(n, top)[1]]
     values = np.take_along_axis(lengths, lengths.argmax(axis=1)[:, None], axis=1)[:, 0]
-    order = values.argsort(axis=0, kind="stable")
-    return order, np.take_along_axis(values, order, axis=0)
+    order = values.argsort(kind="stable")
+    return order, values[order]
 
 
 def diagrams_of_pairs(pairs, n: int, top: int) -> list[list[Diagram]]:
-    """The reduced diagrams of degrees 0 .. top - 1 of each n-point space of a (n(n-1)/2, B) pair list.
+    """The reduced diagrams of degrees 0 .. top - 1 of each space of a (n(n-1)/2, B) pair list.
 
-    Vertices enter at 0.0, every other simplex as ``filtration`` orders it.  Columns are GF(2)
-    bitmasks over filtration positions, each reduced by the reduced columns whose pivots it meets; a pivot pair (i, j) with dim(i) = d is the degree-d point
-    (value_i, value_j) when value_i < value_j.  Below ``top`` the complex is a simplex's
-    skeleton, so its one component is the only essential class: reduced homology drops it.
-    """
+    Vertices enter at 0.0, the rest as ``filtration`` orders them.  Columns are GF(2) bitmasks
+    over filtration positions, each reduced by the reduced columns whose pivots it meets; a
+    pivot pair (i, j) with dim(i) = d is the degree-d point (value_i, value_j) if value_i <
+    value_j.  Below ``top`` the complex is a simplex's skeleton, so its one component is the
+    only essential class: reduced homology drops it."""
     dims, _, faces = _complex(n, top)
-    size = n + len(faces)
-    bits = [1 << p for p in range(size)]
-    rank, above = np.arange(size), np.arange(n, size)
+    bits = [1 << p for p in range(n + len(faces))]
     out = []
-    orders, values = filtration(pairs, n, top)
-    for order, sorted_values in zip(orders.T, values.T):
-        rank[n + order] = above
-        at, value, dim = rank.tolist(), [0.0] * n + sorted_values.tolist(), [0] * n + dims[order].tolist()
-        pivots, points = [0] * size, [[] for _ in range(top)]
+    for column in np.asarray(pairs, dtype=float).T:
+        order, values = filtration(column, n, top)
+        at = list(range(n)) + (n + order.argsort()).tolist()
+        value, dim = [0.0] * n + values.tolist(), [0] * n + dims[order].tolist()
+        pivots, points = [0] * len(bits), [[] for _ in range(top)]
         for j, s in enumerate(order.tolist(), n):
-            col = 0
-            for f in faces[s]:
-                col |= bits[at[f]]
+            col = sum(bits[at[f]] for f in faces[s])  # distinct faces: the sum is their XOR
             while col:
                 low = col.bit_length() - 1
                 other = pivots[low]

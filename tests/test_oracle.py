@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_complex_census():
 def simplices(dm, top):
     # (vertices, value) in filtration order, vertices first at 0.0
     listed = [s for size in range(2, top + 2) for s in combinations(range(dm.n), size)]
-    order, values = oracle.filtration(metric.condensed(dm.entries)[:, None], dm.n, top)
-    return [((v,), 0.0) for v in range(dm.n)] + [(listed[i], value) for i, value in zip(order[:, 0].tolist(), values[:, 0].tolist())]
+    order, values = oracle.filtration(metric.condensed(dm.entries), dm.n, top)
+    return [((v,), 0.0) for v in range(dm.n)] + [(listed[i], value) for i, value in zip(order.tolist(), values.tolist())]
 
 
 def test_filtration_two_points():
@@ -103,6 +104,22 @@ def test_a_batch_gives_the_diagrams_of_its_spaces_one_by_one(rng):
         assert len(batch) == 16 and all(len(dgms) == top for dgms in batch)
         assert batch == [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, top)[0] for b in range(16)]
 
+
+def test_a_blocks_scratch_does_not_grow_with_its_width():
+    # each space is ordered and reduced alone, so a block of 4 copies of one n = 12, k = 4 space
+    # peaks no higher than a block of 2, where one space's scratch already meets the last one's
+    # (an array of every simplex's edges across the block would add about 600 KB)
+    n, top = 12, 5
+    column = metric.condensed(cloud_matrix_r3(np.random.default_rng(12), n).entries)
+    oracle._complex(n, top)
+    peaks = []
+    for width in (2, 4):
+        pairs = np.repeat(column[:, None], width, axis=1)
+        tracemalloc.start()
+        oracle.diagrams_of_pairs(pairs, n, top)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100_000, peaks
 
 def test_reduce_two_points():
     dm = metric.validate([[0, 0.8], [0.8, 0]])
