@@ -187,8 +187,9 @@ def region_points(region, step: float, interior_step: float):
     polyline at ``step`` plus its interior grid at ``interior_step``, and
     ``(region, boundary)``.  TooLarge, before either is made, if either would pass the cap."""
     reg.check_grids(region, step, interior_step)
+    interior = reg.interior_grid(region, interior_step)  # first, so its own boundary is gone before ours is made
     boundary = reg.boundary_points(region, step)
-    return np.concatenate((boundary, reg.interior_grid(region, interior_step))), (region, boundary)
+    return np.concatenate((boundary, interior)), (region, boundary)
 
 
 def hausdorff_bottleneck_points(pts_a, pts_b, empty_a: bool = True, empty_b: bool = True,

@@ -151,10 +151,10 @@ def pair_blocks(space, rng, count: int, n: int):
         yield b, tuples, pairs
 
 
-def _tasks(space, n, k, tuples, seed):
-    """The ``_chunk`` arguments of a campaign, in chunk order: CHUNK tuples a chunk at n = 2k+2, else 1024."""
+def _tasks(n, k, tuples):
+    """(chunk index, count) of each chunk in order: CHUNK tuples a chunk at n = 2k+2, else 1024."""
     size = CHUNK if n == 2 * k + 2 else 1024
-    return [(space, n, k, seed, c, min(size, tuples - b)) for c, b in enumerate(range(0, tuples, size))]
+    return [(c, min(size, tuples - b)) for c, b in enumerate(range(0, tuples, size))]
 
 
 def _chunk(space, n, k, seed, chunk_index, count):
@@ -169,7 +169,7 @@ def _chunk(space, n, k, seed, chunk_index, count):
         elif n < 2 * k + 2:  # see sample_persistence_set
             per_tuple, points = np.zeros(len(tuples), np.intp), np.empty((0, 2))
         else:
-            dgms = [d[k].points for d in diagrams_of_pairs(pairs, n, k + 1)]
+            dgms = [d.points for d in diagrams_of_pairs(pairs, n, k)]
             per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
             points = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
         yield tuples, points, per_tuple
@@ -182,6 +182,18 @@ def _run_chunk(space, n, k, seed, chunk_index, count):
         points.append(block_points)
         trivial -= int(np.count_nonzero(per_tuple))
     return np.concatenate(points), trivial
+
+
+_campaign = ()  # a pool worker's (space, n, k, seed), set at its start: inherited by fork, pickled by spawn
+
+
+def _start_worker(*campaign):
+    global _campaign
+    _campaign = campaign
+
+
+def _run_pooled(chunk_index, count):
+    return _run_chunk(*_campaign, chunk_index, count)
 
 
 def check_campaign(n: int, k: int, tuples: int, seed: int) -> None:
@@ -219,7 +231,7 @@ def sample_persistence_set(
         raise UnsupportedCombination(f"workers must be >= 1, got workers={workers}")
     check_campaign(n, k, m_max, seed)
 
-    tasks = _tasks(space, n, k, m_max, seed)
+    tasks = _tasks(n, k, m_max)
     # under fork the pool starts all its workers at the first submit
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if n < 2 * k + 2:  # every diagram is empty: no flag complex on under 2k+2 points has reduced H_k, k >= 1
@@ -229,10 +241,11 @@ def sample_persistence_set(
         from concurrent.futures import ProcessPoolExecutor
         # fork where it exists: 2 workers start 0.2-0.4 s later under forkserver, Linux's default from Python 3.14
         fork = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-        with ProcessPoolExecutor(max_workers=pool_size, mp_context=fork) as pool:
-            results = list(pool.map(_run_chunk, *zip(*tasks), chunksize=1))
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=fork, initializer=_start_worker,
+                                 initargs=(space, n, k, seed)) as pool:
+            results = list(pool.map(_run_pooled, *zip(*tasks), chunksize=1))
     else:
-        results = [_run_chunk(*t) for t in tasks]
+        results = [_run_chunk(space, n, k, seed, *t) for t in tasks]
 
     points = np.concatenate([r[0] for r in results], axis=0)
     trivial = sum(r[1] for r in results)
@@ -255,8 +268,8 @@ def kept_tuples(space, sample: PersistenceSetSample) -> np.ndarray:
         raise UnsupportedCombination(f"the sample is of {sample.space!r}, not of {space.descriptor!r}")
     check_campaign(sample.n, sample.k, sample.tuples_drawn, sample.seed)
     kept, at, same = [], 0, True
-    for task in _tasks(space, sample.n, sample.k, sample.tuples_drawn, sample.seed):
-        for tuples, points, per_tuple in _chunk(*task):
+    for task in _tasks(sample.n, sample.k, sample.tuples_drawn):
+        for tuples, points, per_tuple in _chunk(space, sample.n, sample.k, sample.seed, *task):
             same &= points.tobytes() == sample.points[at:at + len(points)].tobytes()
             kept.append(np.repeat(tuples, per_tuple, axis=0))
             at += len(points)
@@ -344,10 +357,8 @@ def density_l1_error(hist: Histogram2D, density: Callable[[np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Coordinate functions and their distribution functions
+# The persistence distribution function
 # ---------------------------------------------------------------------------
-
-COORDINATES = ("totalPersistence", "birth", "death")
 
 
 @dataclass(frozen=True)
@@ -375,11 +386,10 @@ class StepCDF:
         return float((diff * widths).sum())
 
 
-def coordinate_cdf(sample: PersistenceSetSample, coordinate: str = "totalPersistence") -> StepCDF:
-    """Distribution function of a diagram coordinate under the campaign.
+def coordinate_cdf(sample: PersistenceSetSample) -> StepCDF:
+    """Distribution function of the persistence t_d - t_b under the campaign.
 
-    The empty diagram contributes coordinate value 0 (its maximal
-    persistence; also the convention used for birth and death).  Only a
+    The empty diagram contributes 0, its maximal persistence.  Only a
     principal sample (n = 2k+2) has one point per nonempty diagram; any
     other is refused.
     """
@@ -388,16 +398,8 @@ def coordinate_cdf(sample: PersistenceSetSample, coordinate: str = "totalPersist
     if sample.n != 2 * sample.k + 2:
         raise UnsupportedCombination(f"coordinate_cdf needs one-point diagrams, n = 2k+2; "
                                      f"the sample has n={sample.n}, k={sample.k}")
-    if coordinate not in COORDINATES:
-        raise UnsupportedCombination(f"coordinate must be one of {COORDINATES}")
     pts = sample.points
-    if coordinate == "totalPersistence":
-        vals = pts[:, 1] - pts[:, 0]
-    elif coordinate == "birth":
-        vals = pts[:, 0]
-    else:
-        vals = pts[:, 1]
-    vals = np.concatenate([vals, np.zeros(sample.trivial_count)])
+    vals = np.concatenate([pts[:, 1] - pts[:, 0], np.zeros(sample.trivial_count)])
     uniq, counts = np.unique(vals, return_counts=True)
     cdf = np.cumsum(counts) / len(vals)
     return StepCDF(values=uniq, cdf=cdf)

@@ -1,9 +1,9 @@
 """Brute-force Vietoris-Rips persistent homology over GF(2).
 
-The slow trusted referee.  Every n-point space has the same complex, listed
-once; a space only orders it by (value, dimension, lexicographic vertices),
-and standard column reduction reads its reduced-homology diagrams off the
-pivot pairs.  Hard-capped at 12 points; it validates the geometric algorithm.
+The slow trusted referee.  Every n-point space has the same degree-k
+boundary matrix, listed once; a space only orders its rows and columns by
+value, and column reduction reads its reduced diagram off the pivot pairs.
+Hard-capped at 12 points; it validates the geometric algorithm.
 """
 from __future__ import annotations
 
@@ -32,69 +32,63 @@ class Diagram:
 
 
 @lru_cache(maxsize=None)
-def _complex(n: int, top: int):
-    """The simplices of dimensions 1 .. top on n vertices, by dimension, then lexicographically:
-    their dimensions, their edges' rows in a pair list (a row per simplex, padded with its
-    first edge) and their faces' positions (vertex v at v, the i-th simplex listed at n + i)."""
+def _complex(n: int, k: int):
+    """The degree-k boundary matrix on n points: its row count, the edges of its rows (k-simplices)
+    then columns ((k+1)-simplices), each lexicographic, as rows of a pair list with 0.0 appended
+    (a vertex reads it; a row is padded with its first edge), and each column's faces as rows."""
     if n > MAX_POINTS:
         raise TooLarge(f"oracle is capped at {MAX_POINTS} points, got {n}")
-    if top > n - 1:
-        raise TooLarge(f"top dimension {top} exceeds n-1 = {n - 1}")
-    row = {edge: r for r, edge in enumerate(combinations(range(n), 2))}
-    simplices = [s for size in range(2, top + 2) for s in combinations(range(n), size)]
-    position = {s: n + i for i, s in enumerate(simplices)} | {(v,): v for v in range(n)}
-    edges = [[row[e] for e in combinations(s, 2)] for s in simplices]
-    return (np.array([len(s) - 1 for s in simplices]),
-            np.array([e + e[:1] * (top * (top + 1) // 2 - len(e)) for e in edges]),
-            tuple(tuple(position[f] for f in combinations(s, len(s) - 1)) for s in simplices))
+    if k + 2 > n:
+        raise TooLarge(f"degree {k} needs at least {k + 2} points, got {n}")
+    index = {s: i for size in {2, k + 1} for i, s in enumerate(combinations(range(n), size))}
+    rows, columns = (list(combinations(range(n), size)) for size in (k + 1, k + 2))
+    edges = [[index[e] for e in combinations(s, 2)] or [n * (n - 1) // 2] for s in rows + columns]
+    return (len(rows), np.array([e + e[:1] * ((k + 1) * (k + 2) // 2 - len(e)) for e in edges]),
+            tuple(tuple(index[f] for f in combinations(s, k + 1)) for s in columns))
 
 
-def filtration(column, n: int, top: int):
-    """One space's simplices above its vertices, as listing indices in filtration order, and
-    their values in that order, from its pair list.  Each enters at its first largest edge (as
-    ``max`` picks it); a stable argsort keeps the listing's order among equal values."""
-    lengths = column[_complex(n, top)[1]]
+def filtration(column, n: int, k: int):
+    """One space's rows and columns (listing indices, rows first) in filtration order, and their
+    values in that order, from its pair list with a 0.0 appended.  Each enters at its first largest
+    edge (as ``max`` picks it); a stable argsort keeps the listing's order among equal values, so
+    every row comes before the columns it bounds (a face's edges are among its column's, and no
+    distance is below a vertex's 0.0)."""
+    lengths = column[_complex(n, k)[1]]
     values = np.take_along_axis(lengths, lengths.argmax(axis=1)[:, None], axis=1)[:, 0]
     order = values.argsort(kind="stable")
     return order, values[order]
 
 
-def diagrams_of_pairs(pairs, n: int, top: int) -> list[list[Diagram]]:
-    """The reduced diagrams of degrees 0 .. top - 1 of each space of a (n(n-1)/2, B) pair list.
+def diagrams_of_pairs(pairs, n: int, k: int) -> list[Diagram]:
+    """The reduced degree-k diagram of each space of a (n(n-1)/2, B) pair list.
 
-    Vertices enter at 0.0, the rest as ``filtration`` orders them.  Columns are GF(2) bitmasks
-    over filtration positions, each reduced by the reduced columns whose pivots it meets; a
-    pivot pair (i, j) with dim(i) = d is the degree-d point (value_i, value_j) if value_i <
-    value_j.  Below ``top`` the complex is a simplex's skeleton, so its one component is the
-    only essential class: reduced homology drops it."""
-    dims, _, faces = _complex(n, top)
-    bits = [1 << p for p in range(n + len(faces))]
+    Columns are GF(2) bitmasks over filtration positions, each reduced by the reduced columns
+    whose pivots it meets; a pivot pair (i, j) is the point (value_i, value_j) if value_i <
+    value_j.  The (k+1)-skeleton of a simplex has no essential class in degree k >= 1, and
+    degree 0 keeps only its one component, which reduced homology drops."""
+    count, _, faces = _complex(n, k)
     out = []
-    for column in np.asarray(pairs, dtype=float).T:
-        order, values = filtration(column, n, top)
-        at = list(range(n)) + (n + order.argsort()).tolist()
-        value, dim = [0.0] * n + values.tolist(), [0] * n + dims[order].tolist()
-        pivots, points = [0] * len(bits), [[] for _ in range(top)]
-        for j, s in enumerate(order.tolist(), n):
-            col = sum(bits[at[f]] for f in faces[s])  # distinct faces: the sum is their XOR
+    for column in np.vstack([pairs, np.zeros(len(pairs[0]))]).T:
+        order, values = filtration(column, n, k)
+        value, bit, pivots, points = values.tolist(), [0] * count, [0] * len(order), []
+        for j, s in enumerate(order.tolist()):
+            if s < count:
+                bit[s] = 1 << j
+                continue
+            col = sum(map(bit.__getitem__, faces[s - count]))  # distinct faces: the sum is the XOR
             while col:
                 low = col.bit_length() - 1
                 other = pivots[low]
                 if not other:
                     pivots[low] = col
                     if value[low] < value[j]:
-                        points[dim[low]].append((value[low], value[j]))
+                        points.append((value[low], value[j]))
                     break
                 col ^= other
-        out.append([Diagram(d, tuple(sorted(p))) for d, p in enumerate(points)])
+        out.append(Diagram(k, tuple(sorted(points))))
     return out
 
 
-def vr_diagrams(matrix: DistanceMatrix, max_degree: int) -> list[Diagram]:
-    """Diagrams for degrees 0 .. max_degree of one matrix: a batch of one."""
-    return diagrams_of_pairs(condensed(matrix.entries)[:, None], matrix.n, max_degree + 1)[0]
-
-
 def vr_diagram(matrix: DistanceMatrix, degree: int) -> Diagram:
-    """The single degree-``degree`` reduced diagram of the matrix."""
-    return vr_diagrams(matrix, degree)[degree]
+    """The reduced degree-``degree`` diagram of one matrix: a batch of one."""
+    return diagrams_of_pairs(condensed(matrix.entries)[:, None], matrix.n, degree)[0]

@@ -28,7 +28,7 @@ import numpy as np
 from persets.errors import EmptyInput, InvalidDescriptor, PersetsError, TooLarge, UnsupportedCombination
 from persets.graphs import MetricGraph, build_graph
 from persets.metric import DistanceMatrix, condensed, squareform, write_csv, write_json
-from persets.oracle import Diagram
+from persets.oracle import Diagram, vr_diagram
 from persets.principal import principal_of_pairs
 
 
@@ -105,6 +105,11 @@ def single_linkage(matrix: DistanceMatrix) -> list[float]:
             root[find(i)] = find(j)
             weights.append(w)
     return [w for w in weights if w > 0]
+
+
+def vr_diagrams(matrix: DistanceMatrix, max_degree: int) -> list[Diagram]:
+    """The oracle's reduced diagrams of degrees 0 .. max_degree of one matrix."""
+    return [vr_diagram(matrix, k) for k in range(max_degree + 1)]
 
 
 def euclidean_image(t_b, t_d):

@@ -312,6 +312,20 @@ def test_grid_search_memory_per_point_on_campaign_samples():
     assert peak < 20 * (len(a) + len(b))
 
 
+def test_region_points_memory_per_point():
+    # the interior grid comes first, so its own boundary and membership scratch are gone before
+    # the caller's boundary is made: 32 bytes a point here, 45 with both alive at once
+    region = regions.parse_region("ptolemaic:cap=100")
+    tracemalloc.start()
+    try:
+        pts, (_, boundary) = dmx.region_points(region, 1e-3, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * len(pts), peak / len(pts)
+    assert pts.tobytes() == np.concatenate((boundary, regions.interior_grid(region, 0.2))).tobytes()
+
+
 def test_grid_search_on_clusters_far_apart():
     rng = np.random.default_rng(9)
     u, v = rng.random((300, 2)), rng.random((200, 2))

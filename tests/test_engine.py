@@ -405,7 +405,7 @@ def test_density_region_mismatch():
 
 
 def test_coordinate_cdf_circle(circle_sample):
-    cdf = engine.coordinate_cdf(circle_sample, "totalPersistence")
+    cdf = engine.coordinate_cdf(circle_sample)
     assert cdf(-1e-9) == 0.0
     assert cdf(0.0) >= 8.0 / 9.0 - 0.01
     # max persistence over the triangle is pi/2, attained at the apex;
@@ -417,17 +417,15 @@ def test_coordinate_cdf_circle(circle_sample):
 
 def test_coordinate_cdf_unit_step():
     s = engine.PersistenceSetSample("x", 4, 1, 1, np.array([[0.5, 1.25]]), 0, 0)
-    cdf = engine.coordinate_cdf(s, "totalPersistence")
+    cdf = engine.coordinate_cdf(s)
     assert cdf(0.74999) == 0.0 and cdf(0.75) == 1.0
-    assert engine.coordinate_cdf(s, "birth")(0.5) == 1.0
-    assert engine.coordinate_cdf(s, "death")(1.2) == 0.0
 
 
 def test_coordinate_cdf_identical_seeds():
     a = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 30_000, seed=5)
     b = engine.sample_persistence_set(spaces.CircleGeodesic(), 4, 1, 30_000, seed=5)
-    ca = engine.coordinate_cdf(a, "totalPersistence")
-    cb = engine.coordinate_cdf(b, "totalPersistence")
+    ca = engine.coordinate_cdf(a)
+    cb = engine.coordinate_cdf(b)
     assert ca.l1_distance(cb) == 0.0
 
 
@@ -436,14 +434,12 @@ def test_coordinate_cdf_refuses_multi_point_diagrams():
     s = engine.sample_persistence_set("wedge:3.5,4.5", 8, 1, 1024, seed=3)
     assert len(s.points) + s.trivial_count > s.tuples_drawn
     with pytest.raises(UnsupportedCombination, match="n = 2k"):
-        engine.coordinate_cdf(s, "death")
+        engine.coordinate_cdf(s)
 
 
-def test_coordinate_cdf_errors(circle_sample):
+def test_coordinate_cdf_errors():
     with pytest.raises(EmptySample):
         engine.coordinate_cdf(engine.PersistenceSetSample("x", 4, 1, 0, np.empty((0, 2)), 0, 0))
-    with pytest.raises(UnsupportedCombination):
-        engine.coordinate_cdf(circle_sample, "midlife")
 
 
 def test_cdf_stability_under_scaling():
@@ -453,8 +449,8 @@ def test_cdf_stability_under_scaling():
     b = engine.sample_persistence_set(
         spaces.CircleGeodesic(diameter=1.05 * PI), 4, 1, 120_000, seed=5
     )
-    ca = engine.coordinate_cdf(a, "totalPersistence")
-    cb = engine.coordinate_cdf(b, "totalPersistence")
+    ca = engine.coordinate_cdf(a)
+    cb = engine.coordinate_cdf(b)
     assert ca.l1_distance(cb) <= 2.0 * 2.0 * (0.05 * PI / 2.0)
 
 
@@ -673,9 +669,9 @@ def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):
     started = []
 
     class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, **start):
             started.append(max_workers)
-            super().__init__(max_workers, mp_context)
+            super().__init__(max_workers, mp_context, **start)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     runs = [engine.sample_persistence_set(spaces.CircleGeodesic(), 5, 1, 1500, seed=5, workers=w)
@@ -703,6 +699,32 @@ def test_a_spawned_pool_writes_the_bytes_of_a_forked_one(tmp_path, monkeypatch):
         written.append([(tmp_path / f"{name}.csv{suffix}").read_bytes() for suffix in ("", ".json", ".f64")])
     assert asked == (["fork"] if "fork" in multiprocessing.get_all_start_methods() else [])
     assert written[0] == written[1] and len(sample.points) > 0
+
+
+class CountedSpace(engine.FiniteSpace):
+    pickles = 0  # in this process
+
+    def __reduce__(self):
+        CountedSpace.pickles += 1
+        return CountedSpace, (self.matrix,)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_pool_pickles_the_space_at_most_once_a_worker(method, monkeypatch):
+    # a task carries a chunk index and a count: the space reaches a worker with its start, by
+    # inheritance under fork and as one pickle under spawn, not once for each of eight chunks
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda name=None: get_context(method))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "CHUNK", 1024)
+    space = CountedSpace(cloud_space().matrix)
+    serial = engine.sample_persistence_set(space, 4, 1, 8 * 1024, seed=38)
+    monkeypatch.setattr(CountedSpace, "pickles", 0)
+    pooled = engine.sample_persistence_set(space, 4, 1, 8 * 1024, seed=38, workers=2)
+    assert CountedSpace.pickles <= 2, CountedSpace.pickles
+    assert pooled.points.tobytes() == serial.points.tobytes() and pooled.trivial_count == serial.trivial_count
 
 
 @pytest.mark.parametrize("space, n, k, tuples", [(cloud_space(), 4, 1, 140_000),
@@ -739,8 +761,9 @@ def recording_pool(monkeypatch):
     started = []
 
     class Pool:  # records the pool size and runs the chunks in this process
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)  # as each worker would at its start
 
         def __enter__(self):
             return self
@@ -752,6 +775,7 @@ def recording_pool(monkeypatch):
             return map(fn, *args)
 
     monkeypatch.setattr(engine, "CHUNK", 1024)
+    monkeypatch.setattr(engine, "_campaign", ())
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return started
 

@@ -78,6 +78,9 @@ GOLDEN = {
 # 1024: (trivial count, sha256 of the points, sha256 of engine.kept_tuples),
 # recorded while this path still needed an explicit oracle flag
 ORACLE_GOLDEN = {
+    # degree 0, recorded before the oracle listed one boundary matrix per degree
+    ("s1", 5, 0): (0, "014cb7124249782ce6e9c2b9636d2ffce2e4cb0a70028de8a62580f95475a969",
+                   "a46def6e5b4bc390b3812e8cd81b63b4fbf73442f50bce4230ff11e50784299a"),
     ("s1", 5, 1): (1125, "ed5186cbe0e0b56c53cbad31a631ca4ed55e9d46858d5824c0e82aa08446f8ab",
                    "2f3594b3bcc38734d4de418e8df2567ccf483095d4e7dc77d96115882f42d122"),
     ("s1", 6, 1): (894, "9558533e645287e7abf25daf4876c2ede438ecaa3c89284dd3c4eef2ebc847fd",

@@ -180,7 +180,7 @@ def test_write_csv_refuses_blocks_of_different_row_counts(tmp_path):
 
 
 def test_write_csv_holds_a_small_block_of_rows(tmp_path, monkeypatch):
-    # 1,024 rows a format: a 200k-row sample peaks near 150 KB, where 16,384 rows took 2.2 MB
+    # 1,024 rows a format: a 200k-row sample peaks near 220 KB, where 16,384 rows took 2.2 MB
     points = np.random.default_rng(1).random((200_000, 2))
     metric.write_csv(tmp_path / "warm.csv", points[:10], header="t_b,t_d")
     tracemalloc.start()

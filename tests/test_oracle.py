@@ -9,7 +9,7 @@ from persets import metric, oracle
 from persets.errors import TooLarge
 
 from conftest import circle_angles_matrix, cloud_matrix_r3, tree_matrix, tuple_matrix
-from reference import principal_diagram, single_linkage
+from reference import principal_diagram, single_linkage, vr_diagrams
 
 
 def four_gon():
@@ -17,42 +17,39 @@ def four_gon():
 
 
 def test_complex_census():
-    # C(n, d+1) simplices of dimension d, by dimension and then lexicographically, every face
-    # listed before its simplex, and each simplex's edges as rows of a triu_indices pair list
+    # C(n, k+1) rows and C(n, k+2) columns, each lexicographically, each column's faces as the
+    # indices of its lexicographic faces among the rows, and each simplex's edges as rows of a
+    # triu_indices pair list with a 0.0 appended (a vertex reads that 0.0)
     for n in range(2, oracle.MAX_POINTS + 1):
-        iu = np.triu_indices(n, 1)
-        for top in range(1, n):
-            dims, edges, faces = oracle._complex(n, top)
-            vertices = [(v,) for v in range(n)]
-            for at, listed in enumerate(faces, n):
-                assert max(listed) < at
-                vertices.append(tuple(sorted(set().union(*(vertices[f] for f in listed)))))
-                assert [vertices[f] for f in listed] == list(combinations(vertices[at], len(vertices[at]) - 1))
-            assert vertices[n:] == [s for size in range(2, top + 2) for s in combinations(range(n), size)]
-            assert dims.tolist() == [len(s) - 1 for s in vertices[n:]]
-            for s, rows in zip(vertices[n:], edges.tolist()):
-                pairs = list(combinations(s, 2))  # then the first again, up to the row's width
-                got = list(zip(iu[0][rows].tolist(), iu[1][rows].tolist()))
-                assert got == pairs + pairs[:1] * (len(rows) - len(pairs))
-            for d in range(1, top + 1):
-                assert dims.tolist().count(d) == math.comb(n, d + 1)
+        pair = list(zip(*(i.tolist() for i in np.triu_indices(n, 1)))) + ["zero"]
+        for k in range(n - 1):
+            count, edges, faces = oracle._complex(n, k)
+            rows, columns = (list(combinations(range(n), size)) for size in (k + 1, k + 2))
+            assert count == len(rows) == math.comb(n, k + 1)
+            assert len(faces) == len(columns) == math.comb(n, k + 2)
+            for column, listed in zip(columns, faces):
+                assert [rows[f] for f in listed] == list(combinations(column, k + 1))
+            assert edges.shape == (count + len(columns), math.comb(k + 2, 2))
+            for s, listed in zip(rows + columns, edges.tolist()):
+                want = list(combinations(s, 2)) or ["zero"]  # then the first again, up to the width
+                assert [pair[r] for r in listed] == want + want[:1] * (len(listed) - len(want))
 
 
-def simplices(dm, top):
-    # (vertices, value) in filtration order, vertices first at 0.0
-    listed = [s for size in range(2, top + 2) for s in combinations(range(dm.n), size)]
-    order, values = oracle.filtration(metric.condensed(dm.entries), dm.n, top)
-    return [((v,), 0.0) for v in range(dm.n)] + [(listed[i], value) for i, value in zip(order.tolist(), values.tolist())]
+def simplices(dm, k):
+    # (vertices, value) of the degree-k rows and columns, in filtration order
+    listed = [s for size in (k + 1, k + 2) for s in combinations(range(dm.n), size)]
+    order, values = oracle.filtration(np.append(metric.condensed(dm.entries), 0.0), dm.n, k)
+    return [(listed[i], value) for i, value in zip(order.tolist(), values.tolist())]
 
 
 def test_filtration_two_points():
     dm = metric.validate([[0, 1], [1, 0]])
-    assert simplices(dm, 1) == [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
+    assert simplices(dm, 0) == [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
 
 
 def test_filtration_equilateral_triangle():
     dm = metric.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    filt = simplices(dm, 2)
+    filt = simplices(dm, 1)
     values = dict(filt)
     assert values[(0, 1, 2)] == 1.0
     assert all(values[e] == 1.0 for e in [(0, 1), (0, 2), (1, 2)])
@@ -61,7 +58,7 @@ def test_filtration_equilateral_triangle():
 
 
 def test_filtration_four_gon_census():
-    filt = simplices(four_gon(), 2)
+    filt = simplices(four_gon(), 1)
     edges = [(s, v) for s, v in filt if len(s) == 2]
     tris = [(s, v) for s, v in filt if len(s) == 3]
     half = [v for _, v in edges if abs(v - math.pi / 2) < 1e-12]
@@ -73,9 +70,9 @@ def test_filtration_four_gon_census():
 
 def test_filtration_caps():
     with pytest.raises(TooLarge):
-        oracle.vr_diagrams(metric.DistanceMatrix(np.zeros((13, 13))), 0)
+        vr_diagrams(metric.DistanceMatrix(np.zeros((13, 13))), 0)
     with pytest.raises(TooLarge):
-        oracle.vr_diagrams(metric.validate([[0, 1], [1, 0]]), 1)
+        vr_diagrams(metric.validate([[0, 1], [1, 0]]), 1)
 
 
 def test_degree_zero_is_single_linkage():
@@ -96,27 +93,27 @@ def test_degree_zero_is_single_linkage():
 
 
 def test_a_batch_gives_the_diagrams_of_its_spaces_one_by_one(rng):
-    for n, top in ((4, 2), (6, 2), (6, 3), (8, 2), (9, 4)):
+    for n, k in ((4, 0), (4, 1), (6, 1), (6, 2), (8, 1), (9, 3)):
         tied = rng.integers(1, 4, size=(n * (n - 1) // 2, 8)).astype(float)
         pairs = np.concatenate([np.stack([metric.condensed(cloud_matrix_r3(rng, n).entries) for _ in range(8)], 1),
                                 tied], axis=1)
-        batch = oracle.diagrams_of_pairs(pairs, n, top)
-        assert len(batch) == 16 and all(len(dgms) == top for dgms in batch)
-        assert batch == [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, top)[0] for b in range(16)]
+        batch = oracle.diagrams_of_pairs(pairs, n, k)
+        assert len(batch) == 16 and all(dgm.degree == k for dgm in batch)
+        assert batch == [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, k)[0] for b in range(16)]
 
 
 def test_a_blocks_scratch_does_not_grow_with_its_width():
     # each space is ordered and reduced alone, so a block of 4 copies of one n = 12, k = 4 space
     # peaks no higher than a block of 2, where one space's scratch already meets the last one's
-    # (an array of every simplex's edges across the block would add about 600 KB)
-    n, top = 12, 5
+    # (an array of every row's and column's edges across the block would add about 400 KB)
+    n, k = 12, 4
     column = metric.condensed(cloud_matrix_r3(np.random.default_rng(12), n).entries)
-    oracle._complex(n, top)
+    oracle._complex(n, k)
     peaks = []
     for width in (2, 4):
         pairs = np.repeat(column[:, None], width, axis=1)
         tracemalloc.start()
-        oracle.diagrams_of_pairs(pairs, n, top)
+        oracle.diagrams_of_pairs(pairs, n, k)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 100_000, peaks
@@ -144,7 +141,7 @@ def test_emptiness_above_principal_degree(rng):
     for n in range(2, 7):
         for _ in range(40):
             dm = cloud_matrix_r3(rng, n)
-            dgms = oracle.vr_diagrams(dm, max_degree=n - 2)
+            dgms = vr_diagrams(dm, max_degree=n - 2)
             for k in range(n - 1):
                 if k > n / 2 - 1:
                     assert dgms[k].is_empty, (n, k)
@@ -154,7 +151,7 @@ def test_death_bounded_by_radius(rng):
     for _ in range(60):
         dm = cloud_matrix_r3(rng, 6)
         rad = metric.stats(dm).radius
-        for dgm in oracle.vr_diagrams(dm, max_degree=2):
+        for dgm in vr_diagrams(dm, max_degree=2):
             for _, death in dgm.points:
                 assert death <= rad + 1e-12
 
@@ -173,7 +170,7 @@ def test_scale_equivariance(rng):
         dm = cloud_matrix_r3(rng, 6)
         c = float(rng.uniform(0.5, 3.0))
         scaled = metric.DistanceMatrix(dm.entries * c)
-        for d1, d2 in zip(oracle.vr_diagrams(dm, 2), oracle.vr_diagrams(scaled, 2)):
+        for d1, d2 in zip(vr_diagrams(dm, 2), vr_diagrams(scaled, 2)):
             assert len(d1.points) == len(d2.points)
             for (b1, t1), (b2, t2) in zip(d1.points, d2.points):
                 assert b2 == pytest.approx(c * b1, rel=1e-12, abs=1e-12)
@@ -210,7 +207,7 @@ def test_octahedron_degrees():
         d[i, i] = 0.0
         d[i, i ^ 1] = math.pi
     dm = metric.validate(d)
-    dgms = oracle.vr_diagrams(dm, max_degree=2)
+    dgms = vr_diagrams(dm, max_degree=2)
     assert dgms[1].is_empty
     assert len(dgms[2].points) == 1
     assert dgms[2].points[0] == pytest.approx((math.pi / 2, math.pi))
