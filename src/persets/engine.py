@@ -120,7 +120,7 @@ def space_of(space):
 
 
 def pair_blocks(space, rng, count: int, n: int):
-    """(start, tuples, pair list) of each BLOCK of ``count`` n-tuples read from the stream
+    """(tuples, pair list) of each BLOCK of ``count`` n-tuples read from the stream
     ``space.sample_points(rng, count * n)``: a (B, n, D) view of one point buffer, filled as the
     stream's blocks come, and a (n(n-1)/2, B) view of one pair buffer; the next block overwrites
     both.  ``prepare`` gets each block once, as an (n, B, D) view.  UnsupportedCombination if the
@@ -148,7 +148,7 @@ def pair_blocks(space, rng, count: int, n: int):
         if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
             raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
                                          f"to {pairs.max()}; a campaign needs them in [0, inf)")
-        yield b, tuples, pairs
+        yield tuples, pairs
 
 
 def _tasks(n, k, tuples):
@@ -161,17 +161,13 @@ def _chunk(space, n, k, seed, chunk_index, count):
     """(tuples, nontrivial points, each tuple's point count) of each BLOCK of one chunk, the tuples
     a view that the next block overwrites; the O(n^2) kernel when n = 2k+2, else the oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    for _, tuples, pairs in pair_blocks(space, rng, count, n):
+    for tuples, pairs in pair_blocks(space, rng, count, n):
         if n == 2 * k + 2:
             tb, td = principal_of_pairs(pairs, n)
             per_tuple = tb < td
             points = np.column_stack([tb[per_tuple], td[per_tuple]])
-        elif n < 2 * k + 2:  # see sample_persistence_set
-            per_tuple, points = np.zeros(len(tuples), np.intp), np.empty((0, 2))
         else:
-            dgms = [d.points for d in diagrams_of_pairs(pairs, n, k)]
-            per_tuple = np.array([len(d) for d in dgms], dtype=np.intp)
-            points = np.asarray([p for d in dgms for p in d], dtype=float).reshape(-1, 2)
+            points, per_tuple = diagrams_of_pairs(pairs, n, k)
         yield tuples, points, per_tuple
 
 

@@ -160,13 +160,6 @@ def _broken_triangles(a: np.ndarray):
     return listed, int(broken.sum())
 
 
-def condensed(entries) -> np.ndarray:
-    """The i < j entries of matrices (..., n, n), in triu_indices order: (pairs, ...)."""
-    entries = np.asarray(entries)
-    i, j = np.triu_indices(entries.shape[-1], 1)
-    return np.moveaxis(entries[..., i, j], -1, 0)
-
-
 def squareform(pairs, n: int) -> np.ndarray:
     """Symmetric zero-diagonal matrices (..., n, n) from a pair list (pairs, ...)."""
     pairs = np.asarray(pairs)

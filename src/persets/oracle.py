@@ -7,28 +7,14 @@ Hard-capped at 12 points; it validates the geometric algorithm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import TooLarge
-from .metric import DistanceMatrix, condensed
 
 MAX_POINTS = 12
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Finite multiset of (birth, death) pairs in one homology degree."""
-
-    degree: int
-    points: tuple[tuple[float, float], ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
 
 
 @lru_cache(maxsize=None)
@@ -54,23 +40,24 @@ def filtration(column, n: int, k: int):
     every row comes before the columns it bounds (a face's edges are among its column's, and no
     distance is below a vertex's 0.0)."""
     lengths = column[_complex(n, k)[1]]
-    values = np.take_along_axis(lengths, lengths.argmax(axis=1)[:, None], axis=1)[:, 0]
+    values = lengths[np.arange(len(lengths)), lengths.argmax(axis=1)]
     order = values.argsort(kind="stable")
     return order, values[order]
 
 
-def diagrams_of_pairs(pairs, n: int, k: int) -> list[Diagram]:
-    """The reduced degree-k diagram of each space of a (n(n-1)/2, B) pair list.
+def diagrams_of_pairs(pairs, n: int, k: int):
+    """The reduced degree-k diagrams of the spaces of a (n(n-1)/2, B) pair list: their (m, 2)
+    (birth, death) points, in space order and each space's sorted, and each space's point count.
 
     Columns are GF(2) bitmasks over filtration positions, each reduced by the reduced columns
     whose pivots it meets; a pivot pair (i, j) is the point (value_i, value_j) if value_i <
     value_j.  The (k+1)-skeleton of a simplex has no essential class in degree k >= 1, and
     degree 0 keeps only its one component, which reduced homology drops."""
     count, _, faces = _complex(n, k)
-    out = []
+    points, per_tuple = [], []
     for column in np.vstack([pairs, np.zeros(len(pairs[0]))]).T:
         order, values = filtration(column, n, k)
-        value, bit, pivots, points = values.tolist(), [0] * count, [0] * len(order), []
+        value, bit, pivots, found = values.tolist(), [0] * count, [0] * len(order), []
         for j, s in enumerate(order.tolist()):
             if s < count:
                 bit[s] = 1 << j
@@ -82,13 +69,9 @@ def diagrams_of_pairs(pairs, n: int, k: int) -> list[Diagram]:
                 if not other:
                     pivots[low] = col
                     if value[low] < value[j]:
-                        points.append((value[low], value[j]))
+                        found.append((value[low], value[j]))
                     break
                 col ^= other
-        out.append(Diagram(k, tuple(sorted(points))))
-    return out
-
-
-def vr_diagram(matrix: DistanceMatrix, degree: int) -> Diagram:
-    """The reduced degree-``degree`` diagram of one matrix: a batch of one."""
-    return diagrams_of_pairs(condensed(matrix.entries)[:, None], matrix.n, degree)[0]
+        points += sorted(found)
+        per_tuple.append(len(found))
+    return np.array(points, dtype=float).reshape(-1, 2), np.array(per_tuple, dtype=np.intp)

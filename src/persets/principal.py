@@ -8,10 +8,11 @@ t_d(x) the largest and t_b(x) the second largest,
 
 and the diagram is {(t_b(X), t_d(X))} exactly when t_b(X) < t_d(X),
 empty otherwise.  This costs O(n^2) per space and reads only its n(n-1)/2
-distances, as a pair list (``metric.condensed``) that vectorizes over the
-batches the sampling engine runs on.  Each point's top two is one running
-pass over its n - 1 distances, folded into (t_b(X), t_d(X)) as soon as it
-is done, so a batch of B spaces needs a few buffers of B values, whatever n.
+distances, as a pair list (its i < j entries in ``np.triu_indices``
+order) that vectorizes over the batches the sampling engine runs on.
+Each point's top two is one running pass over its n - 1 distances,
+folded into (t_b(X), t_d(X)) as soon as it is done, so a batch of B
+spaces needs a few buffers of B values, whatever n.
 """
 from __future__ import annotations
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from persets.errors import EmptyInput, InvalidDescriptor, PersetsError, TooLarge, UnsupportedCombination
 from persets.graphs import MetricGraph, build_graph
-from persets.metric import DistanceMatrix, condensed, squareform, write_csv, write_json
-from persets.oracle import Diagram, vr_diagram
+from persets.metric import DistanceMatrix, squareform, write_csv, write_json
+from persets.oracle import diagrams_of_pairs
 from persets.principal import principal_of_pairs
 
 
@@ -55,6 +55,31 @@ class PointExtremes:
 
     def td_global(self) -> float:
         return min(p[1] for p in self.per_point)
+
+
+@dataclass(frozen=True)
+class Diagram:
+    """Finite multiset of (birth, death) pairs in one homology degree."""
+
+    degree: int
+    points: tuple[tuple[float, float], ...]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.points
+
+
+def condensed(entries) -> np.ndarray:
+    """The i < j entries of matrices (..., n, n), in triu_indices order: (pairs, ...)."""
+    entries = np.asarray(entries)
+    i, j = np.triu_indices(entries.shape[-1], 1)
+    return np.moveaxis(entries[..., i, j], -1, 0)
+
+
+def vr_diagram(matrix: DistanceMatrix, degree: int) -> Diagram:
+    """The oracle's reduced degree-``degree`` diagram of one matrix: a batch of one."""
+    points, _ = diagrams_of_pairs(condensed(matrix.entries)[:, None], matrix.n, degree)
+    return Diagram(degree, tuple(map(tuple, points.tolist())))
 
 
 def point_extremes(matrix: DistanceMatrix) -> PointExtremes:

@@ -17,7 +17,6 @@ from persets import (
     graph_analysis as ga,
     graphs,
     metric,
-    oracle,
     regions,
     spaces,
 )
@@ -25,7 +24,7 @@ from persets import (
 from conftest import circle_matrix, cloud_matrix_r3
 from reference import (bottleneck_distance, circle_vs_sphere_crosspolytope_bound, euclidean_image, principal_diagram,
                        reconstruct, sample_two_point_empty_fraction, split_decompose, tight_span_persistence,
-                       two_point_measure, vr_diagrams)
+                       two_point_measure, vr_diagram, vr_diagrams)
 
 PI = math.pi
 
@@ -56,7 +55,7 @@ def test_criterion_01_oracle_equivalence():
         for i in range(1000):
             dm = cloud_matrix_r3(rng, n) if i % 2 == 0 else circle_matrix(rng, n)
             fast = principal_diagram(dm, k)
-            slow = oracle.vr_diagram(dm, k)
+            slow = vr_diagram(dm, k)
             assert fast.is_empty == slow.is_empty, (k, i)
             if not fast.is_empty:
                 assert len(slow.points) == 1

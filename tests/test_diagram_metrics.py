@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from persets import diagram_metrics as dmx
 from persets import engine, metric, regions, spaces
 from persets.errors import EmptyInput, NonFinite, TooLarge
-from persets.oracle import Diagram
 
-from reference import (InfiniteDeath, bottleneck_distance, circle_vs_sphere_crosspolytope_bound, gh_lower_bound,
-                       hausdorff_bottleneck, principal_diagram)
+from reference import (Diagram, InfiniteDeath, bottleneck_distance, circle_vs_sphere_crosspolytope_bound,
+                       gh_lower_bound, hausdorff_bottleneck, principal_diagram)
 
 PI = math.pi
 EMPTY = Diagram(degree=1, points=())

@@ -15,7 +15,7 @@ from persets import engine, graphs, metric, oracle, principal, regions, spaces
 from persets.errors import EmptySample, MalformedFile, RegionMismatch, TooLarge, UnsupportedCombination
 
 from conftest import circle_angles_matrix
-from reference import principal_diagram, sample_two_point_empty_fraction, two_point_measure
+from reference import condensed, principal_diagram, sample_two_point_empty_fraction, two_point_measure, vr_diagram
 
 PI = math.pi
 
@@ -94,8 +94,8 @@ def test_oracle_fallback_matches_principal_on_principal_case():
     space = spaces.CircleGeodesic()
     s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))  # chunk 0's stream
-    [(_, _, pairs)] = engine.pair_blocks(space, rng, 500, 4)  # one block
-    dgms = [oracle.vr_diagram(metric.DistanceMatrix(m), 1).points
+    [(_, pairs)] = engine.pair_blocks(space, rng, 500, 4)  # one block
+    dgms = [vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
     assert s.trivial_count == sum(not d for d in dgms)
     np.testing.assert_array_equal(s.points, np.array([p for d in dgms for p in d]))
@@ -633,7 +633,7 @@ def test_distance_matrix_of_a_kept_tuple_gives_its_point(space):
     assert len(kept) == len(s.points) > 1000
     for i in range(0, len(s.points), 50):
         dm = spaces.distance_matrix(space, kept[i])
-        tb, td = principal.principal_of_pairs(metric.condensed(dm.entries), 4)
+        tb, td = principal.principal_of_pairs(condensed(dm.entries), 4)
         assert np.array([tb, td]).tobytes() == s.points[i].tobytes()
 
 
@@ -649,7 +649,7 @@ def test_finite_kept_tuples_align_with_points(block, monkeypatch):
     kept = engine.kept_tuples(space, s)
     assert kept.shape == (len(s.points), 4, 1) and len(s.points) > 500
     for tup, point in zip(kept, s.points):
-        tb, td = principal.principal_of_pairs(metric.condensed(spaces.distance_matrix(space, tup).entries), 4)
+        tb, td = principal.principal_of_pairs(condensed(spaces.distance_matrix(space, tup).entries), 4)
         assert np.array([tb, td]).tobytes() == point.tobytes()
 
 
@@ -661,7 +661,7 @@ def test_oracle_kept_tuples_align_with_points():
     assert len(s.points) + s.trivial_count > s.tuples_drawn
     assert kept.shape == (len(s.points), 8, 2)
     for tup, point in zip(kept, s.points):
-        assert tuple(point) in oracle.vr_diagram(spaces.distance_matrix(g, tup), 1).points
+        assert tuple(point) in vr_diagram(spaces.distance_matrix(g, tup), 1).points
 
 
 def test_oracle_fallback_is_the_same_for_any_worker_count(monkeypatch):

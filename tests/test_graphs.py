@@ -303,7 +303,7 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
     monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: draw)
     monkeypatch.setattr(engine, "BLOCK", 64)
-    blocks = [(t.copy(), p.copy()) for _, t, p in engine.pair_blocks(g, rng, count, n)]  # one buffer each
+    blocks = [(t.copy(), p.copy()) for t, p in engine.pair_blocks(g, rng, count, n)]  # one buffer each
     tuples = np.concatenate([t for t, _ in blocks])
     pairs = np.concatenate([p for _, p in blocks], axis=1)
     assert tuples.tobytes() == draw.tobytes()

@@ -20,7 +20,6 @@ ALLOWED = {
     "engine.coordinate_cdf": _CDF,
     "spaces.distance": _POINT_CHECK,
     "spaces.distance_matrix": _POINT_CHECK,
-    "oracle.vr_diagram": "the oracle on one matrix (README)",
 }
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 TOP = {}  # module.name: node of each top-level function, class and assigned name

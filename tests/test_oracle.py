@@ -9,7 +9,7 @@ from persets import metric, oracle
 from persets.errors import TooLarge
 
 from conftest import circle_angles_matrix, cloud_matrix_r3, tree_matrix, tuple_matrix
-from reference import principal_diagram, single_linkage, vr_diagrams
+from reference import condensed, principal_diagram, single_linkage, vr_diagram, vr_diagrams
 
 
 def four_gon():
@@ -38,7 +38,7 @@ def test_complex_census():
 def simplices(dm, k):
     # (vertices, value) of the degree-k rows and columns, in filtration order
     listed = [s for size in (k + 1, k + 2) for s in combinations(range(dm.n), size)]
-    order, values = oracle.filtration(np.append(metric.condensed(dm.entries), 0.0), dm.n, k)
+    order, values = oracle.filtration(np.append(condensed(dm.entries), 0.0), dm.n, k)
     return [(listed[i], value) for i, value in zip(order.tolist(), values.tolist())]
 
 
@@ -69,9 +69,9 @@ def test_filtration_four_gon_census():
 
 
 def test_filtration_caps():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="capped at 12 points, got 13"):
         vr_diagrams(metric.DistanceMatrix(np.zeros((13, 13))), 0)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="degree 1 needs at least 3 points, got 2"):
         vr_diagrams(metric.validate([[0, 1], [1, 0]]), 1)
 
 
@@ -87,7 +87,7 @@ def test_degree_zero_is_single_linkage():
                       np.abs(grid[:, None] - grid[None]).sum(-1),
                       np.linalg.norm(repeated[:, None] - repeated[None], axis=-1)):
                 dm = metric.validate(d)
-                points = oracle.vr_diagram(dm, 0).points
+                points = vr_diagram(dm, 0).points
                 assert all(birth == 0.0 for birth, _ in points)
                 assert [death for _, death in points] == single_linkage(dm)
 
@@ -95,11 +95,13 @@ def test_degree_zero_is_single_linkage():
 def test_a_batch_gives_the_diagrams_of_its_spaces_one_by_one(rng):
     for n, k in ((4, 0), (4, 1), (6, 1), (6, 2), (8, 1), (9, 3)):
         tied = rng.integers(1, 4, size=(n * (n - 1) // 2, 8)).astype(float)
-        pairs = np.concatenate([np.stack([metric.condensed(cloud_matrix_r3(rng, n).entries) for _ in range(8)], 1),
+        pairs = np.concatenate([np.stack([condensed(cloud_matrix_r3(rng, n).entries) for _ in range(8)], 1),
                                 tied], axis=1)
-        batch = oracle.diagrams_of_pairs(pairs, n, k)
-        assert len(batch) == 16 and all(dgm.degree == k for dgm in batch)
-        assert batch == [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, k)[0] for b in range(16)]
+        points, counts = oracle.diagrams_of_pairs(pairs, n, k)
+        alone = [oracle.diagrams_of_pairs(pairs[:, b:b + 1], n, k) for b in range(16)]
+        assert (points.shape[1], points.dtype, counts.shape, counts.dtype) == (2, np.float64, (16,), np.intp)
+        assert points.tobytes() == np.concatenate([p for p, _ in alone]).tobytes()
+        assert counts.tobytes() == np.concatenate([c for _, c in alone]).tobytes()
 
 
 def test_a_blocks_scratch_does_not_grow_with_its_width():
@@ -107,7 +109,7 @@ def test_a_blocks_scratch_does_not_grow_with_its_width():
     # peaks no higher than a block of 2, where one space's scratch already meets the last one's
     # (an array of every row's and column's edges across the block would add about 400 KB)
     n, k = 12, 4
-    column = metric.condensed(cloud_matrix_r3(np.random.default_rng(12), n).entries)
+    column = condensed(cloud_matrix_r3(np.random.default_rng(12), n).entries)
     oracle._complex(n, k)
     peaks = []
     for width in (2, 4):
@@ -120,12 +122,12 @@ def test_a_blocks_scratch_does_not_grow_with_its_width():
 
 def test_reduce_two_points():
     dm = metric.validate([[0, 0.8], [0.8, 0]])
-    dgm = oracle.vr_diagram(dm, 0)
+    dgm = vr_diagram(dm, 0)
     assert dgm.points == ((0.0, 0.8),)
 
 
 def test_reduce_four_gon_degree_one():
-    dgm = oracle.vr_diagram(four_gon(), 1)
+    dgm = vr_diagram(four_gon(), 1)
     assert len(dgm.points) == 1
     assert dgm.points[0] == pytest.approx((math.pi / 2, math.pi))
 
@@ -133,7 +135,7 @@ def test_reduce_four_gon_degree_one():
 def test_reduce_five_points_degree_two_empty(rng):
     for _ in range(25):
         dm = cloud_matrix_r3(rng, 5)
-        assert oracle.vr_diagram(dm, 2).is_empty
+        assert vr_diagram(dm, 2).is_empty
 
 
 def test_emptiness_above_principal_degree(rng):
@@ -162,7 +164,7 @@ def test_tree_subsets_have_no_cycles(rng):
         dm = tree_matrix(rng, 9)
         idx = rng.choice(9, size=4, replace=False)
         sub = tuple_matrix(dm, idx)
-        assert oracle.vr_diagram(sub, 1).is_empty
+        assert vr_diagram(sub, 1).is_empty
 
 
 def test_scale_equivariance(rng):
@@ -184,7 +186,7 @@ def test_oracle_agrees_with_principal_quick(rng):
         for _ in range(60):
             dm = cloud_matrix_r3(rng, n)
             fast = principal_diagram(dm, k)
-            slow = oracle.vr_diagram(dm, k)
+            slow = vr_diagram(dm, k)
             assert fast == slow
 
 
@@ -194,7 +196,7 @@ def test_regular_pentagon_degree_one():
     from conftest import circle_angles_matrix
 
     dm = circle_angles_matrix([2 * math.pi * i / 5 for i in range(5)])
-    dgm = oracle.vr_diagram(dm, 1)
+    dgm = vr_diagram(dm, 1)
     assert len(dgm.points) == 1
     assert dgm.points[0] == pytest.approx((2 * math.pi / 5, 4 * math.pi / 5))
 
@@ -228,6 +230,6 @@ def test_no_degree_k_diagram_below_2k_plus_2_points():
                       circle_angles_matrix(2 * math.pi * np.arange(n) / n).entries):
                 d = np.array(d)
                 np.fill_diagonal(d, 0.0)
-                assert oracle.vr_diagram(metric.DistanceMatrix(d), k).is_empty, (n, k)
+                assert vr_diagram(metric.DistanceMatrix(d), k).is_empty, (n, k)
                 checked += 1
     assert checked == 4 * 30

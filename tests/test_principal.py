@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persets import metric, oracle, principal
+from persets import metric, principal
 
 from conftest import circle_angles_matrix, circle_matrix, cloud_matrix_r3, tuple_matrix
-from reference import SizeMismatch, TooFewPoints, point_extremes, principal_diagram
+from reference import SizeMismatch, TooFewPoints, condensed, point_extremes, principal_diagram, vr_diagram
 
 
 def four_gon():
@@ -174,12 +174,12 @@ def test_kernel_matches_oracle_with_ties_and_repeats(k, grid, linf, negative_zer
     ext = point_extremes(dm)
     np.testing.assert_array_equal([p[0] for p in ext.per_point], rows[:, -2])
     np.testing.assert_array_equal([p[1] for p in ext.per_point], rows[:, -1])
-    tb, td = principal.principal_of_pairs(metric.condensed(dm.entries), n)
+    tb, td = principal.principal_of_pairs(condensed(dm.entries), n)
     assert (tb, td) == (rows[:, -2].max(), rows[:, -1].min())
-    batch = np.repeat(metric.condensed(dm.entries)[:, None], 3, axis=1)
+    batch = np.repeat(condensed(dm.entries)[:, None], 3, axis=1)
     for got, want in zip(principal.principal_of_pairs(batch, n), (tb, td)):
         np.testing.assert_array_equal(got, [want] * 3)
 
     fast = principal_diagram(dm, k)
-    slow = oracle.vr_diagram(dm, k)
+    slow = vr_diagram(dm, k)
     assert fast == slow

@@ -155,6 +155,17 @@ def test_kappa_to_zero_boundary_limit():
         assert np.abs(tb - td / math.sqrt(2.0)).max() <= 1e-3
 
 
+@pytest.mark.parametrize("kappa", [-4.0, -0.25, 0.25, 4.0])
+def test_curvature_scales_the_boundary(kappa):
+    # scaling a surface by c multiplies its distances by c and its curvature by 1/c^2, so the
+    # boundary at kappa and step h c (cap included) is the kappa = +-1 boundary at step h, times c
+    c, h = 1.0 / math.sqrt(abs(kappa)), 1.0 / 64
+    unit = reg.boundary_points(reg.ModelSurfaceRegion(math.copysign(1.0, kappa)), step=h)
+    scaled = reg.boundary_points(reg.ModelSurfaceRegion(kappa), step=h * c)
+    assert scaled.shape == unit.shape
+    assert np.abs(scaled - c * unit).max() <= 1e-12
+
+
 def test_euclidean_spheres_stabilize():
     grid_b = np.linspace(0.0, 2.2, 111)
     grid_d = np.linspace(0.0, 2.2, 113)
