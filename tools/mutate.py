@@ -11,7 +11,8 @@ test files (``tests/test_<module>.py`` unless ``--tests`` names others)
 with ``pytest -x``, in a copy of the repository made in a temporary
 directory (``TMPDIR`` chooses where), so the working tree is never edited.
 The module as ``ast.unparse`` writes it must pass those tests first.  A
-failing run, a crash or a timeout kills the mutant.  The sweep prints, per
+failing run, a crash or a run longer than ``TIMEOUT`` seconds kills the
+mutant.  The sweep prints, per
 module, how many mutants were killed and how many survived, and the diff of
 each survivor against that unparsed module (so comments do not show).
 
@@ -30,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # seconds
 NAMES = {"min": "max", "max": "min", "minimum": "maximum", "maximum": "minimum",
          "argmin": "argmax", "argmax": "argmin"}
 COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
@@ -88,7 +90,7 @@ def mutants(source: str):
     return [(site, ast.unparse(Mutator(site).visit(ast.parse(source))) + "\n") for site in range(counter.sites)]
 
 
-def sweep(module: str, tests: list[str], timeout: float, copy: Path) -> tuple[int, list[str]]:
+def sweep(module: str, tests: list[str], copy: Path) -> tuple[int, list[str]]:
     """The mutant count of ``src/persets/<module>.py`` and the diffs of its survivors."""
     path = copy / "src" / "persets" / f"{module}.py"
     source = path.read_text(encoding="utf-8")
@@ -98,12 +100,12 @@ def sweep(module: str, tests: list[str], timeout: float, copy: Path) -> tuple[in
     found, survivors = mutants(source), []
     try:
         path.write_text("".join(plain), encoding="utf-8")
-        if subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout).returncode:
+        if subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT).returncode:
             raise SystemExit(f"{module}.py fails {' '.join(tests)} before any mutation")
         for site, text in found:
             path.write_text(text, encoding="utf-8")
             try:
-                run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+                run = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
                 survived = run.returncode == 0
             except subprocess.TimeoutExpired:
                 survived = False
@@ -122,7 +124,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module names under src/persets, e.g. oracle")
     parser.add_argument("--tests", nargs="+", help="test files for every module (default tests/test_<module>.py)")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds before a mutant's run counts as killed")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="persets-mutate-") as scratch:
         copy = Path(scratch)
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
             (shutil.copytree if (ROOT / part).is_dir() else shutil.copy)(ROOT / part, copy / part)
         for module in args.modules:
             tests = args.tests or [f"tests/test_{module}.py"]
-            count, survivors = sweep(module, tests, args.timeout, copy)
+            count, survivors = sweep(module, tests, copy)
             print(f"{module}.py: {count} mutants, {count - len(survivors)} killed, {len(survivors)} survived")
             for diff in survivors:
                 print(diff, end="")
