@@ -13,7 +13,11 @@ tuples at a time: the block's points, its pair list, the distance guard
 and the kernel (or the oracle) finish before the next block overwrites
 them.  So a worker holds one BLOCK of points plus O(BLOCK n^2) scratch,
 whatever the chunk size, besides what a two-pass sampler draws whole (see
-``persets.spaces``) and the chunk's nontrivial points.
+``persets.spaces``) and the chunk's nontrivial points.  Each process that
+runs a campaign's chunks keeps that scratch in one ``spaces.Scratch``: the
+point buffer, the pair list, the kernel's arrays and what ``prepare``
+asks for are made once and reused by every block, so no chunk faults in
+the pages that glibc trimmed when the last one ended.
 
 Determinism contract: tuples are partitioned into fixed-size chunks and
 chunk c is generated from SeedSequence(seed, spawn_key=(c,)); the merge
@@ -88,11 +92,12 @@ class FiniteSpace:
     def sample_points(self, rng, count):
         return (rng.integers(0, self.matrix.n, size=(rows, 1)) for rows in spaces_mod.row_counts(count))
 
-    def prepare(self, points):
+    def prepare(self, points, scratch):
         """Each of the n positions of (n, B, 1) row indices as (row * N, row): its
-        row-major offset into the flat N x N matrix and its column."""
-        rows = points[..., 0].astype(np.intp, copy=False)
-        return list(zip(rows * self.matrix.n, rows))
+        row-major offset into the flat N x N matrix and its column, in ``scratch``."""
+        offsets, rows = scratch.array("finite rows", (2, *points.shape[:2]), np.intp)
+        np.copyto(rows, points[..., 0], casting="unsafe")
+        return list(zip(np.multiply(rows, self.matrix.n, out=offsets), rows))
 
     def pair_distance(self, p, q):
         """Distances of two prepared positions: one add and one gather from the flat matrix."""
@@ -119,14 +124,15 @@ def space_of(space):
     return spaces_mod.parse_space(space)
 
 
-def pair_blocks(space, rng, count: int, n: int):
+def pair_blocks(space, rng, count: int, n: int, scratch):
     """(tuples, pair list) of each BLOCK of ``count`` n-tuples read from the stream
     ``space.sample_points(rng, count * n)``: a (B, n, D) view of one point buffer, filled as the
-    stream's blocks come, and a (n(n-1)/2, B) view of one pair buffer; the next block overwrites
-    both.  ``prepare`` gets each block once, as an (n, B, D) view.  UnsupportedCombination if the
-    stream ends early or a distance of the block is negative, infinite or NaN."""
+    stream's blocks come, and a (n(n-1)/2, B) view of one pair buffer, both kept in the
+    ``spaces.Scratch`` given; the next block overwrites both.  ``prepare`` gets each block once, as
+    an (n, B, D) view, and the scratch.  UnsupportedCombination if the stream ends early or a
+    distance of the block is negative, infinite or NaN."""
     stream, rows, flat = iter(space.sample_points(rng, count * n)), (), None
-    buffer = np.empty((n * (n - 1) // 2, min(count, BLOCK)))
+    buffer = scratch.array("pairs", (n * (n - 1) // 2, min(count, BLOCK)))
     ij = list(zip(*np.triu_indices(n, 1)))
     for b in range(0, count, BLOCK):
         size, filled = min(BLOCK, count - b), 0
@@ -136,15 +142,14 @@ def pair_blocks(space, rng, count: int, n: int):
                 if rows is None:
                     raise UnsupportedCombination(f"space {space.descriptor!r} drew fewer than {count * n} points")
             if flat is None:
-                flat = np.empty((min(count, BLOCK) * n, rows.shape[1]), rows.dtype)
+                flat = scratch.array("points", (min(count, BLOCK) * n, rows.shape[1]), rows.dtype)
             take = rows[:size * n - filled]
             flat[filled:filled + len(take)] = take
             filled, rows = filled + len(take), rows[len(take):]
         tuples, pairs = flat[:size * n].reshape(size, n, -1), buffer[:, :size]
-        at = space.prepare(tuples.swapaxes(0, 1))
+        at = space.prepare(tuples.swapaxes(0, 1), scratch)
         for p, (i, j) in enumerate(ij):
             pairs[p] = space.pair_distance(at[i], at[j])
-        del at  # the next block's prepare reuses this memory instead of faulting in new pages
         if not (pairs.min() >= 0 and pairs.max() < np.inf):  # a NaN fails the first test
             raise UnsupportedCombination(f"space {space.descriptor!r} gave pair distances from {pairs.min()} "
                                          f"to {pairs.max()}; a campaign needs them in [0, inf)")
@@ -157,13 +162,13 @@ def _tasks(n, k, tuples):
     return [(c, min(size, tuples - b)) for c, b in enumerate(range(0, tuples, size))]
 
 
-def _chunk(space, n, k, seed, chunk_index, count):
+def _chunk(space, n, k, seed, chunk_index, count, scratch):
     """(tuples, nontrivial points, each tuple's point count) of each BLOCK of one chunk, the tuples
     a view that the next block overwrites; the O(n^2) kernel when n = 2k+2, else the oracle."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    for tuples, pairs in pair_blocks(space, rng, count, n):
+    for tuples, pairs in pair_blocks(space, rng, count, n, scratch):
         if n == 2 * k + 2:
-            tb, td = principal_of_pairs(pairs, n)
+            tb, td = principal_of_pairs(pairs, n, out=scratch.array("kernel", (5, len(tuples))))
             per_tuple = tb < td
             points = np.column_stack([tb[per_tuple], td[per_tuple]])
         else:
@@ -171,25 +176,27 @@ def _chunk(space, n, k, seed, chunk_index, count):
         yield tuples, points, per_tuple
 
 
-def _run_chunk(space, n, k, seed, chunk_index, count):
-    """The nontrivial points and the trivial count of one chunk."""
+def _run_chunk(space, n, k, seed, chunk_index, count, scratch=None):
+    """The nontrivial points and the trivial count of one chunk; ``scratch`` is the campaign's (a new one if None)."""
     points, trivial = [], count
-    for _, block_points, per_tuple in _chunk(space, n, k, seed, chunk_index, count):
+    scratch = spaces_mod.Scratch() if scratch is None else scratch
+    for _, block_points, per_tuple in _chunk(space, n, k, seed, chunk_index, count, scratch):
         points.append(block_points)
         trivial -= int(np.count_nonzero(per_tuple))
     return np.concatenate(points), trivial
 
 
-_campaign = ()  # a pool worker's (space, n, k, seed), set at its start: inherited by fork, pickled by spawn
+_campaign = ()  # a pool worker's ((space, n, k, seed), its own Scratch), set at its start from the initargs
 
 
 def _start_worker(*campaign):
     global _campaign
-    _campaign = campaign
+    _campaign = campaign, spaces_mod.Scratch()
 
 
 def _run_pooled(chunk_index, count):
-    return _run_chunk(*_campaign, chunk_index, count)
+    campaign, scratch = _campaign
+    return _run_chunk(*campaign, chunk_index, count, scratch)
 
 
 def check_campaign(n: int, k: int, tuples: int, seed: int) -> None:
@@ -241,7 +248,8 @@ def sample_persistence_set(
                                  initargs=(space, n, k, seed)) as pool:
             results = list(pool.map(_run_pooled, *zip(*tasks), chunksize=1))
     else:
-        results = [_run_chunk(space, n, k, seed, *t) for t in tasks]
+        scratch = spaces_mod.Scratch()
+        results = [_run_chunk(space, n, k, seed, *t, scratch) for t in tasks]
 
     points = np.concatenate([r[0] for r in results], axis=0)
     trivial = sum(r[1] for r in results)
@@ -263,9 +271,12 @@ def kept_tuples(space, sample: PersistenceSetSample) -> np.ndarray:
     if space.descriptor != sample.space:
         raise UnsupportedCombination(f"the sample is of {sample.space!r}, not of {space.descriptor!r}")
     check_campaign(sample.n, sample.k, sample.tuples_drawn, sample.seed)
-    kept, at, same = [], 0, True
+    if sample.n < 2 * sample.k + 2 and not len(sample.points):  # nothing was drawn (see sample_persistence_set)
+        one = next(iter(space.sample_points(np.random.default_rng(sample.seed), 1)))  # the rows' width and dtype
+        return np.empty((0, sample.n, one.shape[1]), one.dtype)
+    kept, at, same, scratch = [], 0, True, spaces_mod.Scratch()
     for task in _tasks(sample.n, sample.k, sample.tuples_drawn):
-        for tuples, points, per_tuple in _chunk(space, sample.n, sample.k, sample.seed, *task):
+        for tuples, points, per_tuple in _chunk(space, sample.n, sample.k, sample.seed, *task, scratch):
             same &= points.tobytes() == sample.points[at:at + len(points)].tobytes()
             kept.append(np.repeat(tuples, per_tuple, axis=0))
             at += len(points)

@@ -10,10 +10,13 @@ Self-loops (u == u) are allowed and model whole circles attached at a
 single vertex: trying both orientations of each endpoint route recovers
 the correct arc distance.
 
-A point is an (edge index, offset) row.  ``MetricGraph.prepare`` turns
+A point is an (edge index, offset) row.  ``sample_graph`` streams them:
+its first pass keeps each point's edge index (2 B a point), its second
+draws the offsets a block at a time.  ``MetricGraph.prepare`` turns
 (n, B, 2) rows into each point's edge ends and the lengths to them
-(``GraphEnds``), once per point, and ``pair_distance`` takes only those:
-a pair then costs four look-ups in the vertex table.  Raw rows reach a
+(``GraphEnds``, views of the campaign's scratch), once per point, and
+``pair_distance`` takes only those: a pair then costs four look-ups in
+the vertex table.  Raw rows reach a
 distance through ``spaces.distance`` and ``spaces.distance_matrix``,
 which check them with ``MetricGraph.validate_point`` first and then run
 the engine's route, so both give the same bits.
@@ -30,14 +33,13 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint, TooLarge
 from .metric import number, read_json, whole
-from .spaces import (check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks,
-                     rows_of)
+from .spaces import check_indices, no_unused_options, parse_number, parse_options, points_of, row_blocks
 
 TWO_PI = 2.0 * math.pi
 # vertices of a graph: its vertex table is then 8 MB, and a cycle of 1,000 vertices
 # with one flare each builds in about 1.2 s (a Dijkstra run from every vertex)
 MAX_VERTICES = 1000
-# edges of a graph: 1,000 vertices and 5,000 edges build in 3.3-4.1 s on one core
+# edges of a graph: 1,000 vertices and 5,000 edges build in 3.3-4.1 s on one core; an edge index fits a uint16
 MAX_EDGES = 5000
 
 
@@ -74,16 +76,19 @@ class MetricGraph:
         return f"graph:{self.vertex_count}v:{len(self.edges)}e"
 
     def sample_points(self, rng, count):
-        """The ``sample_graph`` draw, made whole (two passes), as ``rows_of`` views."""
-        return rows_of(sample_graph(self, rng, count))
+        """The ``sample_graph`` stream."""
+        return sample_graph(self, rng, count)
 
-    def prepare(self, points):
-        """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of C-contiguous (B,) arrays."""
-        edge = points[..., 0].astype(np.intp, order="C")
-        w_u = points[..., 1].astype(float, order="C")
-        u, v = self.edge_u[edge], self.edge_v[edge]
-        rows = self.vertex_count
-        return [GraphEnds(*cols) for cols in zip(edge, w_u, self.edge_len[edge] - w_u, u * rows, v * rows, u, v)]
+    def prepare(self, points, scratch):
+        """The n positions of (n, B, 2) (edge, offset) rows as GraphEnds of C-contiguous (B,) views of ``scratch``."""
+        edge, row_u, row_v, u, v = scratch.array("graph ends", (5, *points.shape[:2]), np.intp)
+        w_u, w_v = scratch.array("graph lengths", (2, *points.shape[:2]))
+        np.copyto(edge, points[..., 0], casting="unsafe")
+        np.copyto(w_u, points[..., 1])
+        np.subtract(self.edge_len.take(edge, mode="wrap", out=w_v), w_u, out=w_v)  # "wrap": no buffered copy
+        np.multiply(self.edge_u.take(edge, mode="wrap", out=u), self.vertex_count, out=row_u)
+        np.multiply(self.edge_v.take(edge, mode="wrap", out=v), self.vertex_count, out=row_v)
+        return [GraphEnds(*cols) for cols in zip(edge, w_u, w_v, row_u, row_v, u, v)]
 
     def pair_distance(self, p, q):
         """Distances of two prepared positions."""
@@ -167,21 +172,20 @@ def point_distance_batch(graph: MetricGraph, p: GraphEnds, q: GraphEnds):
 def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int):
     """Uniform draws w.r.t. length: edge ~ length, offset ~ uniform.
 
-    Returns a (count, 2) array of (edge index, offset) rows.
+    A generator of (rows, 2) blocks of (edge index, offset) rows, ``count`` rows in all.  The
+    first pass keeps every edge index as a uint16 (2 B a point); the second draws the offsets and
+    yields a fresh block per ``spaces.row_blocks`` block.
     """
     if count < 0:
         raise InvalidDescriptor("count must be >= 0")
     lens = graph.edge_len
     cdf = (lens / lens.sum()).cumsum()
     cdf /= cdf[-1]
-    out = np.empty((count, 2))
-    draws = rng.random(count)  # rng.choice(len(lens), size=count, p=lens / lens.sum()), a row block at a time
-    for block, u in row_blocks(out, draws):
-        block[:, 0] = cdf.searchsorted(u, side="right")
-    rng.random(out=draws)  # the bits of rng.uniform(0.0, 1.0, size=count)
-    for block, o in row_blocks(out, draws):
-        block[:, 1] = o * lens[block[:, 0].astype(np.intp)]
-    return out
+    edges = np.empty(count, np.uint16)
+    for (block,) in row_blocks(edges):  # rng.choice(len(lens), size=count, p=lens / lens.sum())
+        block[:] = cdf.searchsorted(rng.random(len(block)), side="right")
+    for (block,) in row_blocks(edges):  # the bits of rng.uniform(0.0, 1.0, size=count) * lens[edges]
+        yield np.column_stack([block, rng.random(len(block)) * lens[block]])
 
 
 # ---------------------------------------------------------------------------

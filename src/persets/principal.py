@@ -52,13 +52,14 @@ def _top_two(xs, tb, td, low) -> None:
         np.maximum(td, x, out=td)
 
 
-def principal_of_pairs(pairs, n: int):
+def principal_of_pairs(pairs, n: int, out=None):
     """Global (t_b(X), t_d(X)) of n-point spaces given as a (n(n-1)/2, ...) pair list,
     two arrays of the batch shape ``pairs.shape[1:]``.  Each point's top two is
-    folded in as soon as it is done.
+    folded in as soon as it is done.  ``out``, if given, is five arrays of that
+    shape: t_b, t_d and three work arrays.
     """
     pairs = np.asarray(pairs, dtype=float)
-    tb, td, lo, hi, low = (np.empty(pairs.shape[1:]) for _ in range(5))
+    tb, td, lo, hi, low = out if out is not None else (np.empty(pairs.shape[1:]) for _ in range(5))
     first, *rest = _candidates(pairs, n)
     _top_two(first, tb, td, low)
     for xs in rest:

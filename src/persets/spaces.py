@@ -10,14 +10,17 @@ datasets) has the same four members:
   kappa > 0, finite datasets) draws each block of ``row_counts`` when it
   is asked for: successive numpy Generator calls continue one stream, so
   the blocks change no bit.  One that makes two passes over the draw
-  (disk, mk with kappa < 0, metric graphs) draws it whole and yields its
-  ``rows_of`` views;
-* ``prepare(points)`` -- called with an (n, B, D) array of points
-  (position first); returns n items, item i being the points of
-  position i in the form ``pair_distance`` takes.  These models return
-  the array as it is (``RawPoints``), a metric graph its points' edge
-  ends (``graphs.GraphEnds``), a finite dataset its row indices' flat
-  offsets into the distance matrix (``engine.FiniteSpace``);
+  (disk, mk with kappa < 0) draws it whole and yields its ``rows_of``
+  views; a metric graph holds only its first pass whole, 2 B a point
+  (``graphs.sample_graph``);
+* ``prepare(points, scratch)`` -- called with an (n, B, D) array of
+  points (position first) and the campaign's ``Scratch``; returns n
+  items, item i being the points of position i in the form
+  ``pair_distance`` takes, which may be views of ``scratch`` arrays that
+  the next block overwrites.  These models return the array as it is
+  and ignore the scratch (``RawPoints``), a metric graph its points'
+  edge ends (``graphs.GraphEnds``), a finite dataset its row indices'
+  flat offsets into the distance matrix (``engine.FiniteSpace``);
 * ``pair_distance(p, q)`` -- exact distances of two items that
   ``prepare`` returned, and only of those;
 * ``descriptor`` -- the sidecar string (here the inverse of parse_space).
@@ -95,6 +98,17 @@ def row_counts(count):
     return (min(_ROWS, count - r) for r in range(0, count, _ROWS))
 
 
+class Scratch(dict):
+    """The buffers of one campaign in one process, reused by each block it runs."""
+
+    def array(self, key, shape, dtype=float):
+        """A C-contiguous ``shape`` view of the buffer under ``key``, made anew if too small or of another dtype."""
+        size, buffer = math.prod(shape), self.get(key)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self[key] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def _unit_vectors(rng, count, dim, radius=1.0):
     """``count`` uniform points of the sphere of ``radius`` in R^dim, scaled and normalized in place."""
     v = rng.standard_normal(size=(count, dim))
@@ -109,7 +123,7 @@ def _unit_vectors(rng, count, dim, radius=1.0):
 class RawPoints:
     """A space whose ``pair_distance`` takes the drawn points as they are."""
 
-    def prepare(self, points):
+    def prepare(self, points, scratch):
         return points
 
 
@@ -312,7 +326,7 @@ class EuclideanDisk(RawPoints):
 def _pair_distance(space, p, q):
     """``pair_distance`` of valid raw points p and q, broadcast, through ``prepare``."""
     p, q = np.broadcast_arrays(p, q)
-    d = space.pair_distance(*space.prepare(np.stack([p, q]).reshape(2, -1, p.shape[-1])))
+    d = space.pair_distance(*space.prepare(np.stack([p, q]).reshape(2, -1, p.shape[-1]), Scratch()))
     return d.reshape(p.shape[:-1])
 
 

@@ -377,6 +377,18 @@ def random_tree(rng: np.random.Generator, vertices: int) -> MetricGraph:
                                   for v in range(1, vertices)])
 
 
+def sample_graph(graph: MetricGraph, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2) (edge index, offset) rows in two whole passes: every edge index, then every offset.
+
+    ``graphs.sample_graph`` streams the same rows from the same generator calls.
+    """
+    lens = graph.edge_len
+    cdf = (lens / lens.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges = cdf.searchsorted(rng.random(count), side="right")
+    return np.column_stack([edges, rng.random(count) * lens[edges]])
+
+
 def total_length(graph: MetricGraph) -> float:
     return float(sum(e[2] for e in graph.edges))
 

@@ -94,7 +94,7 @@ def test_oracle_fallback_matches_principal_on_principal_case():
     space = spaces.CircleGeodesic()
     s = engine.sample_persistence_set(space, 4, 1, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))  # chunk 0's stream
-    [(_, pairs)] = engine.pair_blocks(space, rng, 500, 4)  # one block
+    [(_, pairs)] = engine.pair_blocks(space, rng, 500, 4, spaces.Scratch())  # one block
     dgms = [vr_diagram(metric.DistanceMatrix(m), 1).points
             for m in metric.squareform(pairs, 4)]
     assert s.trivial_count == sum(not d for d in dgms)
@@ -128,7 +128,7 @@ class Segment:
     def sample_points(self, rng, count):
         yield rng.random((count, 1))
 
-    def prepare(self, points):
+    def prepare(self, points, scratch):
         return points
 
     def pair_distance(self, p, q):
@@ -178,19 +178,23 @@ def chunk_peak(space, n, count):
 
 
 @pytest.mark.parametrize("space, n, bound, whole", [("sphere:m=2", 6, 64, 0), ("sphere:m=9", 8, 160, 0),
-                                                    ("s1", 4, 40, 0), ("mk:kappa=-1", 4, 48, 96)],
-                         ids=["sphere:m=2", "sphere:m=9", "s1", "mk:kappa=-1"])
+                                                    ("s1", 4, 40, 0), ("mk:kappa=-1", 4, 48, 96),
+                                                    ("glued:3.5,4.5:alpha=0.5", 4, 72, 0), ("wedge:3.5,4.5", 4, 72, 0)],
+                         ids=["sphere:m=2", "sphere:m=9", "s1", "mk:kappa=-1", "glued", "wedge"])
 def test_chunk_holds_one_block(space, n, bound, whole):
     # a chunk streams its draw into one BLOCK of points and pair list: 44, 141 and 20 B a
     # tuple, draw included; drawn whole, the draw alone was 144, 640 and 32 B a tuple, and
     # the peak 178, 696 and 59.  So a second CHUNK adds only the nontrivial points, below
     # t_b/t_d's 16 B a tuple.  The hyperbolic sampler draws ``whole`` B a tuple in one go (two
-    # uniform passes); beyond that a chunk peaks at 36, where two whole uniform arrays took 68
+    # uniform passes); beyond that a chunk peaks at 36, where two whole uniform arrays took 68.
+    # A graph stream keeps each point's uint16 edge index, 2n B a tuple: 61 B a tuple at n = 4,
+    # where the whole draw peaked at 112 and a second CHUNK added 82
     space = engine.space_of(space)
     peak = chunk_peak(space, n, engine.CHUNK)
     assert (peak / engine.CHUNK - whole) < bound
+    edges = 2 * n if isinstance(space, graphs.MetricGraph) else 0
     if not whole:
-        assert (chunk_peak(space, n, 2 * engine.CHUNK) - peak) / engine.CHUNK <= 16
+        assert (chunk_peak(space, n, 2 * engine.CHUNK) - peak) / engine.CHUNK <= 16 + edges
 
 
 @pytest.mark.parametrize("space, n, k", [("s1", 3, 1), ("sphere:m=2", 5, 2), ("wedge:3.5,4.5", 7, 3), ("finite", 4, 2)])
@@ -201,14 +205,14 @@ def test_campaign_that_can_only_give_empty_diagrams_draws_nothing(space, n, k, m
         m.setattr(engine, "pair_blocks", lambda *args: pytest.fail("a chunk was drawn"))
         m.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: pytest.fail("a pool started"))
         s = engine.sample_persistence_set(space, n, k, 2500, seed=4, workers=2)
+        kept = engine.kept_tuples(space, s)  # nor is one redrawn
     assert (s.points.shape, s.points.dtype, s.trivial_count, s.tuples_drawn) == ((0, 2), np.float64, 2500, 2500)
     engine.write_sample(s, tmp_path / "s.csv")
     assert (tmp_path / "s.csv").read_text() == "t_b,t_d\n"
     sidecar = json.loads((tmp_path / "s.csv.json").read_text())
     assert sidecar == {"tuples": 2500, "trivial": 2500, "seed": 4, "space": s.space, "n": n, "k": k}
-    # the redraw gives no tuple, as (0, n, D) rows of the draw's dtype
+    # kept_tuples gives no tuple, as (0, n, D) rows of the draw's dtype
     one = next(engine.space_of(space).sample_points(np.random.default_rng(0), 1))
-    kept = engine.kept_tuples(space, s)
     assert (kept.shape, kept.dtype) == ((0, n, one.shape[1]), one.dtype)
 
 
@@ -216,9 +220,9 @@ def test_prepare_runs_once_per_block(monkeypatch):
     calls = []
     prepare, pair_distance = graphs.MetricGraph.prepare, graphs.MetricGraph.pair_distance
 
-    def spy_prepare(self, points):
+    def spy_prepare(self, points, scratch):
         calls.append(points.shape)
-        return prepare(self, points)
+        return prepare(self, points, scratch)
 
     def spy_pair_distance(self, p, q):
         calls.append("pair")
@@ -241,7 +245,7 @@ class PlainSphere:
     def sample_points(self, rng, count):
         return spaces.SphereGeodesic(self.m).sample_points(rng, count)
 
-    def prepare(self, points):
+    def prepare(self, points, scratch):
         return points
 
     def pair_distance(self, p, q):
@@ -269,7 +273,7 @@ class Arc:
         for r in range(0, count, self.rows):
             yield rng.uniform(0.0, 2 * PI, size=(min(self.rows, count - r), 1))
 
-    def prepare(self, points):
+    def prepare(self, points, scratch):
         return points
 
     def pair_distance(self, p, q):

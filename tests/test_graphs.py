@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from persets import engine, graphs, spaces
 from persets.errors import InvalidDescriptor, InvalidPoint, TooLarge
 
-from reference import random_tree, total_length, write_graph_json
+from conftest import draw
+from reference import random_tree, sample_graph, total_length, write_graph_json
 
 
 def test_same_edge_distance_in_tree():
@@ -95,21 +96,21 @@ def test_unsamplable_graph_rejected(vertices, edges, message):
 def test_sample_single_edge_uniform():
     g = graphs.build_graph(2, [(0, 1, 4.0)])
     rng = np.random.default_rng(1)
-    pts = graphs.sample_graph(g, rng, 1_000_000)
+    pts = draw(g, rng, 1_000_000)
     assert pts[:, 1].mean() == pytest.approx(2.0, rel=0.01)
 
 
 def test_sample_length_proportional_edges():
     g = graphs.build_graph(2, [(0, 1, 1.0), (0, 1, 3.0)])
     rng = np.random.default_rng(2)
-    pts = graphs.sample_graph(g, rng, 1_000_000)
+    pts = draw(g, rng, 1_000_000)
     freq = (pts[:, 0] == 1).mean()
     assert freq == pytest.approx(0.75, abs=0.01)
 
 
 def test_sample_count_zero():
     g = graphs.build_graph(2, [(0, 1, 1.0)])
-    assert len(graphs.sample_graph(g, np.random.default_rng(0), 0)) == 0
+    assert list(graphs.sample_graph(g, np.random.default_rng(0), 0)) == []
 
 
 @pytest.mark.parametrize("graph", ["wedge:3.5,4.5", "glued:3.5,4.5:alpha=0.5", "flares:c=6.2832,k=4,L=1",
@@ -122,8 +123,60 @@ def test_sample_graph_draws_what_rng_choice_draws(graph, monkeypatch):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         e = theirs.choice(len(g.edge_len), size=2500, p=g.edge_len / g.edge_len.sum())
         o = theirs.uniform(0.0, 1.0, size=2500) * g.edge_len[e]
-        assert graphs.sample_graph(g, ours, 2500).tobytes() == np.column_stack([e, o]).tobytes()
+        assert draw(g, ours, 2500).tobytes() == np.column_stack([e, o]).tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class Uniforms:
+    """A generator stand-in whose ``random`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        drawn, self.values = self.values[:size], self.values[size:]
+        return np.array(drawn)
+
+
+def test_sample_graph_picks_the_edge_rng_choice_picks_at_every_step():
+    # a uniform at a step of rng.choice's cdf, or one ulp below it, draws the edge rng.choice draws;
+    # these lengths' probabilities sum to 1 - 2**-52, so any other rounding of the cdf moves a step
+    g = graphs.build_graph(2, [(0, 1, w) for w in (0.3, 1.7, 2.9, 0.123)])
+    p = g.edge_len / g.edge_len.sum()
+    steps = (p.cumsum() / p.cumsum()[-1])[:-1]  # numpy's Generator.choice: cdf = p.cumsum(); cdf /= cdf[-1]
+    u = np.column_stack([np.nextafter(steps, 0.0), steps]).ravel()
+    rows = np.concatenate(list(graphs.sample_graph(g, Uniforms([*u, *[0.5] * len(u)]), len(u))))
+    assert rows[:, 0].tolist() == [e for i in range(len(steps)) for e in (i, i + 1)]
+    assert rows[:, 1].tolist() == (0.5 * g.edge_len[rows[:, 0].astype(int)]).tolist()
+
+
+def loop_graph():
+    """A random tree with three self-loops and a parallel edge."""
+    rng = np.random.default_rng(3)
+    edges = list(random_tree(rng, 6).edges)
+    edges += [(int(u), int(u), float(w)) for u, w in zip(rng.integers(0, 6, size=3), rng.uniform(0.1, 3.0, size=3))]
+    return graphs.build_graph(6, edges + [edges[0][:2] + (0.25,)])
+
+
+@pytest.mark.parametrize("rows", [1000, 4096, spaces._ROWS])
+@pytest.mark.parametrize("graph", ["wedge:3.5,4.5", "glued:3.5,4.5:alpha=0.5", "flares:c=6.2832,k=4,L=1",
+                                   "flares-fig", "treecycles:8,10,12.8:edge=0.35", "loops", "most-edges"])
+def test_sample_graph_streams_the_two_pass_draw(graph, rows, monkeypatch):
+    # the stream's blocks, rows at a time, concatenate to the whole two-pass draw bit for bit, and leave the
+    # generator in its state; "most-edges" has graphs.MAX_EDGES parallel edges, so its indices need 13 bits
+    if graph == "most-edges":
+        g = graphs.build_graph(2, [(0, 1, 1.0 + e / graphs.MAX_EDGES) for e in range(graphs.MAX_EDGES)])
+    else:
+        g = loop_graph() if graph == "loops" else graphs.parse_family(graph)
+    monkeypatch.setattr(spaces, "_ROWS", rows)
+    for count in (0, 1, rows - 1, rows + 1, 2500):
+        ours, theirs = np.random.default_rng(count), np.random.default_rng(count)
+        blocks = list(graphs.sample_graph(g, ours, count))
+        assert [len(b) for b in blocks] == [min(rows, count - r) for r in range(0, count, rows)]
+        whole = sample_graph(g, theirs, count)
+        assert np.concatenate([np.empty((0, 2)), *blocks]).tobytes() == whole.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert whole[:, 0].max() >= (graphs.MAX_EDGES - 30 if graph == "most-edges" else len(g.edges) - 1)
 
 
 def test_wedge_family_shape():
@@ -166,7 +219,7 @@ def test_tree_of_cycles_shape():
 def test_triangle_inequality_on_graphs(maker):
     g = maker()
     rng = np.random.default_rng(5)
-    pts = graphs.sample_graph(g, rng, 300_000).reshape(100_000, 3, 2)
+    pts = draw(g, rng, 300_000).reshape(100_000, 3, 2)
     dab = spaces.distance(g, pts[:, 0], pts[:, 1])
     dbc = spaces.distance(g, pts[:, 1], pts[:, 2])
     dac = spaces.distance(g, pts[:, 0], pts[:, 2])
@@ -191,7 +244,7 @@ def test_wedge_circle_restriction_is_isometric():
 def test_single_cycle_distance_bounded_by_half_length():
     g = graphs.wedge_of_circles([7.0])
     rng = np.random.default_rng(10)
-    pts = graphs.sample_graph(g, rng, 100_000)
+    pts = draw(g, rng, 100_000)
     d = spaces.distance(g, pts[0::2], pts[1::2])
     assert d.max() <= 3.5 + 1e-12
 
@@ -241,7 +294,7 @@ def test_point_matrices_are_exactly_symmetric(family):
     g = graphs.parse_family(family)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        d = spaces.distance_matrix(g, graphs.sample_graph(g, rng, 6)).entries
+        d = spaces.distance_matrix(g, draw(g, rng, 6)).entries
         assert np.array_equal(d, d.T)
 
 
@@ -264,7 +317,7 @@ def test_random_graph_point_distances_are_a_metric(seed, vertices, extra, count)
     edges = list(random_tree(rng, vertices).edges) if vertices > 1 else []  # an edgeless graph is refused
     edges += [(int(u), int(v), float(w)) for (u, v), w in zip(ends, lengths)]
     g = graphs.build_graph(vertices, edges)
-    pts = graphs.sample_graph(g, rng, count)
+    pts = draw(g, rng, count)
     pts[0, 1] = 0.0  # a vertex, and the far end of an edge
     pts[-1, 1] = g.edge_len[int(pts[-1, 0])]
     d = spaces.distance_matrix(g, pts).entries  # validated
@@ -295,15 +348,16 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     edges += [edges[0][:2] + (float(rng.uniform(0.1, 2.0)),)]
     g = graphs.build_graph(vertices, edges)
     n, count = 4, 150
-    draw = graphs.sample_graph(g, rng, count * n)
+    draw = sample_graph(g, rng, count * n)  # the whole two-pass draw, which the stream's blocks concatenate to
     shared = draw[0::3, 0][:len(draw[1::3])]  # a third of the points move to the previous point's edge
     draw[1::3, 0] = shared
     draw[1::3, 1] = rng.uniform(size=len(shared)) * g.edge_len[shared.astype(int)]
     draw[::5, 1] = 0.0
     draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
-    monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: draw)
+    monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: iter([draw]))
     monkeypatch.setattr(engine, "BLOCK", 64)
-    blocks = [(t.copy(), p.copy()) for t, p in engine.pair_blocks(g, rng, count, n)]  # one buffer each
+    scratch = spaces.Scratch()
+    blocks = [(t.copy(), p.copy()) for t, p in engine.pair_blocks(g, rng, count, n, scratch)]  # one buffer each
     tuples = np.concatenate([t for t, _ in blocks])
     pairs = np.concatenate([p for _, p in blocks], axis=1)
     assert tuples.tobytes() == draw.tobytes()

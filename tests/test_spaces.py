@@ -277,7 +277,7 @@ def test_hyperbolic_sampler_stays_in_disk():
 def test_sampler_batch_matches_pointwise():
     model = spaces.TorusL2()
     rng = np.random.default_rng(6)
-    [(pts, pairs)] = engine.pair_blocks(model, rng, 64, 4)  # one block
+    [(pts, pairs)] = engine.pair_blocks(model, rng, 64, 4, spaces.Scratch())  # one block
     assert pts.shape == (64, 4, 2) and pairs.shape == (6, 64)
     mats = metric.squareform(pairs, 4)
     for t in range(0, 64, 7):
