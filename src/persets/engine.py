@@ -250,6 +250,7 @@ def sample_persistence_set(
     else:
         scratch = spaces_mod.Scratch()
         results = [_run_chunk(space, n, k, seed, *t, scratch) for t in tasks]
+        del scratch  # its memory serves the merge below and what the caller does next
 
     points = np.concatenate([r[0] for r in results], axis=0)
     trivial = sum(r[1] for r in results)
