@@ -348,19 +348,19 @@ def test_engine_pairs_are_point_distances_bit_for_bit(seed, monkeypatch):
     edges += [edges[0][:2] + (float(rng.uniform(0.1, 2.0)),)]
     g = graphs.build_graph(vertices, edges)
     n, count = 4, 150
-    draw = sample_graph(g, rng, count * n)  # the whole two-pass draw, which the stream's blocks concatenate to
-    shared = draw[0::3, 0][:len(draw[1::3])]  # a third of the points move to the previous point's edge
-    draw[1::3, 0] = shared
-    draw[1::3, 1] = rng.uniform(size=len(shared)) * g.edge_len[shared.astype(int)]
-    draw[::5, 1] = 0.0
-    draw[1::7, 1] = g.edge_len[draw[1::7, 0].astype(int)]
-    monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: iter([draw]))
+    whole = sample_graph(g, rng, count * n)  # the two-pass draw, which the stream's blocks concatenate to
+    shared = whole[0::3, 0][:len(whole[1::3])]  # a third of the points move to the previous point's edge
+    whole[1::3, 0] = shared
+    whole[1::3, 1] = rng.uniform(size=len(shared)) * g.edge_len[shared.astype(int)]
+    whole[::5, 1] = 0.0
+    whole[1::7, 1] = g.edge_len[whole[1::7, 0].astype(int)]
+    monkeypatch.setattr(graphs, "sample_graph", lambda graph, rng, count: iter([whole]))
     monkeypatch.setattr(engine, "BLOCK", 64)
-    scratch = spaces.Scratch()
-    blocks = [(t.copy(), p.copy()) for t, p in engine.pair_blocks(g, rng, count, n, scratch)]  # one buffer each
+    scratch = spaces.Scratch()  # one point and one pair buffer for every block
+    blocks = [(t.copy(), p.copy()) for t, p in engine.pair_blocks(g, rng, count, n, scratch)]
     tuples = np.concatenate([t for t, _ in blocks])
     pairs = np.concatenate([p for _, p in blocks], axis=1)
-    assert tuples.tobytes() == draw.tobytes()
+    assert tuples.tobytes() == whole.tobytes()
     ij = list(zip(*np.triu_indices(n, 1)))
     points = [[spaces.distance(g, t[i], t[j]) for t in tuples] for i, j in ij]
     routes = [[_endpoint_routes(g, t[i], t[j]) for t in tuples] for i, j in ij]
